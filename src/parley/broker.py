@@ -1,24 +1,31 @@
 """In-process message broker with topic exchanges and named queues.
 
-Publishing routes a byte payload through an exchange's bindings to every
-queue whose pattern matches the routing key (dot-separated segments; ``*``
-matches one segment, ``#`` matches any tail). Delivery is synchronous: a
-queue with a consumer drains in the publisher's thread, so a chain of
-consumer republishes runs to completion before publish() returns. Queues
-without a consumer buffer bytes until one is attached.
+Publishing routes an opaque byte body, with an optional map of headers beside
+it as in AMQP, through an exchange's bindings to every queue whose pattern
+matches the routing key (dot-separated segments; ``*`` matches one segment,
+``#`` matches any tail). Patterns are compiled once, when they are bound.
+Delivery is synchronous: a queue with a consumer drains in the publisher's
+thread, calling ``consumer(body, headers)`` per item, so a chain of consumer
+republishes runs to completion before publish() returns. Queues without a
+consumer buffer (body, headers) pairs until one is attached.
 
-``wire_mode="loopback"`` additionally round-trips every published payload
-through a connected socket pair, so the bytes really cross the OS socket
-layer even though routing stays in-process.
+Headers are shared by every queue a publish reaches and must be treated as
+read-only; a consumer that forwards with more headers builds a new map.
 """
 
 from __future__ import annotations
 
-import socket
+import re
 import threading
-import time
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional
+
+Headers = Mapping[str, str]
+Consumer = Callable[[bytes, Headers], None]
+
+NO_HEADERS: Headers = MappingProxyType({})
 
 
 class BrokerError(Exception):
@@ -30,33 +37,43 @@ class _Queue:
 
     def __init__(self, name: str):
         self.name = name
-        self.items: deque = deque()
-        self.consumer: Optional[Callable[[bytes], None]] = None
+        self.items: deque = deque()  # (body, headers)
+        self.consumer: Optional[Consumer] = None
 
 
-def _pattern_matches(pattern: List[str], key: List[str]) -> bool:
-    if not pattern:
-        return not key
-    head = pattern[0]
-    if head == "#":
-        return any(_pattern_matches(pattern[1:], key[i:]) for i in range(len(key) + 1))
-    if not key:
-        return False
-    if head == "*" or head == key[0]:
-        return _pattern_matches(pattern[1:], key[1:])
-    return False
+def compile_pattern(pattern: str) -> Callable[[List[str]], bool]:
+    """Compile a binding pattern to a test on a routing key's segments.
+
+    Patterns without ``#``, the only kind a session binds, compile without a
+    regular expression: compiling one costs about 90 µs, a fifth of a
+    session's set-up.
+    """
+    segments = pattern.split(".")
+    if "#" in segments:
+        if segments == ["#"]:
+            return lambda key: True
+        # Each key segment is matched with the dot before it, so ``#`` is any
+        # run of ``.segment``, the empty run included.
+        parts = {"#": r"(?:\.[^.]*)*", "*": r"\.[^.]*"}
+        regex = re.compile("".join(parts.get(s) or r"\." + re.escape(s) for s in segments))
+        return lambda key: regex.fullmatch("." + ".".join(key)) is not None
+    if "*" not in segments:
+        return lambda key: key == segments
+    count = len(segments)
+    literal = [i for i, s in enumerate(segments) if s != "*"]
+    if not literal:
+        return lambda key: len(key) == count
+    pick = itemgetter(*literal)
+    want = pick(segments)
+    return lambda key: len(key) == count and pick(key) == want
 
 
 class Broker:
-    def __init__(self, wire_mode: str = "direct", clock=time.monotonic_ns):
-        if wire_mode not in ("direct", "loopback"):
-            raise BrokerError(f"unknown wire mode {wire_mode!r}")
-        self.wire_mode = wire_mode
-        self.clock = clock
+    def __init__(self):
         self._lock = threading.RLock()
-        self._exchanges: Dict[str, List[tuple]] = {}  # name -> [(pattern segs, queue)]
+        # exchange name -> [(pattern, queue name, matcher)]
+        self._exchanges: Dict[str, List[tuple]] = {}
         self._queues: Dict[str, _Queue] = {}
-        self._loop_sockets: Optional[tuple] = None
 
     # --- topology ---------------------------------------------------------
 
@@ -72,25 +89,24 @@ class Broker:
         with self._lock:
             self._queues.pop(name, None)
             for bindings in self._exchanges.values():
-                bindings[:] = [(p, q) for p, q in bindings if q != name]
+                bindings[:] = [b for b in bindings if b[1] != name]
 
     def bind(self, exchange: str, pattern: str, queue: str) -> None:
         with self._lock:
-            if exchange not in self._exchanges:
+            bindings = self._exchanges.get(exchange)
+            if bindings is None:
                 raise BrokerError(f"unknown exchange {exchange!r}")
             if queue not in self._queues:
                 raise BrokerError(f"unknown queue {queue!r}")
-            entry = (tuple(pattern.split(".")), queue)
-            if entry not in self._exchanges[exchange]:
-                self._exchanges[exchange].append(entry)
+            if not any(b[0] == pattern and b[1] == queue for b in bindings):
+                bindings.append((pattern, queue, compile_pattern(pattern)))
 
     def unbind(self, exchange: str, pattern: str, queue: str) -> None:
         with self._lock:
             bindings = self._exchanges.get(exchange, [])
-            entry = (tuple(pattern.split(".")), queue)
-            bindings[:] = [b for b in bindings if b != entry]
+            bindings[:] = [b for b in bindings if b[0] != pattern or b[1] != queue]
 
-    def set_consumer(self, queue: str, consumer: Optional[Callable[[bytes], None]]) -> None:
+    def set_consumer(self, queue: str, consumer: Optional[Consumer]) -> None:
         """Attach or detach a consumer; attaching drains buffered items."""
         with self._lock:
             q = self._queues.get(queue)
@@ -102,30 +118,30 @@ class Broker:
 
     # --- traffic ------------------------------------------------------------
 
-    def publish(self, exchange: str, routing_key: str, data: bytes) -> int:
-        """Route bytes to every queue bound to a matching pattern.
+    def publish(
+        self, exchange: str, routing_key: str, body: bytes, headers: Optional[Headers] = None
+    ) -> int:
+        """Route a body and its headers to every queue bound to a matching pattern.
 
-        Returns the number of queues that received the payload.
+        Returns the number of queues that received it.
         """
-        if self.wire_mode == "loopback":
-            data = self._loopback(data)
         key = routing_key.split(".")
         with self._lock:
             bindings = self._exchanges.get(exchange)
             if bindings is None:
                 raise BrokerError(f"unknown exchange {exchange!r}")
-            hits = [q for pattern, q in bindings if _pattern_matches(list(pattern), key)]
+            hits = [queue for _, queue, matches in bindings if matches(key)]
             for name in hits:
-                self.push(name, data)
+                self.push(name, body, headers)
             return len(hits)
 
-    def push(self, queue: str, data: bytes) -> None:
-        """Append bytes straight onto a queue, bypassing any exchange."""
+    def push(self, queue: str, body: bytes, headers: Optional[Headers] = None) -> None:
+        """Append a body and its headers straight onto a queue, bypassing any exchange."""
         with self._lock:
             q = self._queues.get(queue)
             if q is None:
                 raise BrokerError(f"unknown queue {queue!r}")
-            q.items.append(data)
+            q.items.append((body, NO_HEADERS if headers is None else headers))
             if q.consumer is not None:
                 self._drain(q)
 
@@ -136,25 +152,5 @@ class Broker:
 
     def _drain(self, q: _Queue) -> None:
         while q.items and q.consumer is not None:
-            data = q.items.popleft()
-            q.consumer(data)
-
-    def _loopback(self, data: bytes) -> bytes:
-        with self._lock:
-            if self._loop_sockets is None:
-                self._loop_sockets = socket.socketpair()
-            write_side, read_side = self._loop_sockets
-            header = len(data).to_bytes(4, "big")
-            write_side.sendall(header + data)
-            out = b""
-            want = 4 + len(data)
-            while len(out) < want:
-                out += read_side.recv(want - len(out))
-            return out[4:]
-
-    def close(self) -> None:
-        with self._lock:
-            if self._loop_sockets is not None:
-                for sock in self._loop_sockets:
-                    sock.close()
-                self._loop_sockets = None
+            body, headers = q.items.popleft()
+            q.consumer(body, headers)

@@ -3,22 +3,30 @@
 Topology per conversation (monitored cases): an application endpoint never
 talks to its peers directly. Its sends go to its principal's outbound
 exchange, whose single consumer is the principal's mediator; the mediator
-checks the message against the sender-side session FSM, stamps an audit tag,
-and republishes onto the conversation's exchange with routing key
-``<cid>.<from>.<to>``. Only ``<cid>.*.<role>`` is bound to each
-participant's mediator queue, so the receiver's mediator, and no other, picks
-the message up next, checks it against the receiver-side FSM, stamps the
-second audit tag, and only then pushes it onto the endpoint's inbox queue.
-Inbox delivery asserts both tags, so anything injected around the mediators
-is detected and dropped there.
+checks the message against the sender-side session FSM and republishes the
+sender's bytes unchanged onto the conversation's exchange with routing key
+``<cid>.<from>.<to>``, stamping its audit tag as a broker header. Only
+``<cid>.*.<role>`` is bound to each participant's mediator queue, so the
+receiver's mediator, and no other, picks the message up next, checks it
+against the receiver-side FSM, adds the second audit tag to the headers, and
+only then pushes the same bytes onto the endpoint's inbox queue. Inbox
+delivery asserts both header tags against the body's sender and receiver, and
+ignores any tags a body carries in its extras, so anything injected around
+the mediators is detected and dropped there. A message is thus encoded once,
+by its sender, and decoded by each mediator and the inbox. Bytes that do not
+decode, and messages whose routing key disagrees with their body, are
+recorded in ``mediation_violations`` and dropped; nothing raises back into
+the publisher.
 
 Invitations follow the same shape: ``create`` publishes one invitation per
 configured role through the creator's mediator onto the shared ``invite``
 exchange keyed by principal name; each invitee's mediator initializes the
 monitor session from the carried local-protocol reference, allocates the
 session queues, acknowledges back to the creator, and hands the invitation
-to the application, where ``join`` claims it. The creator invites itself the
-same way, so session setup has a single path.
+to the application, where ``join`` claims it. The invitation handed over
+carries the two stamps, taken from the headers, in its extras; ``join``
+refuses one that lacks them. The creator invites itself the same way, so
+session setup has a single path.
 
 Three mediation cases exist: ``monitor`` (full FSM checking), ``forwarder``
 (mediation and tagging without any checking; the benchmark baseline), and
@@ -32,9 +40,10 @@ import threading
 import time
 import uuid
 from collections import deque
+from functools import partial
 from typing import Dict, List, Optional
 
-from .broker import Broker
+from .broker import Broker, Headers
 from .monitor import ENFORCE, Monitor, MonitorError
 from .store import ProtocolStore, local_ref
 from .wire import (
@@ -50,6 +59,7 @@ from .wire import (
     Timeout,
     TransportError,
     UnknownPeerRole,
+    WireError,
     X_ACK,
     X_INVITED_BY,
     X_MEDIATED_IN,
@@ -102,13 +112,12 @@ class ConversationRuntime:
         broker: Optional[Broker] = None,
         monitor_mode: Optional[str] = None,
         record_trace: bool = True,
-        wire_mode: str = "direct",
     ):
         if case not in (MONITOR, FORWARDER, NONE):
             raise ValueError(f"unknown mediation case {case!r}")
         self.store = store
         self.case = case
-        self.broker = broker or Broker(wire_mode=wire_mode)
+        self.broker = broker or Broker()
         self.monitor_mode = monitor_mode
         self.record_trace = record_trace
         self._nodes: Dict[str, _Node] = {}
@@ -142,10 +151,10 @@ class ConversationRuntime:
                 self.broker.declare_exchange(out_x)
                 self.broker.declare_queue(out_q)
                 self.broker.bind(out_x, "#", out_q)
-                self.broker.set_consumer(out_q, lambda data, n=node: self._on_out(n, data))
+                self.broker.set_consumer(out_q, partial(self._on_out, node, out_q))
                 self.broker.declare_queue(inv_q)
                 self.broker.bind("invite", principal, inv_q)
-                self.broker.set_consumer(inv_q, lambda data, n=node: self._on_inv(n, data))
+                self.broker.set_consumer(inv_q, partial(self._on_inv, node, inv_q))
             return node
 
     def endpoint(self, principal: str) -> "Endpoint":
@@ -156,33 +165,48 @@ class ConversationRuntime:
 
     # --- mediation handlers ---------------------------------------------------
 
-    def _on_out(self, node: _Node, data: bytes) -> None:
-        """Sender-side mediation: check, stamp, and forward."""
-        message = decode_message(data)
+    def decode_or_note(self, queue: str, body: bytes) -> Optional[ConversationMessage]:
+        """The message in ``body``, or None after recording why it is not one."""
+        try:
+            return decode_message(body)
+        except WireError as exc:
+            self.note_mediation_violation(queue, f"undecodable: {exc}", body)
+            return None
+
+    def _on_out(self, node: _Node, queue: str, body: bytes, headers: Headers) -> None:
+        """Sender-side mediation: check, stamp, and forward the same bytes."""
+        message = self.decode_or_note(queue, body)
+        if message is None:
+            return
+        stamp = {X_MEDIATED_OUT: message.sender}
         if message.kind == INVITATION:
             target = (
                 message.extra(X_INVITED_BY)
                 if message.extra(X_ACK) == "true"
                 else message.extra(X_PRINCIPAL)
             )
-            stamped = message.with_extras(**{X_MEDIATED_OUT: message.sender})
-            self.broker.publish("invite", target, encode_message(stamped))
+            if target is None:
+                self.note_mediation_violation(queue, "invitation names no target", message)
+                return
+            self.broker.publish("invite", target, body, stamp)
             return
         if node.monitor is not None:
             verdict = node.monitor.check(message, message.sender)
             if not verdict.ok and node.monitor.mode == ENFORCE:
                 self.dropped.append(("send", verdict, message))
                 return
-        stamped = message.with_extras(**{X_MEDIATED_OUT: message.sender})
         self.broker.publish(
             f"s.{message.cid}",
             f"{message.cid}.{message.sender}.{message.receiver}",
-            encode_message(stamped),
+            body,
+            stamp,
         )
 
-    def _on_inv(self, node: _Node, data: bytes) -> None:
+    def _on_inv(self, node: _Node, queue: str, body: bytes, headers: Headers) -> None:
         """Invitation arriving at its target principal's mediator."""
-        message = decode_message(data)
+        message = self.decode_or_note(queue, body)
+        if message is None:
+            return
         if message.extra(X_ACK) == "true":
             with self._ack_cond:
                 self._acks.setdefault(message.cid, set()).add(message.extra(X_ROLE))
@@ -197,9 +221,12 @@ class ConversationRuntime:
                 node.errors.append(str(exc))
                 return
         self._declare_session(node.principal, message.cid, role)
-        stamped = message.with_extras(**{X_MEDIATED_IN: role})
+        # The stamps come from the headers only; a body cannot stamp itself.
+        handed = message.with_extras(
+            **{X_MEDIATED_OUT: headers.get(X_MEDIATED_OUT, ""), X_MEDIATED_IN: role}
+        )
         with node.cond:
-            node.invitations.append(stamped)
+            node.invitations.append(handed)
             node.cond.notify_all()
         ack = ConversationMessage(
             kind=INVITATION,
@@ -226,24 +253,34 @@ class ConversationRuntime:
         self.broker.declare_queue(mq)
         self.broker.bind(f"s.{cid}", f"{cid}.*.{role}", mq)
         node = self.node(principal)
-        self.broker.set_consumer(
-            mq, lambda data, n=node, r=role: self._on_session(n, r, data)
-        )
+        self.broker.set_consumer(mq, partial(self._on_session, node, mq, cid, role))
 
-    def _on_session(self, node: _Node, role: str, data: bytes) -> None:
+    def _on_session(
+        self, node: _Node, queue: str, cid: str, role: str, body: bytes, headers: Headers
+    ) -> None:
         """Receiver-side mediation for one (principal, cid, role) binding."""
-        message = decode_message(data)
+        message = self.decode_or_note(queue, body)
+        if message is None:
+            return
         # Only the ``<cid>.*.<role>`` binding routes here, so a body addressed
-        # to another role came in under a routing key that disagrees with it.
-        if message.receiver != role:
+        # to another role or conversation came in under a routing key that
+        # disagrees with it.
+        if message.receiver != role or message.cid != cid:
+            self.note_mediation_violation(
+                queue,
+                f"routing key names {cid}.*.{role}, body is "
+                f"{message.cid}: {message.sender} to {message.receiver}",
+                message,
+            )
             return
         if node.monitor is not None:
             verdict = node.monitor.check(message, role)
             if not verdict.ok and node.monitor.mode == ENFORCE:
                 self.dropped.append(("deliver", verdict, message))
                 return
-        stamped = message.with_extras(**{X_MEDIATED_IN: role})
-        self.broker.push(inbox_queue(node.principal, message.cid), encode_message(stamped))
+        self.broker.push(
+            inbox_queue(node.principal, cid), body, {**headers, X_MEDIATED_IN: role}
+        )
 
     # --- unmediated case --------------------------------------------------------
 
@@ -275,7 +312,7 @@ class ConversationRuntime:
                 self._ack_cond.wait(remaining)
 
     def close(self) -> None:
-        self.broker.close()
+        """Release the runtime; the in-process broker holds no OS resources."""
 
 
 def inbox_queue(principal: str, cid: str) -> str:
@@ -393,15 +430,14 @@ class Endpoint:
             self.roles = self.runtime.store.local(capability).roles
         except KeyError:
             self.roles = ()
-        self.runtime.broker.set_consumer(
-            inbox_queue(self.principal, self.cid), self._deliver
-        )
+        inbox = inbox_queue(self.principal, self.cid)
+        self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
 
     def _audited(self, message: ConversationMessage) -> bool:
         ok = (
-            message.extra(X_MEDIATED_OUT) is not None
-            and message.extra(X_MEDIATED_IN) is not None
+            message.extra(X_MEDIATED_OUT) == message.sender
+            and message.extra(X_MEDIATED_IN) == message.extra(X_ROLE)
         )
         if not ok:
             self.mediation_violations.append(("invitation", message))
@@ -495,19 +531,19 @@ class Endpoint:
 
     # --- delivery ----------------------------------------------------------------
 
-    def _deliver(self, data: bytes) -> None:
-        message = decode_message(data)
+    def _deliver(self, queue: str, body: bytes, headers: Headers) -> None:
+        message = self.runtime.decode_or_note(queue, body)
+        if message is None:
+            return
         if self.runtime.case != NONE:
             ok = (
-                message.extra(X_MEDIATED_OUT) == message.sender
-                and message.extra(X_MEDIATED_IN) == message.receiver
+                headers.get(X_MEDIATED_OUT) == message.sender
+                and headers.get(X_MEDIATED_IN) == message.receiver
             )
             if not ok:
                 self.mediation_violations.append(("inbox", message))
                 self.runtime.note_mediation_violation(
-                    inbox_queue(self.principal, self.cid),
-                    "missing or forged mediation tags",
-                    message,
+                    queue, "missing or forged mediation tags", message
                 )
                 return
         with self._cond:

@@ -4,8 +4,12 @@ Every message crossing the broker is a JSON object with the fields ``kind``
 (invitation or in_session), ``cid``, ``from``, ``to``, ``label``, ``payload``
 and ``extras``. Payload entries carry a name, a type tag (string, int, bool,
 bytes) and a value; bytes travel base64-encoded. ``extras`` is a flat
-string-to-string map used for invitation attributes, acknowledgement marks
-and the mediation audit tags stamped by monitors.
+string-to-string map used for invitation attributes and acknowledgement
+marks. The mediation audit tags are not part of the body: mediators stamp
+them as broker headers and forward the sender's bytes unchanged.
+
+``decode_message`` is total: any bytes yield a message or raise
+``WireError``.
 """
 
 from __future__ import annotations
@@ -150,9 +154,11 @@ def encode_message(message: ConversationMessage) -> bytes:
 
 
 def decode_message(data: bytes) -> ConversationMessage:
+    # ValueError covers bad UTF-8, bad JSON and integers with more digits
+    # than int() converts; RecursionError covers too deeply nested JSON.
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise WireError(f"undecodable message: {exc}") from None
     if not isinstance(doc, dict):
         raise WireError("message is not an object")
@@ -168,9 +174,25 @@ def decode_message(data: bytes) -> ConversationMessage:
         raise WireError(f"message lacks field {exc.args[0]!r}") from None
     if kind not in (INVITATION, IN_SESSION):
         raise WireError(f"unknown message kind {kind!r}")
+    for field, value in (("cid", cid), ("from", sender), ("to", receiver), ("label", label)):
+        if not isinstance(value, str):
+            raise WireError(f"field {field!r} is not a string")
+    if not isinstance(raw_payload, list):
+        raise WireError("payload is not a list")
     payload = []
+    names = set()
     for entry in raw_payload:
-        name, tag, value = entry["name"], entry["type"], entry["value"]
+        if not isinstance(entry, dict):
+            raise WireError("payload entry is not an object")
+        try:
+            name, tag, value = entry["name"], entry["type"], entry["value"]
+        except KeyError as exc:
+            raise WireError(f"payload entry lacks {exc.args[0]!r}") from None
+        if not isinstance(name, str):
+            raise WireError("payload field name is not a string")
+        if name in names:
+            raise WireError(f"payload field {name!r} appears twice")
+        names.add(name)
         if tag == "bytes":
             try:
                 value = b64decode(value, validate=True)

@@ -1,14 +1,33 @@
-"""Topic routing, queue buffering and the loopback wire mode."""
+"""Topic routing, message headers and queue buffering."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parley.broker import Broker, BrokerError, _pattern_matches
+from parley.broker import NO_HEADERS, Broker, BrokerError, compile_pattern
+
+
+def reference_matches(pattern, key):
+    """Topic matching over segment lists, written out recursively."""
+    if not pattern:
+        return not key
+    head = pattern[0]
+    if head == "#":
+        return any(reference_matches(pattern[1:], key[i:]) for i in range(len(key) + 1))
+    if not key:
+        return False
+    if head == "*" or head == key[0]:
+        return reference_matches(pattern[1:], key[1:])
+    return False
 
 
 def matches(pattern, key):
-    return _pattern_matches(pattern.split("."), key.split("."))
+    return compile_pattern(pattern)(key.split("."))
+
+
+def bodies(got):
+    """A consumer that keeps only the bodies it is given."""
+    return lambda body, headers: got.append(body)
 
 
 @pytest.mark.parametrize(
@@ -39,6 +58,17 @@ def test_pattern_matching(pattern, key, expect):
 
 
 segment = st.text(alphabet="abcx", min_size=1, max_size=3)
+key_segment = st.text(alphabet="abx", max_size=2)
+pattern_segment = st.one_of(key_segment, st.sampled_from(["*", "#"]))
+
+
+@given(
+    st.lists(pattern_segment, min_size=1, max_size=5),
+    st.lists(key_segment, min_size=1, max_size=6),
+)
+def test_compiled_pattern_agrees_with_reference(pattern, key):
+    expect = reference_matches(pattern, key)
+    assert matches(".".join(pattern), ".".join(key)) is expect
 
 
 @given(st.lists(segment, min_size=1, max_size=5))
@@ -84,7 +114,7 @@ def test_consumer_gets_buffered_backlog_on_attach():
     broker.publish("ex", "k", b"first")
     broker.publish("ex", "k", b"second")
     got = []
-    broker.set_consumer("q", got.append)
+    broker.set_consumer("q", bodies(got))
     assert got == [b"first", b"second"]
     assert broker.pending("q") == 0
     broker.publish("ex", "k", b"third")
@@ -95,7 +125,7 @@ def test_detached_consumer_buffers_again():
     broker = Broker()
     broker.declare_queue("q")
     got = []
-    broker.set_consumer("q", got.append)
+    broker.set_consumer("q", bodies(got))
     broker.push("q", b"a")
     broker.set_consumer("q", None)
     broker.push("q", b"b")
@@ -112,8 +142,10 @@ def test_consumer_republish_runs_before_publish_returns():
     broker.bind("ex", "hop.one", "relay")
     broker.bind("ex", "hop.two", "sink")
     seen = []
-    broker.set_consumer("relay", lambda data: broker.publish("ex", "hop.two", data + b"!"))
-    broker.set_consumer("sink", seen.append)
+    broker.set_consumer(
+        "relay", lambda body, headers: broker.publish("ex", "hop.two", body + b"!")
+    )
+    broker.set_consumer("sink", bodies(seen))
     broker.publish("ex", "hop.one", b"msg")
     assert seen == [b"msg!"]
 
@@ -154,21 +186,40 @@ def test_unknown_names_raise():
     with pytest.raises(BrokerError):
         broker.bind("ex", "k", "nope")
     with pytest.raises(BrokerError):
-        broker.set_consumer("nope", lambda data: None)
-    with pytest.raises(BrokerError):
-        Broker(wire_mode="carrier-pigeon")
+        broker.set_consumer("nope", lambda body, headers: None)
 
 
-def test_loopback_round_trips_bytes_through_sockets():
-    broker = Broker(wire_mode="loopback")
+def test_headers_reach_consumers_unchanged():
+    broker = Broker()
+    broker.declare_exchange("ex")
+    for name in ("q1", "q2", "plain"):
+        broker.declare_queue(name)
+    broker.bind("ex", "k.*", "q1")
+    broker.bind("ex", "#", "q2")
+    got = []
+    for name in ("q1", "q2", "plain"):
+        broker.set_consumer(name, lambda body, headers, n=name: got.append((n, body, headers)))
+    broker.publish("ex", "k.x", b"routed", {"h": "1"})
+    broker.push("plain", b"pushed", {"h": "2", "g": "3"})
+    broker.publish("ex", "k.y", b"bare")
+    assert got == [
+        ("q1", b"routed", {"h": "1"}),
+        ("q2", b"routed", {"h": "1"}),
+        ("plain", b"pushed", {"h": "2", "g": "3"}),
+        ("q1", b"bare", {}),
+        ("q2", b"bare", {}),
+    ]
+    assert got[-1][2] is NO_HEADERS
+
+
+def test_buffered_item_keeps_its_headers():
+    broker = Broker()
     broker.declare_exchange("ex")
     broker.declare_queue("q")
     broker.bind("ex", "k", "q")
+    broker.publish("ex", "k", b"one", {"stamp": "A"})
+    broker.push("q", b"two")
+    broker.push("q", b"three", {"stamp": "B"})
     got = []
-    broker.set_consumer("q", got.append)
-    blob = bytes(range(256)) * 3
-    broker.publish("ex", "k", blob)
-    broker.publish("ex", "k", b"")
-    assert got == [blob, b""]
-    broker.close()
-    broker.close()  # idempotent
+    broker.set_consumer("q", lambda body, headers: got.append((body, dict(headers))))
+    assert got == [(b"one", {"stamp": "A"}), (b"two", {}), (b"three", {"stamp": "B"})]

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+import parley.endpoint as endpoint_mod
 from parley.endpoint import (
     ConversationRuntime,
     FORWARDER,
@@ -35,6 +36,7 @@ from parley.wire import (
     X_INVITED_BY,
     X_MEDIATED_IN,
     X_MEDIATED_OUT,
+    X_PRINCIPAL,
     X_PROTOCOL_REF,
     X_ROLE,
     encode_message,
@@ -286,20 +288,20 @@ def test_mediated_hop_reaches_only_the_receivers_mediator(daq_store, daq_config,
     hops = []  # (routing key, hit count, queues pushed to during the publish)
     pushed = None
 
-    def publish(exchange, key, data):
+    def publish(exchange, key, data, headers=None):
         nonlocal pushed
         if exchange != f"s.{cid}":
-            return real_publish(exchange, key, data)
+            return real_publish(exchange, key, data, headers)
         pushed = []
-        hits = real_publish(exchange, key, data)
+        hits = real_publish(exchange, key, data, headers)
         hops.append((key, hits, pushed))
         pushed = None
         return hits
 
-    def push(queue, data):
+    def push(queue, data, headers=None):
         if pushed is not None:
             pushed.append(queue)
-        real_push(queue, data)
+        real_push(queue, data, headers)
 
     monkeypatch.setattr(broker, "publish", publish)
     monkeypatch.setattr(broker, "push", push)
@@ -407,6 +409,139 @@ def test_injected_exchange_message_is_checked_then_audited(daq_store, daq_config
     assert runtime.mediation_violations
     with pytest.raises(Timeout):
         a.receive("U", timeout=0.05)
+
+
+def test_body_stamps_without_headers_are_refused(daq_store, daq_config):
+    # the stamps travel as broker headers; correct ones in the body's extras
+    # do not stand in for them
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    forged = ConversationMessage(
+        kind=IN_SESSION,
+        cid=cid,
+        sender="A",
+        receiver="U",
+        label="Stop",
+        extras=((X_MEDIATED_OUT, "A"), (X_MEDIATED_IN, "U")),
+    )
+    runtime.broker.push(inbox_queue("user", cid), encode_message(forged))
+    assert len(runtime.mediation_violations) == 1
+    assert runtime.mediation_violations[0][0] == inbox_queue("user", cid)
+    with pytest.raises(Timeout):
+        u.receive("A", timeout=0.05)
+
+
+def test_invitation_stamped_in_its_body_never_binds(daq_store):
+    # published on the invite exchange around the creator's mediator
+    runtime = ConversationRuntime(daq_store)
+    runtime.node("user")
+    sneaky = ConversationMessage(
+        kind=INVITATION,
+        cid="forged",
+        sender="A",
+        receiver="U",
+        extras=(
+            (X_ROLE, "U"),
+            (X_PRINCIPAL, "user"),
+            (X_PROTOCOL_REF, local_ref("DataAquisition", "U")),
+            (X_INVITED_BY, "agg"),
+            (X_MEDIATED_OUT, "A"),
+            (X_MEDIATED_IN, "U"),
+        ),
+    )
+    runtime.broker.publish("invite", "user", encode_message(sneaky))
+    ep = runtime.endpoint("user")
+    with pytest.raises(Timeout):
+        ep.join("U", timeout=0.1)
+    assert ep.mediation_violations[0][0] == "invitation"
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_inbox_receives_the_bytes_the_sender_encoded(daq_store, daq_config, case, monkeypatch):
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    encoded = []
+    real_encode = endpoint_mod.encode_message
+
+    def encode(message):
+        data = real_encode(message)
+        encoded.append(data)
+        return data
+
+    inboxed = []
+    real_push = runtime.broker.push
+
+    def push(queue, data, headers=None):
+        if queue.startswith("in."):
+            inboxed.append(data)
+        real_push(queue, data, headers)
+
+    monkeypatch.setattr(endpoint_mod, "encode_message", encode)
+    monkeypatch.setattr(runtime.broker, "push", push)
+    run_not_supported(u, a, i)
+    assert len(encoded) == 5  # one encode per in-session message
+    assert inboxed == encoded
+    assert runtime.mediation_violations == []
+
+
+def test_undecodable_publish_is_recorded_and_dropped(daq_store, daq_config):
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    garbage = b"\xff\xfe not a message"
+    assert runtime.broker.publish(f"s.{cid}", f"{cid}.I.A", garbage) == 1
+    assert len(runtime.mediation_violations) == 1
+    queue_name, reason, body = runtime.mediation_violations[0]
+    assert queue_name == f"mq.s.agg.{cid}"
+    assert reason.startswith("undecodable: ")
+    assert body == garbage
+    run_not_supported(u, a, i)
+    assert {u.status(), a.status(), i.status()} == {"completed"}
+    assert len(runtime.mediation_violations) == 1
+
+
+@pytest.mark.parametrize("where", ["out", "untargeted", "invite", "inbox"])
+def test_no_mediator_raises_into_the_publisher(daq_store, daq_config, where):
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    broker = runtime.broker
+    garbage = b"{not json"
+    if where == "out":
+        broker.publish("out.user", f"{cid}.U.A", garbage)
+        queue_name = "mq.out.user"
+    elif where == "untargeted":
+        # an invitation naming no principal has nowhere to go
+        lost = ConversationMessage(kind=INVITATION, cid=cid, sender="U", receiver="A")
+        broker.publish("out.user", f"{cid}.invite", encode_message(lost))
+        queue_name = "mq.out.user"
+    elif where == "invite":
+        broker.publish("invite", "user", garbage)
+        queue_name = "mq.inv.user"
+    else:
+        broker.push(inbox_queue("user", cid), garbage)
+        queue_name = inbox_queue("user", cid)
+    assert [q for q, _, _ in runtime.mediation_violations] == [queue_name]
+    run_not_supported(u, a, i)
+    assert runtime.dropped == []
+
+
+def test_routing_key_mismatch_is_recorded(daq_store, daq_config):
+    # a U-to-I body under the key that routes to A's mediator
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    misrouted = ConversationMessage(
+        kind=IN_SESSION,
+        cid=cid,
+        sender="U",
+        receiver="I",
+        label="Request",
+        payload=(("info", "x"),),
+    )
+    runtime.broker.publish(f"s.{cid}", f"{cid}.U.A", encode_message(misrouted))
+    assert len(runtime.mediation_violations) == 1
+    queue_name, reason, message = runtime.mediation_violations[0]
+    assert queue_name == f"mq.s.agg.{cid}"
+    assert "routing key" in reason
+    assert message == misrouted
+    assert runtime.dropped == []
+    for endpoint, peer in ((a, "U"), (i, "U")):
+        with pytest.raises(Timeout):
+            endpoint.receive(peer, timeout=0.05)
+    assert a.status() == "active"
 
 
 def test_make_invitation_config_uses_reference_convention(daq_config):

@@ -119,12 +119,70 @@ def test_encode_rejects_unsupported_payload_type():
         ).encode(),
         lambda d: json.dumps(dict(d, extras={"k": 5})).encode(),
         lambda d: json.dumps(dict(d, extras=["k"])).encode(),
+        lambda d: json.dumps(dict(d, payload={"x": 1})).encode(),
+        lambda d: json.dumps(dict(d, payload=["x"])).encode(),
+        lambda d: json.dumps(dict(d, payload=[{"name": "x", "value": 1}])).encode(),
+        lambda d: json.dumps(dict(d, payload=[{"name": 3, "type": "int", "value": 1}])).encode(),
+        lambda d: json.dumps(
+            dict(
+                d,
+                payload=[
+                    {"name": "x", "type": "int", "value": 1},
+                    {"name": "x", "type": "int", "value": 2},
+                ],
+            )
+        ).encode(),
+        lambda d: json.dumps(dict(d, cid=7)).encode(),
+        lambda d: json.dumps(dict(d, **{"from": None})).encode(),
+        lambda d: json.dumps(dict(d, to=["B"])).encode(),
+        lambda d: json.dumps(dict(d, label={"L": 1})).encode(),
+        lambda d: b"[" * 100_000,
+        lambda d: b"1" * 5000,
     ],
 )
 def test_decode_rejects_malformed(mangle):
     doc = json.loads(encode_message(make(label="L")))
     with pytest.raises(WireError):
         decode_message(mangle(doc))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+entry_values = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": st.sampled_from(["x", "y"]) | json_values,
+        "type": st.sampled_from(["bytes", "int", "bool", "string"]) | json_values,
+        "value": st.sampled_from(["AQI=", "!!", 7, True]) | json_values,
+    },
+)
+documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": st.sampled_from([IN_SESSION, INVITATION]) | json_values,
+        "cid": st.just("c1") | json_values,
+        "from": st.just("A") | json_values,
+        "to": st.just("B") | json_values,
+        "label": st.just("L") | json_values,
+        "payload": st.lists(entry_values, max_size=3) | json_values,
+        "extras": st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2)
+        | json_values,
+    },
+)
+
+
+@given(st.one_of(st.binary(max_size=64), documents.map(lambda d: json.dumps(d).encode())))
+def test_decode_is_total(data):
+    # any bytes are a message or a WireError, never another exception
+    try:
+        message = decode_message(data)
+    except WireError:
+        return
+    assert isinstance(message, ConversationMessage)
 
 
 payload_values = st.one_of(
