@@ -1,13 +1,16 @@
 """In-process message broker with topic exchanges and named queues.
 
-Publishing routes an opaque byte body, with an optional map of headers beside
-it as in AMQP, through an exchange's bindings to every queue whose pattern
+Publishing routes an opaque body, with an optional map of headers beside it
+as in AMQP, through an exchange's bindings to every queue whose pattern
 matches the routing key (dot-separated segments; ``*`` matches one segment,
 ``#`` matches any tail). Patterns are compiled once, when they are bound.
-Delivery is synchronous: a queue with a consumer drains in the publisher's
-thread, calling ``consumer(body, headers)`` per item, so a chain of consumer
-republishes runs to completion before publish() returns. Queues without a
-consumer buffer (body, headers) pairs until one is attached.
+The broker never looks inside a body: the conversation runtime sends bytes
+between principals and hands message objects along a principal's own
+queues, and both travel alike. Delivery is synchronous: a queue with a
+consumer drains in the publisher's thread, calling ``consumer(body,
+headers)`` per item, so a chain of consumer republishes runs to completion
+before publish() returns. Queues without a consumer buffer (body, headers)
+pairs until one is attached.
 
 Headers are shared by every queue a publish reaches and must be treated as
 read-only; a consumer that forwards with more headers builds a new map.
@@ -23,7 +26,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional
 
 Headers = Mapping[str, str]
-Consumer = Callable[[bytes, Headers], None]
+Consumer = Callable[[object, Headers], None]
 
 NO_HEADERS: Headers = MappingProxyType({})
 
@@ -119,7 +122,7 @@ class Broker:
     # --- traffic ------------------------------------------------------------
 
     def publish(
-        self, exchange: str, routing_key: str, body: bytes, headers: Optional[Headers] = None
+        self, exchange: str, routing_key: str, body: object, headers: Optional[Headers] = None
     ) -> int:
         """Route a body and its headers to every queue bound to a matching pattern.
 
@@ -135,7 +138,7 @@ class Broker:
                 self.push(name, body, headers)
             return len(hits)
 
-    def push(self, queue: str, body: bytes, headers: Optional[Headers] = None) -> None:
+    def push(self, queue: str, body: object, headers: Optional[Headers] = None) -> None:
         """Append a body and its headers straight onto a queue, bypassing any exchange."""
         with self._lock:
             q = self._queues.get(queue)

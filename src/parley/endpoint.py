@@ -3,30 +3,39 @@
 Topology per conversation (monitored cases): an application endpoint never
 talks to its peers directly. Its sends go to its principal's outbound
 exchange, whose single consumer is the principal's mediator; the mediator
-checks the message against the sender-side session FSM and republishes the
-sender's bytes unchanged onto the conversation's exchange with routing key
-``<cid>.<from>.<to>``, stamping its audit tag as a broker header. Only
-``<cid>.*.<role>`` is bound to each participant's mediator queue, so the
-receiver's mediator, and no other, picks the message up next, checks it
-against the receiver-side FSM, adds the second audit tag to the headers, and
-only then pushes the same bytes onto the endpoint's inbox queue. Inbox
-delivery asserts both header tags against the body's sender and receiver, and
-ignores any tags a body carries in its extras, so anything injected around
-the mediators is detected and dropped there. A message is thus encoded once,
-by its sender, and decoded by each mediator and the inbox. Bytes that do not
-decode, and messages whose routing key disagrees with their body, are
-recorded in ``mediation_violations`` and dropped; nothing raises back into
-the publisher.
+checks the message against the sender-side session FSM and publishes it onto
+the conversation's exchange with routing key ``<cid>.<from>.<to>``, stamping
+its audit tag as a broker header. Only ``<cid>.*.<role>`` is bound to each
+participant's mediator queue, so the receiver's mediator, and no other, picks
+the message up next, checks it against the receiver-side FSM, adds the second
+audit tag to the headers, and only then pushes the message onto the
+endpoint's inbox queue. Inbox delivery asserts both header tags against the
+message's sender and receiver, and ignores any tags a body carries in its
+extras, so anything injected around the mediators is detected and dropped
+there.
+
+Bytes travel only where a message crosses between principals: on the
+conversation exchange and on ``invite``. A principal's own hops, from its
+endpoint to its mediator and from its mediator to its inbox, hand over the
+``ConversationMessage`` itself. So the sender's mediator encodes a message
+once and the receiver's mediator decodes it once, as in the unmediated case,
+where the sender encodes and the inbox decodes. A body published or pushed
+from anywhere else may be bytes, which are decoded as on the wire. Bytes that
+do not decode, objects that do not encode, messages for a conversation the
+principal is not in, and messages whose routing key disagrees with their body
+are recorded in ``mediation_violations`` and dropped; nothing raises back
+into the publisher.
 
 Invitations follow the same shape: ``create`` publishes one invitation per
 configured role through the creator's mediator onto the shared ``invite``
 exchange keyed by principal name; each invitee's mediator initializes the
 monitor session from the carried local-protocol reference, allocates the
 session queues, acknowledges back to the creator, and hands the invitation
-to the application, where ``join`` claims it. The invitation handed over
-carries the two stamps, taken from the headers, in its extras; ``join``
-refuses one that lacks them. The creator invites itself the same way, so
-session setup has a single path.
+to the application, where ``join`` claims it. A reference the monitor cannot
+initialize is recorded in ``mediation_violations``. The invitation handed
+over carries the two stamps, taken from the headers, in its extras; ``join``
+refuses one that lacks them. An ack counts only with its sender's stamp. The
+creator invites itself the same way, so session setup has a single path.
 
 Three mediation cases exist: ``monitor`` (full FSM checking), ``forwarder``
 (mediation and tagging without any checking; the benchmark baseline), and
@@ -41,7 +50,7 @@ import time
 import uuid
 from collections import deque
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Union
 
 from .broker import Broker, Headers
 from .monitor import ENFORCE, Monitor, MonitorError
@@ -79,6 +88,10 @@ NONE = "none"
 
 _DEFAULT_TIMEOUT = 10.0
 
+# What a queue carries: bytes between principals, the message itself on a
+# principal's own hops.
+Body = Union[bytes, ConversationMessage]
+
 
 def make_invitation_config(protocol_name: str, principals: Dict[str, str]) -> InvitationConfig:
     """Convenience builder: role -> principal, capabilities by convention."""
@@ -99,7 +112,7 @@ class _Node:
         self.monitor = monitor
         self.invitations: deque = deque()
         self.cond = threading.Condition()
-        self.errors: List[str] = []
+        self.cids: Set[str] = set()  # conversations this principal's mediator serves
 
 
 class ConversationRuntime:
@@ -165,19 +178,37 @@ class ConversationRuntime:
 
     # --- mediation handlers ---------------------------------------------------
 
-    def decode_or_note(self, queue: str, body: bytes) -> Optional[ConversationMessage]:
-        """The message in ``body``, or None after recording why it is not one."""
+    def decode_or_note(self, queue: str, body: Body) -> Optional[ConversationMessage]:
+        """The message in ``body``, or None after recording why it is not one.
+
+        A message object, as a principal's own hops carry, is returned as is.
+        """
+        if isinstance(body, ConversationMessage):
+            return body
         try:
             return decode_message(body)
         except WireError as exc:
             self.note_mediation_violation(queue, f"undecodable: {exc}", body)
             return None
 
-    def _on_out(self, node: _Node, queue: str, body: bytes, headers: Headers) -> None:
-        """Sender-side mediation: check, stamp, and forward the same bytes."""
+    def _on_out(self, node: _Node, queue: str, body: Body, headers: Headers) -> None:
+        """Sender-side mediation: check, stamp, and forward as bytes.
+
+        A message object is encoded here, the one encode on its path; bytes
+        published on the exchange are forwarded unchanged.
+        """
         message = self.decode_or_note(queue, body)
         if message is None:
             return
+        data = body
+        if isinstance(body, ConversationMessage):
+            # Encoded before the check, so a message that cannot travel
+            # never advances the sender's FSM.
+            try:
+                data = encode_message(message)
+            except (WireError, TypeError, ValueError) as exc:
+                self.note_mediation_violation(queue, f"unencodable: {exc}", message)
+                return
         stamp = {X_MEDIATED_OUT: message.sender}
         if message.kind == INVITATION:
             target = (
@@ -188,26 +219,35 @@ class ConversationRuntime:
             if target is None:
                 self.note_mediation_violation(queue, "invitation names no target", message)
                 return
-            self.broker.publish("invite", target, body, stamp)
+            self.broker.publish("invite", target, data, stamp)
             return
         if node.monitor is not None:
             verdict = node.monitor.check(message, message.sender)
             if not verdict.ok and node.monitor.mode == ENFORCE:
                 self.dropped.append(("send", verdict, message))
                 return
+        if message.cid not in node.cids:
+            self.note_mediation_violation(
+                queue, f"unknown conversation {message.cid}", message
+            )
+            return
         self.broker.publish(
             f"s.{message.cid}",
             f"{message.cid}.{message.sender}.{message.receiver}",
-            body,
+            data,
             stamp,
         )
 
-    def _on_inv(self, node: _Node, queue: str, body: bytes, headers: Headers) -> None:
+    def _on_inv(self, node: _Node, queue: str, body: Body, headers: Headers) -> None:
         """Invitation arriving at its target principal's mediator."""
         message = self.decode_or_note(queue, body)
         if message is None:
             return
         if message.extra(X_ACK) == "true":
+            # Only the acknowledging principal's mediator stamps an ack.
+            if headers.get(X_MEDIATED_OUT) != message.sender:
+                self.note_mediation_violation(queue, "ack without its sender's stamp", message)
+                return
             with self._ack_cond:
                 self._acks.setdefault(message.cid, set()).add(message.extra(X_ROLE))
                 self._ack_cond.notify_all()
@@ -218,7 +258,7 @@ class ConversationRuntime:
             try:
                 node.monitor.init_session(message.cid, role, capability)
             except MonitorError as exc:
-                node.errors.append(str(exc))
+                self.note_mediation_violation(queue, f"init_session failed: {exc}", message)
                 return
         self._declare_session(node.principal, message.cid, role)
         # The stamps come from the headers only; a body cannot stamp itself.
@@ -240,9 +280,7 @@ class ConversationRuntime:
                 (X_INVITED_BY, message.extra(X_INVITED_BY)),
             ),
         )
-        self.broker.publish(
-            f"out.{node.principal}", f"{message.cid}.ack", encode_message(ack)
-        )
+        self.broker.publish(f"out.{node.principal}", f"{message.cid}.ack", ack)
 
     def _declare_session(self, principal: str, cid: str, role: str) -> None:
         """Allocate the mediator's session queue and the endpoint inbox."""
@@ -253,12 +291,16 @@ class ConversationRuntime:
         self.broker.declare_queue(mq)
         self.broker.bind(f"s.{cid}", f"{cid}.*.{role}", mq)
         node = self.node(principal)
+        node.cids.add(cid)
         self.broker.set_consumer(mq, partial(self._on_session, node, mq, cid, role))
 
     def _on_session(
-        self, node: _Node, queue: str, cid: str, role: str, body: bytes, headers: Headers
+        self, node: _Node, queue: str, cid: str, role: str, body: Body, headers: Headers
     ) -> None:
-        """Receiver-side mediation for one (principal, cid, role) binding."""
+        """Receiver-side mediation for one (principal, cid, role) binding.
+
+        The message is decoded once, here, and handed to the inbox as is.
+        """
         message = self.decode_or_note(queue, body)
         if message is None:
             return
@@ -279,7 +321,7 @@ class ConversationRuntime:
                 self.dropped.append(("deliver", verdict, message))
                 return
         self.broker.push(
-            inbox_queue(node.principal, cid), body, {**headers, X_MEDIATED_IN: role}
+            inbox_queue(node.principal, cid), message, {**headers, X_MEDIATED_IN: role}
         )
 
     # --- unmediated case --------------------------------------------------------
@@ -392,9 +434,7 @@ class Endpoint:
                 self.runtime.deliver_invitation_direct(entry, invitation)
             else:
                 self.runtime.broker.publish(
-                    f"out.{self.principal}",
-                    f"{cid}.invite.{entry.principal}",
-                    encode_message(invitation),
+                    f"out.{self.principal}", f"{cid}.invite.{entry.principal}", invitation
                 )
         self.join(creator_role)
         return cid
@@ -459,12 +499,12 @@ class Endpoint:
             label=label,
             payload=payload_from_dict(payload),
         )
-        data = encode_message(message)
         key = f"{self.cid}.{self.role}.{to_role}"
         if self.runtime.case == NONE:
-            self.runtime.broker.publish(f"s.{self.cid}", key, data)
+            self.runtime.broker.publish(f"s.{self.cid}", key, encode_message(message))
         else:
-            self.runtime.broker.publish(f"out.{self.principal}", key, data)
+            # A hop within the principal: its mediator does the one encode.
+            self.runtime.broker.publish(f"out.{self.principal}", key, message)
 
     def receive(self, from_role: str, timeout: Optional[float] = None):
         """Next message from ``from_role`` as (label, payload dict); blocks."""
@@ -531,7 +571,7 @@ class Endpoint:
 
     # --- delivery ----------------------------------------------------------------
 
-    def _deliver(self, queue: str, body: bytes, headers: Headers) -> None:
+    def _deliver(self, queue: str, body: Body, headers: Headers) -> None:
         message = self.runtime.decode_or_note(queue, body)
         if message is None:
             return

@@ -382,6 +382,7 @@ def test_c6_end_to_end_sessions_across_client_styles(daq_store, daq_config):
 # --- criterion 7: monitoring-overhead trends -----------------------------------
 
 
+@pytest.mark.slow
 def test_c7_benchmark_trends():
     started = time.monotonic()
     records = []

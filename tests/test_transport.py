@@ -33,12 +33,14 @@ from parley.wire import (
     Timeout,
     TransportError,
     UnknownPeerRole,
+    X_ACK,
     X_INVITED_BY,
     X_MEDIATED_IN,
     X_MEDIATED_OUT,
     X_PRINCIPAL,
     X_PROTOCOL_REF,
     X_ROLE,
+    decode_message,
     encode_message,
 )
 
@@ -455,31 +457,150 @@ def test_invitation_stamped_in_its_body_never_binds(daq_store):
     assert ep.mediation_violations[0][0] == "invitation"
 
 
-@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
-def test_inbox_receives_the_bytes_the_sender_encoded(daq_store, daq_config, case, monkeypatch):
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_one_encode_and_one_decode_per_message(daq_store, daq_config, case, monkeypatch):
+    # bytes only between principals: the sender's mediator (unmediated, the
+    # sender) encodes, the receiver's mediator (unmediated, the inbox) decodes
     runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
-    encoded = []
-    real_encode = endpoint_mod.encode_message
+    sent, decoded = [], []
+    real_encode, real_decode = endpoint_mod.encode_message, endpoint_mod.decode_message
 
     def encode(message):
-        data = real_encode(message)
-        encoded.append(data)
-        return data
+        sent.append(message)
+        return real_encode(message)
+
+    def decode(data):
+        decoded.append(data)
+        return real_decode(data)
 
     inboxed = []
     real_push = runtime.broker.push
 
-    def push(queue, data, headers=None):
+    def push(queue, body, headers=None):
         if queue.startswith("in."):
-            inboxed.append(data)
-        real_push(queue, data, headers)
+            inboxed.append(body)
+        real_push(queue, body, headers)
 
     monkeypatch.setattr(endpoint_mod, "encode_message", encode)
+    monkeypatch.setattr(endpoint_mod, "decode_message", decode)
     monkeypatch.setattr(runtime.broker, "push", push)
     run_not_supported(u, a, i)
-    assert len(encoded) == 5  # one encode per in-session message
-    assert inboxed == encoded
+    assert len(sent) == 5
+    assert len(decoded) == 5
+    if case == NONE:
+        inboxed = [decode_message(body) for body in inboxed]
+    assert inboxed == sent  # mediated inboxes get the message itself
     assert runtime.mediation_violations == []
+
+
+def test_legal_bytes_on_the_out_exchange_are_checked_and_delivered(daq_store, daq_config):
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    legal = ConversationMessage(
+        kind=IN_SESSION,
+        cid=cid,
+        sender="U",
+        receiver="A",
+        label="Request",
+        payload=(("info", "x"),),
+    )
+    runtime.broker.publish("out.user", f"{cid}.U.A", encode_message(legal))
+    assert a.receive("U") == ("Request", {"info": "x"})
+    assert runtime.dropped == []
+    assert runtime.mediation_violations == []
+    # the user's monitor saw the Request, so a second one is out of turn
+    u.send("A", "Request", {"info": "x"})
+    assert [(stage, v.kind) for stage, v, _ in runtime.dropped] == [("send", "unexpected-label")]
+
+
+def test_illegal_bytes_on_the_out_exchange_are_dropped_at_send(daq_store, daq_config):
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    illegal = ConversationMessage(
+        kind=IN_SESSION, cid=cid, sender="U", receiver="A", label="Poll"
+    )
+    runtime.broker.publish("out.user", f"{cid}.U.A", encode_message(illegal))
+    assert [(stage, v.kind) for stage, v, _ in runtime.dropped] == [("send", "unexpected-label")]
+    with pytest.raises(Timeout):
+        a.receive("U", timeout=0.05)
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_unencodable_message_is_recorded_and_dropped(daq_store, daq_config, case):
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    odd = ConversationMessage(
+        kind=IN_SESSION,
+        cid=cid,
+        sender="U",
+        receiver="A",
+        label="Request",
+        payload=(("info", 1.5),),
+    )
+    runtime.broker.publish("out.user", f"{cid}.U.A", odd)
+    [(queue_name, reason, message)] = runtime.mediation_violations
+    assert queue_name == "mq.out.user"
+    assert reason.startswith("unencodable: ")
+    assert message is odd
+    # nothing advanced: the conversation runs as if it was never sent
+    run_not_supported(u, a, i)
+    assert runtime.dropped == []
+    assert len(runtime.mediation_violations) == 1
+
+
+@pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "object"])
+def test_forwarder_drops_unknown_conversation(daq_store, daq_config, as_bytes):
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=FORWARDER)
+    stray = ConversationMessage(
+        kind=IN_SESSION, cid="nope", sender="U", receiver="A", label="Request"
+    )
+    runtime.broker.publish("out.user", "nope.U.A", encode_message(stray) if as_bytes else stray)
+    assert runtime.mediation_violations == [
+        ("mq.out.user", "unknown conversation nope", stray)
+    ]
+    run_not_supported(u, a, i)
+
+
+def test_forged_acks_are_not_counted(daq_store):
+    # published on the invite exchange around every mediator, so unstamped
+    runtime = ConversationRuntime(daq_store)
+    runtime.node("user")
+    for role in ("U", "A", "I"):
+        ack = ConversationMessage(
+            kind=INVITATION,
+            cid="c-forged",
+            sender=role,
+            receiver="U",
+            extras=(
+                (X_ACK, "true"),
+                (X_ROLE, role),
+                (X_PRINCIPAL, DAQ_PRINCIPALS[role]),
+                (X_INVITED_BY, "user"),
+            ),
+        )
+        runtime.broker.publish("invite", "user", encode_message(ack))
+    with pytest.raises(Timeout):
+        runtime.await_accepts("c-forged", 3, timeout=0.05)
+    assert [q for q, _, _ in runtime.mediation_violations] == ["mq.inv.user"] * 3
+
+
+def test_failed_init_session_is_recorded(daq_store):
+    config = InvitationConfig(
+        tuple(
+            InvitationEntry(
+                role,
+                principal,
+                "Nope_I.scr" if role == "I" else local_ref("DataAquisition", role),
+            )
+            for role, principal in DAQ_PRINCIPALS.items()
+        )
+    )
+    runtime = ConversationRuntime(daq_store)
+    cid = runtime.endpoint("user").create("DataAquisition", config)
+    [(queue_name, reason, message)] = runtime.mediation_violations
+    assert queue_name == "mq.inv.instr"
+    assert reason.startswith("init_session failed: ")
+    assert "Nope_I.scr" in reason
+    assert message.cid == cid
+    with pytest.raises(Timeout):
+        runtime.endpoint("instr").join("I", timeout=0.05)
 
 
 def test_undecodable_publish_is_recorded_and_dropped(daq_store, daq_config):
