@@ -15,6 +15,14 @@ exactly (projection can leave two branch spellings of the same step), and a
 (label, sender, receiver) triple may appear in at most one thread, which is
 what lets a monitor route an unordered message to the right thread without
 trying them all.
+
+A run of the machine is a cursor list plus the set of threads that have
+fired. The stepper (:func:`transition`, :func:`enabled`, :func:`settle`,
+with :func:`active_threads` and :func:`join_started`) is the only
+interpreter of these nested semantics: the monitor checks each message with
+it and :func:`trace_language` enumerates a nested machine's traces with it,
+so checking those traces against :func:`product_oracle` checks the code the
+runtime runs. The oracle and the flat-machine enumerator share none of it.
 """
 
 from __future__ import annotations
@@ -35,10 +43,6 @@ from .protocol import (
     Send,
     count_nodes,
 )
-
-OUTGOING = "outgoing"
-INCOMING = "incoming"
-
 
 class FsmError(Exception):
     pass
@@ -93,7 +97,6 @@ class FsmThread:
     initial: int
     states: Set[int] = field(default_factory=set)
     transitions: Dict[TransitionKey, TransitionValue] = field(default_factory=dict)
-    direction: Dict[TransitionKey, str] = field(default_factory=dict)
     joins: Dict[int, Join] = field(default_factory=dict)
     by_state: Dict[int, tuple] = field(default_factory=dict)  # state -> keys
 
@@ -145,10 +148,7 @@ class _Compiler:
         triple_thread = self.check_cross_thread()
         self.check_progress()
         for thread in self.threads:
-            by_state: Dict[int, list] = {}
-            for key in thread.transitions:
-                by_state.setdefault(key.state, []).append(key)
-            thread.by_state = {s: tuple(ks) for s, ks in by_state.items()}
+            _index_by_state(thread)
         return NestedFsm(
             self.protocol.name,
             self.protocol.self_role,
@@ -168,10 +168,8 @@ class _Compiler:
         if isinstance(node, (Send, Receive)):
             if isinstance(node, Send):
                 sender, receiver = self.protocol.self_role, node.dst
-                direction = OUTGOING
             else:
                 sender, receiver = node.src, self.protocol.self_role
-                direction = INCOMING
             target = self.continuation_state(node.cont, thread, rec_env)
             key = TransitionKey(entry, node.sig.label, sender, receiver)
             value = TransitionValue(
@@ -186,7 +184,6 @@ class _Compiler:
                     )
                 return
             thread.transitions[key] = value
-            thread.direction[key] = direction
             return
 
         if isinstance(node, Choice):
@@ -289,6 +286,13 @@ class _Compiler:
                     )
 
 
+def _index_by_state(thread: FsmThread) -> None:
+    by_state: Dict[int, list] = {}
+    for key in thread.transitions:
+        by_state.setdefault(key.state, []).append(key)
+    thread.by_state = {s: tuple(ks) for s, ks in by_state.items()}
+
+
 def compile(protocol: LocalProtocol) -> NestedFsm:  # noqa: A001 - mirrors re.compile
     """Compile a local protocol; raises CompileError subclasses on failure."""
     fsm = _Compiler(protocol).run()
@@ -353,7 +357,7 @@ def _env_lookup(env: tuple, var: str):
 
 
 def _steps(res, self_role: str, visiting: frozenset) -> list:
-    """All (triple, direction, assertion, binders, next residual) steps."""
+    """All (triple, assertion, binders, next residual) steps."""
     if res is _DONE:
         return []
     if isinstance(res, _Term):
@@ -363,13 +367,11 @@ def _steps(res, self_role: str, visiting: frozenset) -> list:
         if isinstance(node, Send):
             triple = (node.sig.label, self_role, node.dst)
             nxt = _residual(node.cont, env)
-            return [(triple, OUTGOING, node.assertion,
-                     tuple(f.name for f in node.sig.payload), nxt)]
+            return [(triple, node.assertion, tuple(f.name for f in node.sig.payload), nxt)]
         if isinstance(node, Receive):
             triple = (node.sig.label, node.src, self_role)
             nxt = _residual(node.cont, env)
-            return [(triple, INCOMING, node.assertion,
-                     tuple(f.name for f in node.sig.payload), nxt)]
+            return [(triple, node.assertion, tuple(f.name for f in node.sig.payload), nxt)]
         if isinstance(node, Choice):
             out = []
             for branch in node.branches:
@@ -384,12 +386,10 @@ def _steps(res, self_role: str, visiting: frozenset) -> list:
     if isinstance(res, _Par):
         out = []
         for i, part in enumerate(res.parts):
-            for triple, direction, assertion, binders, nxt in _steps(
-                part, self_role, visiting
-            ):
+            for triple, assertion, binders, nxt in _steps(part, self_role, visiting):
                 parts = res.parts[:i] + ((nxt,) if nxt is not _DONE else ()) + res.parts[i + 1:]
                 follow = res.cont if not parts else _Par(parts, res.cont)
-                out.append((triple, direction, assertion, binders, follow))
+                out.append((triple, assertion, binders, follow))
         return out
     raise CompileError(f"unknown residual {res!r}")
 
@@ -411,9 +411,7 @@ def product_oracle(protocol: LocalProtocol, limit: int = 100_000) -> FsmThread:
         sid = ids[res]
         if res is _DONE:
             continue
-        for triple, direction, assertion, binders, nxt in _steps(
-            res, protocol.self_role, frozenset()
-        ):
+        for triple, assertion, binders, nxt in _steps(res, protocol.self_role, frozenset()):
             nid = ids.get(nxt)
             if nid is None:
                 if len(ids) >= limit:
@@ -434,11 +432,7 @@ def product_oracle(protocol: LocalProtocol, limit: int = 100_000) -> FsmThread:
                     )
                 continue
             thread.transitions[key] = value
-            thread.direction[key] = direction
-    by_state: Dict[int, list] = {}
-    for key in thread.transitions:
-        by_state.setdefault(key.state, []).append(key)
-    thread.by_state = {s: tuple(ks) for s, ks in by_state.items()}
+    _index_by_state(thread)
     return thread
 
 
@@ -480,20 +474,31 @@ def _thread_traces(thread: FsmThread, depth: int) -> set:
 
 
 def _nested_traces(fsm: NestedFsm, depth: int) -> set:
-    initial = (_settle(fsm, tuple(t.initial for t in fsm.threads)), frozenset())
+    cursors = fsm.initial
+    settle(fsm, cursors)
     traces = {()}
-    frontier = [(initial, ())]
+    frontier = [(cursors, frozenset({0}), ())]
     for _ in range(depth):
         nxt = []
-        for (cursors, fired), prefix in frontier:
-            for triple, target in _enabled(fsm, cursors, fired):
-                trace = prefix + (triple,)
+        for cursors, fired, prefix in frontier:
+            for tid, key in enabled(fsm, cursors, fired):
+                trace = prefix + ((key.label, key.sender, key.receiver),)
                 if trace in traces:
                     continue
                 traces.add(trace)
-                nxt.append((target, trace))
+                moved = list(cursors)
+                moved[tid] = fsm.threads[tid].transitions[key].next_state
+                settle(fsm, moved)
+                nxt.append((moved, fired | {tid}, trace))
         frontier = nxt
     return traces
+
+
+# --- The stepper -------------------------------------------------------------
+#
+# A run is a cursor list, one state per thread, and the set of threads that
+# have fired; the root counts as fired from the start. Cursor lists are
+# changed in place, so the enumerator copies before each step.
 
 
 def active_threads(fsm: NestedFsm, cursors) -> list:
@@ -524,37 +529,46 @@ def join_started(fsm: NestedFsm, fired, tid: int, state: int) -> bool:
     return any(c in fired for c in join.children)
 
 
-def _settle(fsm: NestedFsm, cursors: tuple) -> tuple:
-    """Fire every join whose children have all finished."""
-    cursors = list(cursors)
+def transition(fsm: NestedFsm, cursors, fired, triple: tuple):
+    """The (thread id, TransitionValue) that ``triple`` fires now, or None."""
+    tid = fsm.triple_thread.get(triple)
+    if tid is None:
+        return None
+    threads = fsm.threads
+    thread = threads[tid]
+    while thread.parent is not None:  # each ancestor must sit on its spawn state
+        if cursors[thread.parent] != thread.spawn_state:
+            return None
+        thread = threads[thread.parent]
+    state = cursors[tid]
+    value = threads[tid].transitions.get(TransitionKey(state, *triple))
+    if value is None or join_started(fsm, fired, tid, state):
+        return None
+    return tid, value
+
+
+def enabled(fsm: NestedFsm, cursors, fired) -> list:
+    """The (thread id, TransitionKey) pairs that can fire now."""
+    out = []
+    for tid in active_threads(fsm, cursors):
+        state = cursors[tid]
+        if join_started(fsm, fired, tid, state):
+            continue  # committed to the parallel block spawned here
+        out.extend((tid, key) for key in fsm.threads[tid].by_state.get(state, ()))
+    return out
+
+
+def settle(fsm: NestedFsm, cursors: list) -> None:
+    """Fire, in place, every join whose children have all finished."""
+    threads, terminal = fsm.threads, fsm.terminal
     changed = True
     while changed:
         changed = False
         for tid in active_threads(fsm, cursors):
-            join = fsm.threads[tid].joins.get(cursors[tid])
-            if join and all(cursors[c] in fsm.terminal for c in join.children):
+            join = threads[tid].joins.get(cursors[tid])
+            if join is not None and all(cursors[c] in terminal for c in join.children):
                 cursors[tid] = join.next_state
                 changed = True
-    return tuple(cursors)
-
-
-def _enabled(fsm: NestedFsm, cursors: tuple, fired: frozenset) -> list:
-    out = []
-    for tid in active_threads(fsm, cursors):
-        thread = fsm.threads[tid]
-        if join_started(fsm, fired, tid, cursors[tid]):
-            continue  # committed to the parallel block spawned here
-        for key in thread.by_state.get(cursors[tid], ()):
-            target = thread.transitions[key].next_state
-            nxt = list(cursors)
-            nxt[tid] = target
-            out.append(
-                (
-                    (key.label, key.sender, key.receiver),
-                    (_settle(fsm, tuple(nxt)), fired | {tid}),
-                )
-            )
-    return out
 
 
 # --- Graphviz rendering ------------------------------------------------------

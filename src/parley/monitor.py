@@ -6,6 +6,12 @@ violation verdict and leaves the session untouched; payload bindings
 accumulate across the whole session so later assertions can refer to earlier
 fields.
 
+A session is a run of its nested FSM: the cursors and the set of fired
+threads, stepped only by ``fsm.transition``, ``fsm.settle`` and
+``fsm.enabled``, the same functions that enumerate the machine's trace
+language. The monitor adds payload arity, bindings, assertions, verdicts
+and session status on top; it has no copy of the thread semantics.
+
 Assertions are delegated to a pluggable logic engine. The builtin engine
 evaluates the pyexpr-like subset in-process; ExternalCommandEngine shells out
 to any program speaking a one-line true/false/error protocol on stdio, so
@@ -73,7 +79,7 @@ class SessionState:
     cursors: List[int]
     env: Dict[str, object] = field(default_factory=dict)
     status: str = ACTIVE
-    activated: set = field(default_factory=set)
+    fired: set = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -213,15 +219,13 @@ class Monitor:
                 f"{protocol_ref!r} is the view of {protocol.self_role}, "
                 f"but the invitation is for role {role}"
             )
-        machine = fsmmod.compile(protocol)
-        state = SessionState(
-            protocol_ref=protocol_ref,
-            fsm=machine,
-            cursors=[t.initial for t in machine.threads],
-            activated={0},
-        )
+        try:
+            machine = fsmmod.compile(protocol)
+        except fsmmod.CompileError as exc:
+            raise UnresolvableProtocol(f"{protocol_ref!r} does not compile: {exc}") from exc
+        state = SessionState(protocol_ref, machine, machine.initial, fired={0})
+        fsmmod.settle(machine, state.cursors)
         self.sessions[key] = state
-        self._settle(state)
         self._refresh_status(state)
         return key
 
@@ -234,7 +238,10 @@ class Monitor:
         state = self.sessions.get(tuple(key))
         if state is None:
             return set()
-        return self.enabled_triples_of(state)
+        return {
+            (tkey.label, tkey.sender, tkey.receiver)
+            for _, tkey in fsmmod.enabled(state.fsm, state.cursors, state.fired)
+        }
 
     # --- checking ----------------------------------------------------------
 
@@ -253,17 +260,7 @@ class Monitor:
             return verdict
 
         triple = (message.label, message.sender, message.receiver)
-        machine = state.fsm
-        hit = None
-        tid = machine.triple_thread.get(triple)
-        if tid is not None and self._thread_active(state, tid):
-            tkey = fsmmod.TransitionKey(state.cursors[tid], *triple)
-            value = machine.threads[tid].transitions.get(tkey)
-            if value is not None and not fsmmod.join_started(
-                machine, state.activated, tid, tkey.state
-            ):
-                hit = (tid, value)
-
+        hit = fsmmod.transition(state.fsm, state.cursors, state.fired, triple)
         if hit is None:
             verdict = self._miss(state, triple)
         else:
@@ -294,8 +291,8 @@ class Monitor:
                 return MonitorVerdict(False, ASSERTION_FAILED, detail)
         state.env.update(bound)
         state.cursors[tid] = value.next_state
-        state.activated.add(tid)  # firing commits the thread
-        self._settle(state)
+        state.fired.add(tid)  # firing commits the thread
+        fsmmod.settle(state.fsm, state.cursors)
         self._refresh_status(state)
         return ACCEPT
 
@@ -305,8 +302,8 @@ class Monitor:
             return MonitorVerdict(
                 False, AFTER_COMPLETION, f"{label} arrived after completion"
             )
-        enabled = self.enabled_triples_of(state)
-        if any(t[0] == label for t in enabled):
+        enabled = fsmmod.enabled(state.fsm, state.cursors, state.fired)
+        if any(tkey.label == label for _, tkey in enabled):
             return MonitorVerdict(
                 False,
                 WRONG_PEER,
@@ -314,53 +311,19 @@ class Monitor:
             )
         return MonitorVerdict(False, UNEXPECTED_LABEL, f"{label} is not expected here")
 
-    def enabled_triples_of(self, state: SessionState) -> set:
-        out = set()
-        for tid in fsmmod.active_threads(state.fsm, state.cursors):
-            thread = state.fsm.threads[tid]
-            if fsmmod.join_started(state.fsm, state.activated, tid, state.cursors[tid]):
-                continue
-            for tkey in thread.by_state.get(state.cursors[tid], ()):
-                out.add((tkey.label, tkey.sender, tkey.receiver))
-        return out
-
     # --- internals ----------------------------------------------------------
 
-    def _thread_active(self, state: SessionState, tid: int) -> bool:
-        machine = state.fsm
-        while True:
-            thread = machine.threads[tid]
-            if thread.parent is None:
-                return True
-            if state.cursors[thread.parent] != thread.spawn_state:
-                return False
-            tid = thread.parent
+    def _refresh_status(self, state: SessionState) -> None:
+        """Completed once every fired thread is terminal.
 
-    def _settle(self, state: SessionState) -> None:
-        """Fire every join whose children have all finished.
-
-        Threads enter ``activated`` only when they fire a transition, so a
+        Threads enter ``fired`` only when they fire a transition, so a
         parallel block sitting untaken behind a rival choice branch never
         holds completion hostage.
         """
-        machine = state.fsm
-        changed = True
-        while changed:
-            changed = False
-            for tid in fsmmod.active_threads(machine, state.cursors):
-                thread = machine.threads[tid]
-                join = thread.joins.get(state.cursors[tid])
-                if join is None:
-                    continue
-                if all(state.cursors[c] in machine.terminal for c in join.children):
-                    state.cursors[tid] = join.next_state
-                    changed = True
-
-    def _refresh_status(self, state: SessionState) -> None:
         if state.status == VIOLATED:
             return
         done = all(
-            state.cursors[tid] in state.fsm.terminal for tid in state.activated
+            state.cursors[tid] in state.fsm.terminal for tid in state.fired
         )
         state.status = COMPLETED if done else ACTIVE
 

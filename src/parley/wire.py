@@ -9,7 +9,7 @@ marks. The mediation audit tags are not part of the body: mediators stamp
 them as broker headers and forward the sender's bytes unchanged.
 
 ``decode_message`` is total: any bytes yield a message or raise
-``WireError``.
+``WireError``, and any value that is not bytes raises ``WireError``.
 """
 
 from __future__ import annotations
@@ -154,6 +154,8 @@ def encode_message(message: ConversationMessage) -> bytes:
 
 
 def decode_message(data: bytes) -> ConversationMessage:
+    if not isinstance(data, (bytes, bytearray)):
+        raise WireError(f"body is {type(data).__name__}, not bytes")
     # ValueError covers bad UTF-8, bad JSON and integers with more digits
     # than int() converts; RecursionError covers too deeply nested JSON.
     try:

@@ -1,7 +1,9 @@
 """Benchmark harness mechanics (timing pinned through an injected clock)."""
 
 import gc
+import importlib
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +123,12 @@ def test_report_without_baseline_leaves_overhead_blank():
     records = [BenchRecord("payload-size", 64, "Monitor", 1200.0, 0.0, 1)]
     line = bench_report(records).splitlines()[1]
     assert line.endswith(",")
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # perfbench/run.py --trace 1 wraps these names; a rename must not
+    # silently drop a layer from the trace
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for owner, attr, name, _ in tracing.TARGETS:
+        assert callable(getattr(owner, attr, None)), name

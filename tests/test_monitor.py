@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import protogen
+from parley.fsm import compile as compile_fsm, product_oracle, trace_language
 from parley.monitor import (
     COMPLETED,
     ConflictingInvitation,
@@ -268,3 +270,61 @@ def test_external_engine_failure_is_an_evaluation_error(daq_store):
     verdict = monitor.check(msg("c1", "Raw", "I", "A", (("data", b"x"),)), "A")
     assert verdict.kind == "assertion-failed"
     assert "evaluation error" in verdict.detail
+
+
+def test_monitor_agrees_with_trace_language_over_the_grid():
+    # every prefix of the nested machine's language is accepted, and leaves
+    # enabled exactly the triples that extend it by one step
+    prefixes = 0
+    for local in protogen.local_grid():
+        machine = compile_fsm(local)
+        binders = {
+            (k.label, k.sender, k.receiver): v.var_binders
+            for thread in machine.threads
+            for k, v in thread.transitions.items()
+        }
+        language = trace_language(machine, 6)
+        extensions = {trace: set() for trace in language}
+        for trace in language:
+            if trace:
+                extensions[trace[:-1]].add(trace[-1])
+        for trace in language:
+            if len(trace) >= 6:
+                continue
+            monitor = Monitor(lambda ref, local=local: local, record_trace=False)
+            key = monitor.init_session("g", local.self_role, local.name)
+            for triple in trace:
+                payload = [(name, 0) for name in binders[triple]]
+                verdict = monitor.check(msg("g", *triple, payload), local.self_role)
+                assert verdict.ok, (local.name, trace, verdict.kind)
+            assert monitor.enabled_triples(key) == extensions[trace], (local.name, trace)
+            prefixes += 1
+    assert prefixes > 5000
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a rec that is one alternative of a choice loops back to the choice "
+    "state, so every iteration re-enables the rival branch",
+)
+def test_rec_alternative_does_not_reenable_its_rival():
+    local = parse_local(
+        """
+        local protocol T at B(role A, role B, role C) {
+            choice at C {
+                L0 from C;
+            } or {
+                rec X {
+                    L5 from A;
+                    X;
+                }
+            }
+        }
+        """
+    )
+    rival_after_loop = (("L5", "A", "B"), ("L0", "C", "B"))
+    assert rival_after_loop not in trace_language(product_oracle(local), 2)
+    monitor = Monitor(lambda ref: local)
+    monitor.init_session("c", "B", "T")
+    assert monitor.check(msg("c", "L5", "A", "B"), "B").ok
+    assert not monitor.check(msg("c", "L0", "C", "B"), "B").ok

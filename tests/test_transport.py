@@ -18,6 +18,7 @@ from parley.endpoint import (
     inbox_queue,
     make_invitation_config,
 )
+from parley.parser import parse_local
 from parley.store import local_ref
 from parley.wire import (
     IN_SESSION,
@@ -603,6 +604,38 @@ def test_failed_init_session_is_recorded(daq_store):
         runtime.endpoint("instr").join("I", timeout=0.05)
 
 
+def test_uncompilable_local_is_recorded(daq_store):
+    # a parallel inside a recursion has no nested-FSM encoding
+    looping = parse_local(
+        """
+        local protocol Looping at I(role U, role A, role I) {
+            rec X {
+                parallel { Go from A; } and { Hi from A; }
+                X;
+            }
+        }
+        """
+    )
+    daq_store.register_local("Looping_I.scr", looping)
+    config = InvitationConfig(
+        tuple(
+            InvitationEntry(
+                role,
+                principal,
+                "Looping_I.scr" if role == "I" else local_ref("DataAquisition", role),
+            )
+            for role, principal in DAQ_PRINCIPALS.items()
+        )
+    )
+    runtime = ConversationRuntime(daq_store)
+    cid = runtime.endpoint("user").create("DataAquisition", config)
+    [(queue_name, reason, message)] = runtime.mediation_violations
+    assert queue_name == "mq.inv.instr"
+    assert reason.startswith("init_session failed: ")
+    assert "Looping_I.scr" in reason
+    assert message.cid == cid
+
+
 def test_undecodable_publish_is_recorded_and_dropped(daq_store, daq_config):
     runtime, cid, u, a, i = start(daq_store, daq_config)
     garbage = b"\xff\xfe not a message"
@@ -637,6 +670,25 @@ def test_no_mediator_raises_into_the_publisher(daq_store, daq_config, where):
         broker.push(inbox_queue("user", cid), garbage)
         queue_name = inbox_queue("user", cid)
     assert [q for q, _, _ in runtime.mediation_violations] == [queue_name]
+    run_not_supported(u, a, i)
+    assert runtime.dropped == []
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+@pytest.mark.parametrize("body", ["a str body", None, 7], ids=["str", "none", "int"])
+@pytest.mark.parametrize("where", ["out", "inbox"])
+def test_body_that_is_not_bytes_is_recorded_and_dropped(daq_store, daq_config, case, body, where):
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    if where == "out":
+        runtime.broker.publish("out.user", f"{cid}.U.A", body)
+        queue_name = "mq.out.user"
+    else:
+        runtime.broker.push(inbox_queue("user", cid), body)
+        queue_name = inbox_queue("user", cid)
+    [(recorded_queue, reason, recorded)] = runtime.mediation_violations
+    assert recorded_queue == queue_name
+    assert reason.startswith("undecodable: ")
+    assert recorded is body
     run_not_supported(u, a, i)
     assert runtime.dropped == []
 

@@ -138,6 +138,9 @@ def test_encode_rejects_unsupported_payload_type():
         lambda d: json.dumps(dict(d, label={"L": 1})).encode(),
         lambda d: b"[" * 100_000,
         lambda d: b"1" * 5000,
+        lambda d: json.dumps(d),  # a str, not bytes
+        lambda d: None,
+        lambda d: 7,
     ],
 )
 def test_decode_rejects_malformed(mangle):
