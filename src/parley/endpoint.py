@@ -30,12 +30,13 @@ Invitations follow the same shape: ``create`` publishes one invitation per
 configured role through the creator's mediator onto the shared ``invite``
 exchange keyed by principal name; each invitee's mediator initializes the
 monitor session from the carried local-protocol reference, allocates the
-session queues, acknowledges back to the creator, and hands the invitation
-to the application, where ``join`` claims it. A reference the monitor cannot
-initialize is recorded in ``mediation_violations``. The invitation handed
-over carries the two stamps, taken from the headers, in its extras; ``join``
-refuses one that lacks them. An ack counts only with its sender's stamp. The
-creator invites itself the same way, so session setup has a single path.
+session queues, and hands the invitation to the application, where ``join``
+claims it. Nothing is sent back. An invitation without its sender's stamp,
+or with a reference the monitor cannot initialize, is recorded in
+``mediation_violations`` before anything is allocated for it. The invitation
+handed over carries the two stamps, taken from the headers, in its extras;
+``join`` refuses one that lacks them. The creator invites itself the same
+way, so session setup has a single path.
 
 Three mediation cases exist: ``monitor`` (full FSM checking), ``forwarder``
 (mediation and tagging without any checking; the benchmark baseline), and
@@ -69,8 +70,6 @@ from .wire import (
     TransportError,
     UnknownPeerRole,
     WireError,
-    X_ACK,
-    X_INVITED_BY,
     X_MEDIATED_IN,
     X_MEDIATED_OUT,
     X_PRINCIPAL,
@@ -137,8 +136,6 @@ class ConversationRuntime:
         self._lock = threading.RLock()
         self.dropped: List[tuple] = []  # (stage, verdict, message)
         self.mediation_violations: List[tuple] = []  # (queue, reason, message)
-        self._acks: Dict[str, set] = {}
-        self._ack_cond = threading.Condition()
         self.broker.declare_exchange("invite")
 
     # --- nodes --------------------------------------------------------------
@@ -211,11 +208,7 @@ class ConversationRuntime:
                 return
         stamp = {X_MEDIATED_OUT: message.sender}
         if message.kind == INVITATION:
-            target = (
-                message.extra(X_INVITED_BY)
-                if message.extra(X_ACK) == "true"
-                else message.extra(X_PRINCIPAL)
-            )
+            target = message.extra(X_PRINCIPAL)
             if target is None:
                 self.note_mediation_violation(queue, "invitation names no target", message)
                 return
@@ -243,14 +236,12 @@ class ConversationRuntime:
         message = self.decode_or_note(queue, body)
         if message is None:
             return
-        if message.extra(X_ACK) == "true":
-            # Only the acknowledging principal's mediator stamps an ack.
-            if headers.get(X_MEDIATED_OUT) != message.sender:
-                self.note_mediation_violation(queue, "ack without its sender's stamp", message)
-                return
-            with self._ack_cond:
-                self._acks.setdefault(message.cid, set()).add(message.extra(X_ROLE))
-                self._ack_cond.notify_all()
+        # Only the inviting principal's mediator stamps an invitation, and
+        # nothing is allocated for one it did not stamp.
+        if headers.get(X_MEDIATED_OUT) != message.sender:
+            self.note_mediation_violation(
+                queue, "invitation without its sender's stamp", message
+            )
             return
         role = message.extra(X_ROLE)
         capability = message.extra(X_PROTOCOL_REF)
@@ -263,24 +254,11 @@ class ConversationRuntime:
         self._declare_session(node.principal, message.cid, role)
         # The stamps come from the headers only; a body cannot stamp itself.
         handed = message.with_extras(
-            **{X_MEDIATED_OUT: headers.get(X_MEDIATED_OUT, ""), X_MEDIATED_IN: role}
+            **{X_MEDIATED_OUT: headers[X_MEDIATED_OUT], X_MEDIATED_IN: role}
         )
         with node.cond:
             node.invitations.append(handed)
             node.cond.notify_all()
-        ack = ConversationMessage(
-            kind=INVITATION,
-            cid=message.cid,
-            sender=role,
-            receiver=message.sender,
-            extras=(
-                (X_ACK, "true"),
-                (X_ROLE, role),
-                (X_PRINCIPAL, node.principal),
-                (X_INVITED_BY, message.extra(X_INVITED_BY)),
-            ),
-        )
-        self.broker.publish(f"out.{node.principal}", f"{message.cid}.ack", ack)
 
     def _declare_session(self, principal: str, cid: str, role: str) -> None:
         """Allocate the mediator's session queue and the endpoint inbox."""
@@ -341,18 +319,6 @@ class ConversationRuntime:
     def note_mediation_violation(self, queue: str, reason: str, message) -> None:
         self.mediation_violations.append((queue, reason, message))
 
-    def await_accepts(self, cid: str, count: int, timeout: float = _DEFAULT_TIMEOUT) -> None:
-        """Block until ``count`` roles have acknowledged their invitations."""
-        deadline = time.monotonic() + timeout
-        with self._ack_cond:
-            while len(self._acks.get(cid, ())) < count:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise Timeout(
-                        f"{len(self._acks.get(cid, ()))} of {count} accepts for {cid}"
-                    )
-                self._ack_cond.wait(remaining)
-
     def close(self) -> None:
         """Release the runtime; the in-process broker holds no OS resources."""
 
@@ -377,7 +343,6 @@ class Endpoint:
         self.role: Optional[str] = None
         self.roles: tuple = ()
         self.default_timeout = _DEFAULT_TIMEOUT
-        self.mediation_violations: List[tuple] = []
         self.callback_errors: List[BaseException] = []
         self._cond = threading.Condition()
         self._buckets: Dict[str, deque] = {}
@@ -427,7 +392,6 @@ class Endpoint:
                     (X_ROLE, entry.role),
                     (X_PRINCIPAL, entry.principal),
                     (X_PROTOCOL_REF, entry.capability),
-                    (X_INVITED_BY, self.principal),
                 ),
             )
             if self.runtime.case == NONE:
@@ -480,7 +444,6 @@ class Endpoint:
             and message.extra(X_MEDIATED_IN) == message.extra(X_ROLE)
         )
         if not ok:
-            self.mediation_violations.append(("invitation", message))
             self.runtime.note_mediation_violation(
                 "invitation", "missing mediation tags", message
             )
@@ -581,7 +544,6 @@ class Endpoint:
                 and headers.get(X_MEDIATED_IN) == message.receiver
             )
             if not ok:
-                self.mediation_violations.append(("inbox", message))
                 self.runtime.note_mediation_violation(
                     queue, "missing or forged mediation tags", message
                 )

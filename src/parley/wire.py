@@ -4,9 +4,8 @@ Every message crossing the broker is a JSON object with the fields ``kind``
 (invitation or in_session), ``cid``, ``from``, ``to``, ``label``, ``payload``
 and ``extras``. Payload entries carry a name, a type tag (string, int, bool,
 bytes) and a value; bytes travel base64-encoded. ``extras`` is a flat
-string-to-string map used for invitation attributes and acknowledgement
-marks. The mediation audit tags are not part of the body: mediators stamp
-them as broker headers and forward the sender's bytes unchanged.
+string-to-string map used for invitation attributes. The mediation audit
+tags are not part of the body: mediators stamp them as broker headers.
 
 ``decode_message`` is total: any bytes yield a message or raise
 ``WireError``, and any value that is not bytes raises ``WireError``.
@@ -28,8 +27,6 @@ IN_SESSION = "in_session"
 X_ROLE = "role"
 X_PRINCIPAL = "principal"
 X_PROTOCOL_REF = "protocol_ref"
-X_INVITED_BY = "invited_by"
-X_ACK = "ack"
 X_MEDIATED_OUT = "mediated_out"
 X_MEDIATED_IN = "mediated_in"
 

@@ -34,8 +34,6 @@ from parley.wire import (
     Timeout,
     TransportError,
     UnknownPeerRole,
-    X_ACK,
-    X_INVITED_BY,
     X_MEDIATED_IN,
     X_MEDIATED_OUT,
     X_PRINCIPAL,
@@ -72,7 +70,6 @@ def run_not_supported(u, a, i):
 
 def test_monitored_not_supported_run(daq_store, daq_config):
     runtime, cid, u, a, i = start(daq_store, daq_config)
-    runtime.await_accepts(cid, 3, timeout=1)
     run_not_supported(u, a, i)
     assert u.status() == "completed"
     assert a.status() == "completed"
@@ -327,13 +324,6 @@ def test_unmediated_case(daq_store, daq_config):
     assert runtime.mediation_violations == []
 
 
-def test_await_accepts(daq_store, daq_config):
-    runtime, cid, u, a, i = start(daq_store, daq_config)
-    runtime.await_accepts(cid, 3, timeout=1)
-    with pytest.raises(Timeout):
-        runtime.await_accepts(cid, 4, timeout=0.05)
-
-
 def test_unmediated_invitation_never_binds(daq_store):
     runtime = ConversationRuntime(daq_store)
     node = runtime.node("user")
@@ -345,7 +335,6 @@ def test_unmediated_invitation_never_binds(daq_store):
         extras=(
             (X_ROLE, "U"),
             (X_PROTOCOL_REF, local_ref("DataAquisition", "U")),
-            (X_INVITED_BY, "agg"),
         ),
     )
     with node.cond:
@@ -354,8 +343,10 @@ def test_unmediated_invitation_never_binds(daq_store):
     ep = runtime.endpoint("user")
     with pytest.raises(Timeout):
         ep.join("U", timeout=0.1)
-    assert ep.mediation_violations[0][0] == "invitation"
-    assert runtime.mediation_violations
+    assert runtime.mediation_violations == [
+        ("invitation", "missing mediation tags", sneaky)
+    ]
+    assert ep.cid is None
 
 
 def test_pushed_message_without_tags_is_refused(daq_store, daq_config):
@@ -446,7 +437,6 @@ def test_invitation_stamped_in_its_body_never_binds(daq_store):
             (X_ROLE, "U"),
             (X_PRINCIPAL, "user"),
             (X_PROTOCOL_REF, local_ref("DataAquisition", "U")),
-            (X_INVITED_BY, "agg"),
             (X_MEDIATED_OUT, "A"),
             (X_MEDIATED_IN, "U"),
         ),
@@ -455,7 +445,10 @@ def test_invitation_stamped_in_its_body_never_binds(daq_store):
     ep = runtime.endpoint("user")
     with pytest.raises(Timeout):
         ep.join("U", timeout=0.1)
-    assert ep.mediation_violations[0][0] == "invitation"
+    assert runtime.mediation_violations == [
+        ("mq.inv.user", "invitation without its sender's stamp", sneaky)
+    ]
+    assert ep.cid is None
 
 
 @pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
@@ -559,27 +552,59 @@ def test_forwarder_drops_unknown_conversation(daq_store, daq_config, as_bytes):
     run_not_supported(u, a, i)
 
 
-def test_forged_acks_are_not_counted(daq_store):
-    # published on the invite exchange around every mediator, so unstamped
-    runtime = ConversationRuntime(daq_store)
-    runtime.node("user")
-    for role in ("U", "A", "I"):
-        ack = ConversationMessage(
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_unstamped_invitation_allocates_nothing(daq_store, case):
+    # published on the invite exchange around the creator's mediator, so
+    # unstamped: refused before any session state or queue is allocated
+    runtime = ConversationRuntime(daq_store, case=case)
+    node = runtime.node("user")
+    broker = runtime.broker
+    queues, exchanges = len(broker._queues), len(broker._exchanges)
+    sneaky = [
+        ConversationMessage(
             kind=INVITATION,
-            cid="c-forged",
-            sender=role,
+            cid=f"c-forged-{n}",
+            sender="A",
             receiver="U",
             extras=(
-                (X_ACK, "true"),
-                (X_ROLE, role),
-                (X_PRINCIPAL, DAQ_PRINCIPALS[role]),
-                (X_INVITED_BY, "user"),
+                (X_ROLE, "U"),
+                (X_PRINCIPAL, "user"),
+                (X_PROTOCOL_REF, local_ref("DataAquisition", "U")),
             ),
         )
-        runtime.broker.publish("invite", "user", encode_message(ack))
-    with pytest.raises(Timeout):
-        runtime.await_accepts("c-forged", 3, timeout=0.05)
-    assert [q for q, _, _ in runtime.mediation_violations] == ["mq.inv.user"] * 3
+        for n in range(3)
+    ]
+    for invitation in sneaky:
+        broker.publish("invite", "user", encode_message(invitation))
+    assert runtime.mediation_violations == [
+        ("mq.inv.user", "invitation without its sender's stamp", invitation)
+        for invitation in sneaky
+    ]
+    if node.monitor is not None:
+        assert node.monitor.sessions == {}
+    assert node.cids == set()
+    assert not node.invitations
+    assert (len(broker._queues), len(broker._exchanges)) == (queues, exchanges)
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_session_setup_publishes_once_per_role(daq_store, daq_config, case, monkeypatch):
+    # one invitation per role through the creator's mediator, nothing back
+    runtime = ConversationRuntime(daq_store, case=case)
+    endpoints = {role: runtime.endpoint(p) for role, p in DAQ_PRINCIPALS.items()}
+    published = []
+    real_publish = runtime.broker.publish
+
+    def publish(exchange, key, body, headers=None):
+        published.append(exchange)
+        return real_publish(exchange, key, body, headers)
+
+    monkeypatch.setattr(runtime.broker, "publish", publish)
+    endpoints["U"].create("DataAquisition", daq_config)
+    endpoints["A"].join("A")
+    endpoints["I"].join("I")
+    assert sorted(published) == ["invite"] * 3 + ["out.user"] * 3
+    assert runtime.mediation_violations == []
 
 
 def test_failed_init_session_is_recorded(daq_store):
