@@ -258,13 +258,13 @@ def bench_run(
     return records
 
 
+def _forwarder_means(records: Sequence[BenchRecord]) -> Dict[Tuple[str, int], float]:
+    return {(r.scenario, r.parameter): r.mean_ns for r in records if r.case == "Forwarder"}
+
+
 def bench_report(records: Sequence[BenchRecord]) -> str:
     """CSV with relative overhead against the Forwarder baseline."""
-    baselines = {
-        (r.scenario, r.parameter): r.mean_ns
-        for r in records
-        if r.case == "Forwarder"
-    }
+    baselines = _forwarder_means(records)
     lines = ["scenario,parameter,case,mean_ns,stddev_ns,overhead_vs_forwarder_pct"]
     for r in records:
         base = baselines.get((r.scenario, r.parameter))
@@ -279,3 +279,38 @@ def bench_report(records: Sequence[BenchRecord]) -> str:
             f"{r.mean_ns:.0f},{r.stddev_ns:.0f},{overhead}"
         )
     return "\n".join(lines) + "\n"
+
+
+def bench_json(records: Sequence[BenchRecord]) -> Dict[str, dict]:
+    """One document per scenario, for ``BENCH_<scenario>.json``.
+
+    Each cell is one (parameter, case) with its mean, standard deviation and
+    repetition count, in ns per session; the overhead against the Forwarder
+    is given both in percent and in ns per message, and is null without a
+    Forwarder cell.
+    """
+    baselines = _forwarder_means(records)
+    documents: Dict[str, dict] = {}
+    for r in records:
+        doc = documents.setdefault(
+            r.scenario, {"scenario": r.scenario, "unit": "ns", "cells": []}
+        )
+        messages = messages_per_session(r.scenario, r.parameter)
+        base = baselines.get((r.scenario, r.parameter))
+        doc["cells"].append(
+            {
+                "parameter": r.parameter,
+                "case": r.case,
+                "messages": messages,
+                "mean_ns": r.mean_ns,
+                "stddev_ns": r.stddev_ns,
+                "repetitions": r.repetitions,
+                "overhead_vs_forwarder_pct": (
+                    (r.mean_ns - base) / base * 100 if base else None
+                ),
+                "over_forwarder_ns_per_msg": (
+                    (r.mean_ns - base) / messages if base is not None else None
+                ),
+            }
+        )
+    return documents

@@ -228,6 +228,14 @@ def cmd_bench(args) -> int:
         print(args.csv)
     else:
         sys.stdout.write(report)
+    if args.json:
+        out = Path(args.json)
+        out.mkdir(parents=True, exist_ok=True)
+        for scenario, document in benchmod.bench_json(records).items():
+            target = out / f"BENCH_{scenario}.json"
+            target.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+            # keep stdout pure CSV when the report is printed there
+            print(target, file=sys.stdout if args.csv else sys.stderr)
     return 0
 
 
@@ -268,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=benchmod.DEFAULT_REPETITIONS)
     p.add_argument("--warmup", type=int, default=benchmod.DEFAULT_WARMUP)
     p.add_argument("--csv", help="write the report to this file")
+    p.add_argument("--json", metavar="DIR", help="also write BENCH_<scenario>.json here")
     p.set_defaults(handler=cmd_bench)
 
     return parser

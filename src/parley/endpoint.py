@@ -404,7 +404,7 @@ class Endpoint:
         return cid
 
     def join(self, role: str, principal: Optional[str] = None, timeout: Optional[float] = None) -> "Endpoint":
-        """Claim the next invitation for this principal; blocks until it arrives."""
+        """Claim this principal's oldest invitation to ``role``; blocks until one arrives."""
         if principal is not None and principal != self.principal:
             raise RoleMismatch(
                 f"endpoint belongs to {self.principal}, cannot join as {principal}"
@@ -413,20 +413,15 @@ class Endpoint:
             raise TransportError("endpoint already joined to a conversation")
         deadline = time.monotonic() + (timeout if timeout is not None else self.default_timeout)
         node = self.node
-        while True:
-            with node.cond:
-                while not node.invitations:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise Timeout(f"no invitation for {self.principal}")
-                    node.cond.wait(remaining)
-                invitation = node.invitations.popleft()
-            if self.runtime.case != NONE and not self._audited(invitation):
-                continue  # recorded; an unmediated invitation never binds
-            break
-        offered = invitation.extra(X_ROLE)
-        if offered != role:
-            raise RoleMismatch(f"invitation offers role {offered}, not {role}")
+        with node.cond:
+            while True:
+                invitation = self._claim(role)
+                if invitation is not None:
+                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise Timeout(f"no invitation for {self.principal}")
+                node.cond.wait(remaining)
         self.cid = invitation.cid
         self.role = role
         capability = invitation.extra(X_PROTOCOL_REF)
@@ -437,6 +432,25 @@ class Endpoint:
         inbox = inbox_queue(self.principal, self.cid)
         self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
+
+    def _claim(self, role: str) -> Optional[ConversationMessage]:
+        """Take the oldest audited pending invitation that offers ``role``.
+
+        Returns None when no invitation is pending, and raises RoleMismatch,
+        leaving them queued, when the pending ones offer only other roles.
+        Called with the node's condition held.
+        """
+        pending = self.node.invitations
+        audit = self.runtime.case != NONE
+        for invitation in list(pending):
+            if audit and not self._audited(invitation):
+                pending.remove(invitation)  # recorded; an unmediated invitation never binds
+            elif invitation.extra(X_ROLE) == role:
+                pending.remove(invitation)
+                return invitation
+        if pending:
+            raise RoleMismatch(f"invitation offers role {pending[0].extra(X_ROLE)}, not {role}")
+        return None
 
     def _audited(self, message: ConversationMessage) -> bool:
         ok = (

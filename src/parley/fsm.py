@@ -16,13 +16,32 @@ exactly (projection can leave two branch spellings of the same step), and a
 what lets a monitor route an unordered message to the right thread without
 trying them all.
 
-A run of the machine is a cursor list plus the set of threads that have
-fired. The stepper (:func:`transition`, :func:`enabled`, :func:`settle`,
-with :func:`active_threads` and :func:`join_started`) is the only
-interpreter of these nested semantics: the monitor checks each message with
-it and :func:`trace_language` enumerates a nested machine's traces with it,
-so checking those traces against :func:`product_oracle` checks the code the
+A compiled machine is never written after :func:`compile` returns, so one
+machine can serve any number of runs. Besides the per-thread tables it
+carries a dispatch index (triple to owning thread, that thread's chain of
+``(parent, spawn_state)`` ancestors, and a ``state -> TransitionValue``
+table) and its settled initial configuration.
+
+A :class:`Run` is one execution: a cursor per thread, the set of threads
+that have fired, and counters. It is the only interpreter of the nested
+semantics: the monitor checks each message with it and
+:func:`trace_language` enumerates a nested machine's traces with it, so
+checking those traces against :func:`product_oracle` checks the code the
 runtime runs. The oracle and the flat-machine enumerator share none of it.
+
+A step does work bounded by the nesting depth, not by the number of
+threads; only entering a spawn state visits that join's children, once.
+The fired thread's ancestors are checked along the precomputed chain. Instead of rescanning every active thread, a step settles only what
+it can have changed: the subtree that the moved thread's new state spawns,
+then the moved thread's own join and, while joins keep firing, its
+ancestors. Two counters replace the old scans. For each started join there
+is the number of its children off a terminal state, and the join fires when
+that reaches zero. For the run there is the number of fired threads off a
+terminal state, and the run is complete when that is zero. Both are kept up
+to date on every cursor move, because a terminal state may still have
+outgoing transitions. The full-scan :func:`settle` stays as the reference:
+compilation uses it for the initial configuration, and the tests compare
+every incremental step against it.
 """
 
 from __future__ import annotations
@@ -99,6 +118,7 @@ class FsmThread:
     transitions: Dict[TransitionKey, TransitionValue] = field(default_factory=dict)
     joins: Dict[int, Join] = field(default_factory=dict)
     by_state: Dict[int, tuple] = field(default_factory=dict)  # state -> keys
+    chain: tuple = ()  # (parent, spawn_state) pairs from this thread to the root
 
 
 @dataclass
@@ -107,10 +127,16 @@ class NestedFsm:
     self_role: str
     threads: List[FsmThread]
     terminal: frozenset
-    triple_thread: Dict[tuple, int]  # (label, sender, receiver) -> thread id
+    # (label, sender, receiver) -> (thread id, its chain, {state: TransitionValue})
+    dispatch: Dict[tuple, tuple]
+    # the settled initial configuration every run starts from
+    start_cursors: tuple = ()
+    start_pending: tuple = ()
+    start_open: int = 0
 
     @property
     def initial(self) -> list:
+        """Each thread's initial state, before any join is settled."""
         return [t.initial for t in self.threads]
 
     def state_count(self) -> int:
@@ -137,6 +163,7 @@ class _Compiler:
             parent=parent.thread_id if parent else None,
             spawn_state=spawn_state,
             initial=-1,
+            chain=((parent.thread_id, spawn_state),) + parent.chain if parent else (),
         )
         self.threads.append(thread)
         thread.initial = self.new_state(thread)
@@ -145,7 +172,7 @@ class _Compiler:
     def run(self) -> NestedFsm:
         root = self.new_thread(None, None)
         self.compile_node(self.protocol.body, root, root.initial, {})
-        triple_thread = self.check_cross_thread()
+        dispatch = self.check_cross_thread()
         self.check_progress()
         for thread in self.threads:
             _index_by_state(thread)
@@ -154,7 +181,7 @@ class _Compiler:
             self.protocol.self_role,
             self.threads,
             frozenset(self.terminal),
-            triple_thread,
+            dispatch,
         )
 
     # rec_env maps a recursion label to (thread id, entry state, spawn count
@@ -259,18 +286,20 @@ class _Compiler:
             )
         return state
 
-    def check_cross_thread(self) -> Dict[tuple, int]:
-        triple_thread: Dict[tuple, int] = {}
+    def check_cross_thread(self) -> Dict[tuple, tuple]:
+        """The dispatch index; refuses a triple that two threads share."""
+        dispatch: Dict[tuple, tuple] = {}
         for thread in self.threads:
-            for key in thread.transitions:
+            for key, value in thread.transitions.items():
                 triple = (key.label, key.sender, key.receiver)
-                owner = triple_thread.setdefault(triple, thread.thread_id)
-                if owner != thread.thread_id:
+                owner = dispatch.setdefault(triple, (thread.thread_id, thread.chain, {}))
+                if owner[0] != thread.thread_id:
                     raise NondeterminismError(
-                        f"{triple} appears in threads {owner} and {thread.thread_id}; "
+                        f"{triple} appears in threads {owner[0]} and {thread.thread_id}; "
                         "messages could not be routed to a unique thread"
                     )
-        return triple_thread
+                owner[2][key.state] = value
+        return dispatch
 
     def check_progress(self) -> None:
         for thread in self.threads:
@@ -298,6 +327,11 @@ def compile(protocol: LocalProtocol) -> NestedFsm:  # noqa: A001 - mirrors re.co
     fsm = _Compiler(protocol).run()
     # Linearity guarantee: never more than two states per tree node.
     assert fsm.state_count() <= 2 * count_nodes(protocol.body)
+    cursors = fsm.initial
+    settle(fsm, cursors)
+    fsm.start_cursors = tuple(cursors)
+    fsm.start_pending = tuple(_pending(fsm, cursors))
+    fsm.start_open = 0 if cursors[0] in fsm.terminal else 1
     return fsm
 
 
@@ -474,31 +508,145 @@ def _thread_traces(thread: FsmThread, depth: int) -> set:
 
 
 def _nested_traces(fsm: NestedFsm, depth: int) -> set:
-    cursors = fsm.initial
-    settle(fsm, cursors)
     traces = {()}
-    frontier = [(cursors, frozenset({0}), ())]
+    frontier = [(Run(fsm), ())]
     for _ in range(depth):
         nxt = []
-        for cursors, fired, prefix in frontier:
-            for tid, key in enabled(fsm, cursors, fired):
+        for run, prefix in frontier:
+            for tid, key in run.enabled():
                 trace = prefix + ((key.label, key.sender, key.receiver),)
                 if trace in traces:
                     continue
                 traces.add(trace)
-                moved = list(cursors)
-                moved[tid] = fsm.threads[tid].transitions[key].next_state
-                settle(fsm, moved)
-                nxt.append((moved, fired | {tid}, trace))
+                moved = run.copy()
+                moved.fire(tid, fsm.threads[tid].transitions[key].next_state)
+                nxt.append((moved, trace))
         frontier = nxt
     return traces
 
 
 # --- The stepper -------------------------------------------------------------
+
+
+class Run:
+    """One run of a nested machine; the machine itself is only read.
+
+    ``cursors`` holds one state per thread and ``fired`` the threads that
+    have fired a transition; the root counts as fired from the start.
+    ``pending[t]``, while thread ``t`` is active on a spawn state, counts
+    the children of that join that are off a terminal state. ``started[t]``
+    says that one of those children has fired: the parallel block is then
+    committed and the spawn state's own transitions (rival choice branches)
+    are dead. Commitment is sticky, so a child looping back to its initial
+    state keeps it. ``open`` counts the fired threads off a terminal state;
+    threads enter ``fired`` only by firing, so a parallel block sitting
+    untaken behind a rival choice branch never holds completion hostage.
+    """
+
+    __slots__ = ("fsm", "cursors", "fired", "pending", "started", "open")
+
+    def __init__(self, fsm: NestedFsm):
+        self.fsm = fsm
+        self.cursors = list(fsm.start_cursors)
+        self.fired = {0}
+        self.pending = list(fsm.start_pending)
+        self.started = [False] * len(fsm.threads)
+        self.open = fsm.start_open
+
+    def copy(self) -> "Run":
+        other = Run.__new__(Run)
+        other.fsm = self.fsm
+        other.cursors = list(self.cursors)
+        other.fired = set(self.fired)
+        other.pending = list(self.pending)
+        other.started = list(self.started)
+        other.open = self.open
+        return other
+
+    @property
+    def complete(self) -> bool:
+        """Every fired thread sits on a terminal state."""
+        return self.open == 0
+
+    def transition(self, triple: tuple):
+        """The (thread id, TransitionValue) that ``triple`` fires now, or None."""
+        entry = self.fsm.dispatch.get(triple)
+        if entry is None:
+            return None
+        tid, chain, table = entry
+        cursors = self.cursors
+        for parent, spawn_state in chain:  # each ancestor must sit on its spawn state
+            if cursors[parent] != spawn_state:
+                return None
+        value = table.get(cursors[tid])
+        if value is None or self.started[tid]:
+            return None
+        return tid, value
+
+    def enabled(self) -> list:
+        """The (thread id, TransitionKey) pairs that can fire now."""
+        out = []
+        cursors, threads = self.cursors, self.fsm.threads
+        for tid in active_threads(self.fsm, cursors):
+            if not self.started[tid]:
+                out.extend((tid, key) for key in threads[tid].by_state.get(cursors[tid], ()))
+        return out
+
+    def fire(self, tid: int, next_state: int) -> None:
+        """Move active thread ``tid`` to ``next_state`` and settle the joins
+        that the move makes ready."""
+        if tid not in self.fired:
+            self.fired.add(tid)
+            if self.cursors[tid] not in self.fsm.terminal:
+                self.open += 1
+        threads = self.fsm.threads
+        parent = threads[tid].parent
+        if parent is not None:
+            self.started[parent] = True
+        self._move(tid, next_state)
+        self._enter(tid)
+        pending = self.pending
+        while parent is not None and pending[parent] == 0:
+            join = threads[parent].joins[self.cursors[parent]]
+            self._move(parent, join.next_state)
+            self._enter(parent)
+            parent = threads[parent].parent
+
+    def _move(self, tid: int, state: int) -> None:
+        """Set an active thread's cursor, keeping both counters."""
+        cursors, terminal = self.cursors, self.fsm.terminal
+        was = cursors[tid] in terminal
+        cursors[tid] = state
+        self.started[tid] = False
+        if was != (state in terminal):
+            delta = 1 if was else -1
+            if tid in self.fired:
+                self.open += delta
+            parent = self.fsm.threads[tid].parent
+            if parent is not None:
+                self.pending[parent] += delta
+
+    def _enter(self, tid: int) -> None:
+        """Settle thread ``tid`` where it stands: when its state spawns
+        children, count those off a terminal state, settle each of them, and
+        pass the join if none is left."""
+        joins = self.fsm.threads[tid].joins
+        cursors, terminal, pending = self.cursors, self.fsm.terminal, self.pending
+        join = joins.get(cursors[tid])
+        while join is not None:
+            pending[tid] = sum(cursors[c] not in terminal for c in join.children)
+            for child in join.children:
+                self._enter(child)
+            if pending[tid]:
+                return
+            self._move(tid, join.next_state)
+            join = joins.get(cursors[tid])
+
+
+# --- The full-scan reference -------------------------------------------------
 #
-# A run is a cursor list, one state per thread, and the set of threads that
-# have fired; the root counts as fired from the start. Cursor lists are
-# changed in place, so the enumerator copies before each step.
+# Compilation settles the initial configuration with these, and the tests
+# check every incremental step of a Run against them.
 
 
 def active_threads(fsm: NestedFsm, cursors) -> list:
@@ -514,50 +662,6 @@ def active_threads(fsm: NestedFsm, cursors) -> list:
     return [t.thread_id for t in fsm.threads if active[t.thread_id]]
 
 
-def join_started(fsm: NestedFsm, fired, tid: int, state: int) -> bool:
-    """Whether any child spawned at ``state`` has ever fired.
-
-    Once a child fires, the parallel block is committed and the spawn
-    state's own outgoing transitions (rival choice branches) are dead.
-    Commitment is sticky, so it is judged on the set of threads that have
-    fired rather than on cursor positions: a child looping back to its
-    initial state stays committed.
-    """
-    join = fsm.threads[tid].joins.get(state)
-    if join is None:
-        return False
-    return any(c in fired for c in join.children)
-
-
-def transition(fsm: NestedFsm, cursors, fired, triple: tuple):
-    """The (thread id, TransitionValue) that ``triple`` fires now, or None."""
-    tid = fsm.triple_thread.get(triple)
-    if tid is None:
-        return None
-    threads = fsm.threads
-    thread = threads[tid]
-    while thread.parent is not None:  # each ancestor must sit on its spawn state
-        if cursors[thread.parent] != thread.spawn_state:
-            return None
-        thread = threads[thread.parent]
-    state = cursors[tid]
-    value = threads[tid].transitions.get(TransitionKey(state, *triple))
-    if value is None or join_started(fsm, fired, tid, state):
-        return None
-    return tid, value
-
-
-def enabled(fsm: NestedFsm, cursors, fired) -> list:
-    """The (thread id, TransitionKey) pairs that can fire now."""
-    out = []
-    for tid in active_threads(fsm, cursors):
-        state = cursors[tid]
-        if join_started(fsm, fired, tid, state):
-            continue  # committed to the parallel block spawned here
-        out.extend((tid, key) for key in fsm.threads[tid].by_state.get(state, ()))
-    return out
-
-
 def settle(fsm: NestedFsm, cursors: list) -> None:
     """Fire, in place, every join whose children have all finished."""
     threads, terminal = fsm.threads, fsm.terminal
@@ -569,6 +673,16 @@ def settle(fsm: NestedFsm, cursors: list) -> None:
             if join is not None and all(cursors[c] in terminal for c in join.children):
                 cursors[tid] = join.next_state
                 changed = True
+
+
+def _pending(fsm: NestedFsm, cursors) -> list:
+    """Per active thread on a spawn state, its children off a terminal state."""
+    pending = [0] * len(fsm.threads)
+    for tid in active_threads(fsm, cursors):
+        join = fsm.threads[tid].joins.get(cursors[tid])
+        if join is not None:
+            pending[tid] = sum(cursors[c] not in fsm.terminal for c in join.children)
+    return pending
 
 
 # --- Graphviz rendering ------------------------------------------------------

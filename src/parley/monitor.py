@@ -6,11 +6,19 @@ violation verdict and leaves the session untouched; payload bindings
 accumulate across the whole session so later assertions can refer to earlier
 fields.
 
-A session is a run of its nested FSM: the cursors and the set of fired
-threads, stepped only by ``fsm.transition``, ``fsm.settle`` and
-``fsm.enabled``, the same functions that enumerate the machine's trace
-language. The monitor adds payload arity, bindings, assertions, verdicts
-and session status on top; it has no copy of the thread semantics.
+A session is an ``fsm.Run`` of its nested FSM (cursors, fired threads and
+counters), stepped only by the run's ``transition``, ``fire`` and
+``enabled``, the same code that enumerates the machine's trace language.
+The monitor adds payload arity, bindings, assertions, verdicts and session
+status on top; it has no copy of the thread semantics.
+
+Each monitor compiles a protocol reference once. ``Monitor.machines`` maps
+the reference to the ``LocalProtocol`` it was compiled from and the
+machine, and ``init_session`` reuses the machine for as long as the
+resolver returns that same ``LocalProtocol`` object; a new object, such as
+a re-registered view, is compiled afresh. Runs only read the machine, so
+all sessions of a reference share it. A reference that does not compile is
+not remembered, and each invitation naming it fails on its own.
 
 Assertions are delegated to a pluggable logic engine. The builtin engine
 evaluates the pyexpr-like subset in-process; ExternalCommandEngine shells out
@@ -75,11 +83,9 @@ ACCEPT = MonitorVerdict(True)
 @dataclass
 class SessionState:
     protocol_ref: str
-    fsm: fsmmod.NestedFsm
-    cursors: List[int]
+    run: fsmmod.Run
     env: Dict[str, object] = field(default_factory=dict)
     status: str = ACTIVE
-    fired: set = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -196,6 +202,8 @@ class Monitor:
         self.record_trace = record_trace
         self.sessions: Dict[tuple, SessionState] = {}
         self.trace: List[TraceEntry] = []
+        # protocol ref -> (the LocalProtocol compiled, its machine)
+        self.machines: Dict[str, tuple] = {}
 
     # --- session lifecycle ------------------------------------------------
 
@@ -219,12 +227,18 @@ class Monitor:
                 f"{protocol_ref!r} is the view of {protocol.self_role}, "
                 f"but the invitation is for role {role}"
             )
-        try:
-            machine = fsmmod.compile(protocol)
-        except fsmmod.CompileError as exc:
-            raise UnresolvableProtocol(f"{protocol_ref!r} does not compile: {exc}") from exc
-        state = SessionState(protocol_ref, machine, machine.initial, fired={0})
-        fsmmod.settle(machine, state.cursors)
+        cached = self.machines.get(protocol_ref)
+        if cached is not None and cached[0] is protocol:
+            machine = cached[1]
+        else:
+            try:
+                machine = fsmmod.compile(protocol)
+            except fsmmod.CompileError as exc:
+                raise UnresolvableProtocol(
+                    f"{protocol_ref!r} does not compile: {exc}"
+                ) from exc
+            self.machines[protocol_ref] = (protocol, machine)
+        state = SessionState(protocol_ref, fsmmod.Run(machine))
         self.sessions[key] = state
         self._refresh_status(state)
         return key
@@ -240,7 +254,7 @@ class Monitor:
             return set()
         return {
             (tkey.label, tkey.sender, tkey.receiver)
-            for _, tkey in fsmmod.enabled(state.fsm, state.cursors, state.fired)
+            for _, tkey in state.run.enabled()
         }
 
     # --- checking ----------------------------------------------------------
@@ -260,7 +274,7 @@ class Monitor:
             return verdict
 
         triple = (message.label, message.sender, message.receiver)
-        hit = fsmmod.transition(state.fsm, state.cursors, state.fired, triple)
+        hit = state.run.transition(triple)
         if hit is None:
             verdict = self._miss(state, triple)
         else:
@@ -290,9 +304,7 @@ class Monitor:
                 )
                 return MonitorVerdict(False, ASSERTION_FAILED, detail)
         state.env.update(bound)
-        state.cursors[tid] = value.next_state
-        state.fired.add(tid)  # firing commits the thread
-        fsmmod.settle(state.fsm, state.cursors)
+        state.run.fire(tid, value.next_state)
         self._refresh_status(state)
         return ACCEPT
 
@@ -302,7 +314,7 @@ class Monitor:
             return MonitorVerdict(
                 False, AFTER_COMPLETION, f"{label} arrived after completion"
             )
-        enabled = fsmmod.enabled(state.fsm, state.cursors, state.fired)
+        enabled = state.run.enabled()
         if any(tkey.label == label for _, tkey in enabled):
             return MonitorVerdict(
                 False,
@@ -314,18 +326,10 @@ class Monitor:
     # --- internals ----------------------------------------------------------
 
     def _refresh_status(self, state: SessionState) -> None:
-        """Completed once every fired thread is terminal.
-
-        Threads enter ``fired`` only when they fire a transition, so a
-        parallel block sitting untaken behind a rival choice branch never
-        holds completion hostage.
-        """
+        """Completed once every fired thread is terminal (``Run.complete``)."""
         if state.status == VIOLATED:
             return
-        done = all(
-            state.cursors[tid] in state.fsm.terminal for tid in state.fired
-        )
-        state.status = COMPLETED if done else ACTIVE
+        state.status = COMPLETED if state.run.complete else ACTIVE
 
     def _record(self, message, role: str, verdict: MonitorVerdict) -> None:
         if not self.record_trace:

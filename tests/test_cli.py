@@ -1,7 +1,10 @@
 """CLI subcommands through main(argv)."""
 
+import json
+
 import pytest
 
+from parley.bench import CASES
 from parley.cli import main
 
 from conftest import DAQ_GLOBAL_SRC, DAQ_PRINCIPALS
@@ -184,6 +187,46 @@ def test_bench_writes_csv(workdir, capsys):
     assert lines[0].startswith("scenario,parameter,case,")
     assert any(line.startswith("payload-size,64,Forwarder") and line.endswith(",0.00")
                for line in lines)
+
+
+def test_bench_writes_json_beside_the_csv(workdir, capsys):
+    out = workdir / "results"
+    code = main([
+        "bench", "--scenario", "session-length",
+        "--params", "2,3", "--reps", "3", "--warmup", "0", "--json", str(out),
+    ])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("scenario,parameter,case,")  # the CSV, unchanged
+    assert str(out / "BENCH_session-length.json") in captured.err
+    document = json.loads((out / "BENCH_session-length.json").read_text())
+    assert document["scenario"] == "session-length"
+    cells = {(c["parameter"], c["case"]): c for c in document["cells"]}
+    assert set(cells) == {(p, case) for p in (2, 3) for case in CASES}
+    for (param, case), cell in cells.items():
+        assert cell["repetitions"] == 3
+        assert cell["messages"] == 2 * param + 1
+        assert cell["mean_ns"] > 0 and cell["stddev_ns"] >= 0
+        base = cells[param, "Forwarder"]["mean_ns"]
+        assert cell["overhead_vs_forwarder_pct"] == pytest.approx(
+            (cell["mean_ns"] - base) / base * 100
+        )
+        assert cell["over_forwarder_ns_per_msg"] == pytest.approx(
+            (cell["mean_ns"] - base) / (2 * param + 1)
+        )
+    assert cells[2, "Forwarder"]["overhead_vs_forwarder_pct"] == 0
+
+
+def test_bench_json_without_forwarder_leaves_overhead_null(workdir, capsys):
+    out = workdir / "results"
+    assert main([
+        "bench", "--scenario", "payload-size", "--params", "64", "--cases", "Monitor",
+        "--reps", "2", "--warmup", "0", "--csv", str(workdir / "r.csv"), "--json", str(out),
+    ]) == 0
+    assert str(out / "BENCH_payload-size.json") in capsys.readouterr().out
+    [cell] = json.loads((out / "BENCH_payload-size.json").read_text())["cells"]
+    assert cell["overhead_vs_forwarder_pct"] is None
+    assert cell["over_forwarder_ns_per_msg"] is None
 
 
 def test_bench_rejects_unknown_case(workdir, capsys):

@@ -5,14 +5,17 @@ from parley.fsm import (
     EmptyRecursionError,
     ExplosionGuard,
     NondeterminismError,
+    Run,
     UnsupportedNesting,
+    active_threads,
     compile as compile_fsm,
     product_oracle,
+    settle,
     to_dot,
     trace_language,
 )
 from parley.parser import parse_local
-from parley.projection import project
+from parley.projection import project, project_all
 from parley.protocol import (
     Continue,
     END,
@@ -279,3 +282,62 @@ def test_grid_sample_against_oracle():
         machine = compile_fsm(local)
         oracle = product_oracle(local)
         assert trace_language(machine, 6) == trace_language(oracle, 6), local.name
+
+
+# --- the incremental stepper against the full-scan reference -------------------
+
+
+def _differential_machines():
+    for local in protogen.local_grid():
+        yield local.name, compile_fsm(local)
+    for seed in range(1000):
+        protocol = protogen.random_global(seed)
+        for role, report in sorted(project_all(protocol).items()):
+            try:
+                yield f"{protocol.name}@{role}", compile_fsm(report.protocol)
+            except CompileError:
+                continue
+
+
+def _assert_matches_full_scan(run, expected_cursors, where):
+    fsm, cursors = run.fsm, run.cursors
+    assert cursors == expected_cursors, where
+    for tid in active_threads(fsm, cursors):
+        join = fsm.threads[tid].joins.get(cursors[tid])
+        if join is None:
+            continue
+        # a join's counter reads zero exactly when all its children are done
+        done = all(cursors[c] in fsm.terminal for c in join.children)
+        assert (run.pending[tid] == 0) == done, where
+        assert run.started[tid] == any(c in run.fired for c in join.children), where
+    # terminal states can have outgoing transitions, so this is not monotone
+    assert run.complete == all(cursors[t] in fsm.terminal for t in run.fired), where
+
+
+def test_incremental_settle_agrees_with_full_scan():
+    machines = steps = 0
+    for name, fsm in _differential_machines():
+        machines += 1
+        start = Run(fsm)
+        expected = fsm.initial
+        settle(fsm, expected)
+        _assert_matches_full_scan(start, expected, (name, ()))
+        frontier, seen = [(start, ())], set()
+        for _ in range(6):
+            following = []
+            for run, trace in frontier:
+                for tid, key in run.enabled():
+                    target = fsm.threads[tid].transitions[key].next_state
+                    expected = list(run.cursors)
+                    expected[tid] = target
+                    settle(fsm, expected)
+                    moved = run.copy()
+                    moved.fire(tid, target)
+                    steps += 1
+                    _assert_matches_full_scan(moved, expected, (name, trace + (key,)))
+                    config = (tuple(moved.cursors), frozenset(moved.fired))
+                    if config not in seen:
+                        seen.add(config)
+                        following.append((moved, trace + (key,)))
+            frontier = following
+    assert machines > 3000 and steps > 30000

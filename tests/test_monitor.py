@@ -1,9 +1,12 @@
+import copy
 import sys
 from pathlib import Path
 
 import pytest
 
 import protogen
+from parley import fsm as fsmmod
+from parley.bench import wide_source
 from parley.fsm import compile as compile_fsm, product_oracle, trace_language
 from parley.monitor import (
     COMPLETED,
@@ -16,8 +19,9 @@ from parley.monitor import (
     VIOLATED,
     default_mode,
 )
-from parley.parser import parse_local
+from parley.parser import parse_global, parse_local
 from parley.projection import project
+from parley.store import ProtocolStore
 from parley.wire import IN_SESSION, ConversationMessage
 
 ENGINE_SCRIPT = Path(__file__).parent / "data" / "logic_engine.py"
@@ -328,3 +332,103 @@ def test_rec_alternative_does_not_reenable_its_rival():
     monitor.init_session("c", "B", "T")
     assert monitor.check(msg("c", "L5", "A", "B"), "B").ok
     assert not monitor.check(msg("c", "L0", "C", "B"), "B").ok
+
+
+# --- one compiled machine per protocol reference --------------------------------
+
+
+@pytest.fixture()
+def compiles(monkeypatch):
+    calls = []
+    original = fsmmod.compile
+
+    def counting(protocol):
+        calls.append(protocol.name)
+        return original(protocol)
+
+    monkeypatch.setattr(fsmmod, "compile", counting)
+    return calls
+
+
+def test_sessions_of_one_ref_share_one_machine(daq_store, compiles):
+    monitor = Monitor(daq_store.local)
+    monitor.init_session("c1", "A", "DataAquisition_A.scr")
+    monitor.init_session("c2", "A", "DataAquisition_A.scr")
+    assert compiles == ["DataAquisition"]
+    first, second = monitor.sessions[("c1", "A")], monitor.sessions[("c2", "A")]
+    assert first.run.fsm is second.run.fsm
+    assert monitor.machines["DataAquisition_A.scr"][1] is first.run.fsm
+
+
+def test_stepping_one_session_leaves_the_other_and_the_machine_alone(daq_store):
+    monitor = Monitor(daq_store.local)
+    monitor.init_session("c1", "A", "DataAquisition_A.scr")
+    monitor.init_session("c2", "A", "DataAquisition_A.scr")
+    other = monitor.sessions[("c2", "A")].run
+    machine = copy.deepcopy(other.fsm)
+    before = (list(other.cursors), set(other.fired), list(other.pending), other.open)
+    for label, sender, receiver, payload in SUPPORTED_RUN_A:
+        assert monitor.check(msg("c1", label, sender, receiver, payload), "A").ok
+    assert monitor.session_status(("c1", "A")) == COMPLETED
+    assert (list(other.cursors), set(other.fired), list(other.pending), other.open) == before
+    assert other.fsm == machine
+    assert monitor.enabled_triples(("c2", "A")) == {("Request", "U", "A")}
+
+
+def test_re_registered_ref_compiles_again(daq_global, compiles):
+    store = ProtocolStore()
+    store.register_projections(daq_global)
+    monitor = Monitor(store.local)
+    monitor.init_session("c1", "A", "DataAquisition_A.scr")
+    store.register_projections(daq_global)  # a new LocalProtocol per role
+    monitor.init_session("c2", "A", "DataAquisition_A.scr")
+    monitor.init_session("c3", "A", "DataAquisition_A.scr")
+    assert compiles == ["DataAquisition", "DataAquisition"]
+    first, second = monitor.sessions[("c1", "A")], monitor.sessions[("c2", "A")]
+    assert first.run.fsm is not second.run.fsm
+    assert monitor.sessions[("c3", "A")].run.fsm is second.run.fsm
+
+
+class _Touches(list):
+    """A per-thread list that records which thread indices are used."""
+
+    def __init__(self, values, touched):
+        super().__init__(values)
+        self.touched = touched
+
+    def __getitem__(self, index):
+        self.touched.add(index)
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        self.touched.add(index)
+        super().__setitem__(index, value)
+
+    def __iter__(self):
+        self.touched.update(range(len(self)))
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("role", ["S", "C"])
+def test_check_touches_threads_by_depth_not_width(role):
+    # every check reads or writes the cursors and counters of the message's
+    # thread and its ancestors only: one parallel level, so two threads
+    for k in (1, 2, 4, 8, 16, 32):
+        local = project(parse_global(wide_source(k)), role).protocol
+        monitor = Monitor(lambda ref, local=local: local, record_trace=False)
+        key = monitor.init_session("w", role, local.name)
+        run = monitor.sessions[key].run
+        assert len(run.fsm.threads) == 2 * k + 1
+        depth = max(len(thread.chain) for thread in run.fsm.threads)
+        touched = set()
+        for name in ("cursors", "pending", "started"):
+            setattr(run, name, _Touches(getattr(run, name), touched))
+        counts = []
+        steps = [(f"OK{i}", "S", "C") for i in range(1, k + 1)]
+        steps += [(f"ACK{i}", "C", "S") for i in range(1, k + 1)]
+        for triple in steps:
+            touched.clear()
+            assert monitor.check(msg("w", *triple), role).ok
+            counts.append(len(touched))
+        assert max(counts) == depth + 1 == 2, (k, counts)
+        assert monitor.session_status(key) == COMPLETED

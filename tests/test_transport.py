@@ -157,6 +157,26 @@ def test_join_role_and_principal_mismatch(daq_store, daq_config):
         agg.join("I")
 
 
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_join_takes_the_invitation_for_its_role(daq_store, case):
+    # agg is invited as A into one session and as I into another
+    runtime = ConversationRuntime(daq_store, case=case)
+    first = runtime.endpoint("user").create(
+        "DataAquisition",
+        make_invitation_config("DataAquisition", {"U": "user", "A": "agg", "I": "instr"}),
+    )
+    second = runtime.endpoint("user2").create(
+        "DataAquisition",
+        make_invitation_config("DataAquisition", {"U": "user2", "A": "agg2", "I": "agg"}),
+    )
+    as_i = runtime.endpoint("agg").join("I", timeout=0.1)
+    as_a = runtime.endpoint("agg").join("A", timeout=0.1)
+    assert (as_i.cid, as_i.role) == (second, "I")
+    assert (as_a.cid, as_a.role) == (first, "A")
+    assert not runtime.node("agg").invitations
+    assert runtime.mediation_violations == []
+
+
 def test_join_times_out_without_invitation(daq_store):
     runtime = ConversationRuntime(daq_store)
     with pytest.raises(Timeout):
@@ -659,6 +679,19 @@ def test_uncompilable_local_is_recorded(daq_store):
     assert reason.startswith("init_session failed: ")
     assert "Looping_I.scr" in reason
     assert message.cid == cid
+    # nothing is cached for a ref that fails: the next invitation fails too
+    again = runtime.endpoint("user2").create(
+        "DataAquisition",
+        InvitationConfig(
+            (InvitationEntry("U", "user2", local_ref("DataAquisition", "U")),)
+            + config.entries[1:]
+        ),
+    )
+    assert [(q, r.split(":")[0], m.cid) for q, r, m in runtime.mediation_violations] == [
+        ("mq.inv.instr", "init_session failed", cid),
+        ("mq.inv.instr", "init_session failed", again),
+    ]
+    assert "Looping_I.scr" not in runtime.monitor_for("instr").machines
 
 
 def test_undecodable_publish_is_recorded_and_dropped(daq_store, daq_config):
