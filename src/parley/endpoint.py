@@ -203,7 +203,7 @@ class ConversationRuntime:
             # never advances the sender's FSM.
             try:
                 data = encode_message(message)
-            except (WireError, TypeError, ValueError) as exc:
+            except WireError as exc:
                 self.note_mediation_violation(queue, f"unencodable: {exc}", message)
                 return
         stamp = {X_MEDIATED_OUT: message.sender}
@@ -400,7 +400,9 @@ class Endpoint:
                 self.runtime.broker.publish(
                     f"out.{self.principal}", f"{cid}.invite.{entry.principal}", invitation
                 )
-        self.join(creator_role)
+        # Its own invitation, not an older one to the same role from another
+        # session, which stays queued for a later ``join``.
+        self._bind(creator_role, cid, None)
         return cid
 
     def join(self, role: str, principal: Optional[str] = None, timeout: Optional[float] = None) -> "Endpoint":
@@ -409,13 +411,17 @@ class Endpoint:
             raise RoleMismatch(
                 f"endpoint belongs to {self.principal}, cannot join as {principal}"
             )
+        return self._bind(role, None, timeout)
+
+    def _bind(self, role: str, cid: Optional[str], timeout: Optional[float]) -> "Endpoint":
+        """Claim an invitation to ``role``, in conversation ``cid`` if given, and join it."""
         if self.cid is not None:
             raise TransportError("endpoint already joined to a conversation")
         deadline = time.monotonic() + (timeout if timeout is not None else self.default_timeout)
         node = self.node
         with node.cond:
             while True:
-                invitation = self._claim(role)
+                invitation = self._claim(role, cid)
                 if invitation is not None:
                     break
                 remaining = deadline - time.monotonic()
@@ -433,22 +439,24 @@ class Endpoint:
         self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
 
-    def _claim(self, role: str) -> Optional[ConversationMessage]:
+    def _claim(self, role: str, cid: Optional[str]) -> Optional[ConversationMessage]:
         """Take the oldest audited pending invitation that offers ``role``.
 
-        Returns None when no invitation is pending, and raises RoleMismatch,
-        leaving them queued, when the pending ones offer only other roles.
-        Called with the node's condition held.
+        With ``cid`` given, only an invitation to that conversation is taken,
+        and None is returned while it has not arrived. Otherwise returns None
+        when no invitation is pending, and raises RoleMismatch, leaving them
+        queued, when the pending ones offer only other roles. Called with the
+        node's condition held.
         """
         pending = self.node.invitations
         audit = self.runtime.case != NONE
         for invitation in list(pending):
             if audit and not self._audited(invitation):
                 pending.remove(invitation)  # recorded; an unmediated invitation never binds
-            elif invitation.extra(X_ROLE) == role:
+            elif invitation.extra(X_ROLE) == role and cid in (None, invitation.cid):
                 pending.remove(invitation)
                 return invitation
-        if pending:
+        if pending and cid is None:
             raise RoleMismatch(f"invitation offers role {pending[0].extra(X_ROLE)}, not {role}")
         return None
 
@@ -469,12 +477,7 @@ class Endpoint:
         self._require_joined()
         self._check_peer(to_role)
         message = ConversationMessage(
-            kind=IN_SESSION,
-            cid=self.cid,
-            sender=self.role,
-            receiver=to_role,
-            label=label,
-            payload=payload_from_dict(payload),
+            IN_SESSION, self.cid, self.role, to_role, label, payload_from_dict(payload)
         )
         key = f"{self.cid}.{self.role}.{to_role}"
         if self.runtime.case == NONE:

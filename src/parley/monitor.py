@@ -293,17 +293,19 @@ class Monitor:
                 f"{message.label} carries {len(message.payload)} fields, "
                 f"{len(binders)} declared",
             )
-        bound = {name: pair[1] for name, pair in zip(binders, message.payload)}
-        if value.assertion is not None:
-            result = self.engine.eval(value.assertion, {**state.env, **bound})
-            if result is not True:
-                detail = (
-                    f"evaluation error: {result.detail}"
-                    if isinstance(result, EvalError)
-                    else f"{value.assertion.source_text} is false"
-                )
-                return MonitorVerdict(False, ASSERTION_FAILED, detail)
-        state.env.update(bound)
+        # A message with no fields under no assertion binds nothing.
+        if binders or value.assertion is not None:
+            bound = {name: pair[1] for name, pair in zip(binders, message.payload)}
+            if value.assertion is not None:
+                result = self.engine.eval(value.assertion, {**state.env, **bound})
+                if result is not True:
+                    detail = (
+                        f"evaluation error: {result.detail}"
+                        if isinstance(result, EvalError)
+                        else f"{value.assertion.source_text} is false"
+                    )
+                    return MonitorVerdict(False, ASSERTION_FAILED, detail)
+            state.env.update(bound)
         state.run.fire(tid, value.next_state)
         self._refresh_status(state)
         return ACCEPT

@@ -7,8 +7,31 @@ bytes) and a value; bytes travel base64-encoded. ``extras`` is a flat
 string-to-string map used for invitation attributes. The mediation audit
 tags are not part of the body: mediators stamp them as broker headers.
 
+``encode_message`` writes one canonical form, byte for byte what
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` gives:
+
+- no whitespace; object keys in sorted order, ``cid, extras, from, kind,
+  label, payload, to`` at the top, ``name, type, value`` in each payload
+  entry and the extras keys sorted;
+- strings quoted by ``json.encoder.encode_basestring_ascii``, so the bytes
+  are ASCII: quotes and backslashes are escaped, and so is every character
+  outside printable ASCII, as ``\\n`` and the like where JSON has a short
+  form and as ``\\uXXXX`` (a surrogate pair above U+FFFF) otherwise;
+- ints as ``int.__repr__`` spells them, bools as ``true`` and ``false``,
+  bytes as a base64 string with padding.
+
+It refuses with ``WireError`` exactly the messages that could not come back
+from ``decode_message``: a non-string ``cid``, ``from``, ``to`` or
+``label``, an unknown ``kind``, a payload that is not a tuple of
+(name, value) pairs, a payload name that is not a string or appears twice, a
+value that is not str, int, bool or bytes or an int with more digits than
+``int()`` converts, and extras that are not (key, value) string pairs or
+name a key twice. So ``decode_message(encode_message(m)) == m`` for every
+``m`` that encodes.
+
 ``decode_message`` is total: any bytes yield a message or raise
-``WireError``, and any value that is not bytes raises ``WireError``.
+``WireError``, and any value that is not bytes raises ``WireError``. It
+accepts any JSON spelling of a message, not only the canonical one.
 """
 
 from __future__ import annotations
@@ -16,12 +39,14 @@ from __future__ import annotations
 import json
 from base64 import b64decode, b64encode
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Optional, Tuple
 
 import yaml
 
 INVITATION = "invitation"
 IN_SESSION = "in_session"
+_KINDS = (INVITATION, IN_SESSION)
 
 # extras keys
 X_ROLE = "role"
@@ -36,7 +61,7 @@ class TransportError(Exception):
 
 
 class WireError(TransportError):
-    """Malformed bytes on the wire."""
+    """Malformed bytes on the wire, or a message that cannot be put there."""
 
 
 class IncompleteConfig(TransportError):
@@ -71,7 +96,7 @@ class DuplicateRegistration(TransportError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConversationMessage:
     kind: str
     cid: str
@@ -83,7 +108,9 @@ class ConversationMessage:
 
     def __post_init__(self):
         # extras is a map; key order must not affect equality or the wire form
-        object.__setattr__(self, "extras", tuple(sorted(self.extras)))
+        extras = self.extras
+        if type(extras) is not tuple or len(extras) > 1:
+            object.__setattr__(self, "extras", tuple(sorted(extras)))
 
     def extras_dict(self) -> Dict[str, str]:
         return dict(self.extras)
@@ -119,35 +146,102 @@ def _check_payload_value(name: str, value) -> None:
     raise WireError(f"payload field {name!r} has unsupported type {type(value).__name__}")
 
 
-def _tag_of(value) -> str:
-    # bool before int: bool is an int subclass.
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, bytes):
-        return "bytes"
-    raise WireError(f"unsupported payload type {type(value).__name__}")
+def _check_head(kind, cid, sender, receiver, label) -> None:
+    """The checks on a message's scalar fields, shared by encode and decode."""
+    if kind not in _KINDS:
+        raise WireError(f"unknown message kind {kind!r}")
+    for field, value in (("cid", cid), ("from", sender), ("to", receiver), ("label", label)):
+        if not isinstance(value, str):
+            raise WireError(f"field {field!r} is not a string")
+
+
+# json.loads with no options calls this same method, after a check that
+# only changes the message of one error.
+_decode_json = json.JSONDecoder().decode
+
+# The canonical body; json.dumps with sorted keys and no spaces gives the same.
+_FRAME = '{"cid":%s,"extras":{%s},"from":%s,"kind":%s,"label":%s,"payload":[%s],"to":%s}'
 
 
 def encode_message(message: ConversationMessage) -> bytes:
-    payload = []
-    for name, value in message.payload:
-        tag = _tag_of(value)
-        wire_value = b64encode(value).decode("ascii") if tag == "bytes" else value
-        payload.append({"name": name, "type": tag, "value": wire_value})
-    doc = {
-        "kind": message.kind,
-        "cid": message.cid,
-        "from": message.sender,
-        "to": message.receiver,
-        "label": message.label,
-        "payload": payload,
-        "extras": dict(message.extras),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    kind, cid, sender, receiver, label = (
+        message.kind,
+        message.cid,
+        message.sender,
+        message.receiver,
+        message.label,
+    )
+    if not (
+        kind in _KINDS
+        and isinstance(cid, str)
+        and isinstance(sender, str)
+        and isinstance(receiver, str)
+        and isinstance(label, str)
+    ):
+        _check_head(kind, cid, sender, receiver, label)
+    payload = message.payload
+    if type(payload) is not tuple:
+        raise WireError("payload is not a tuple")
+    entries = ""
+    if payload:
+        texts = []
+        names = set()
+        for entry in payload:
+            if type(entry) is not tuple or len(entry) != 2:
+                raise WireError("payload entry is not a (name, value) pair")
+            name, value = entry
+            if not isinstance(name, str):
+                raise WireError("payload field name is not a string")
+            if name in names:
+                raise WireError(f"payload field {name!r} appears twice")
+            names.add(name)
+            # bool before int: bool is an int subclass.
+            if value is True:
+                typed = '"bool","value":true'
+            elif value is False:
+                typed = '"bool","value":false'
+            elif isinstance(value, str):
+                typed = '"string","value":' + _quote(value)
+            elif isinstance(value, int):
+                try:
+                    typed = '"int","value":' + int.__repr__(value)
+                except ValueError:  # more digits than int() converts back
+                    raise WireError(f"field {name!r} has too many digits") from None
+            elif isinstance(value, bytes):
+                typed = '"bytes","value":"' + b64encode(value).decode("ascii") + '"'
+            else:
+                raise WireError(
+                    f"payload field {name!r} has unsupported type {type(value).__name__}"
+                )
+            texts.append('{"name":' + _quote(name) + ',"type":' + typed + "}")
+        entries = ",".join(texts)
+    extras = message.extras
+    pairs = ""
+    if extras:
+        texts = []
+        last = None
+        # Sorted at construction, so a repeated key sits next to its twin.
+        for entry in extras:
+            if type(entry) is not tuple or len(entry) != 2:
+                raise WireError("extras entry is not a (key, value) pair")
+            key, value = entry
+            if not (isinstance(key, str) and isinstance(value, str)):
+                raise WireError("extras must map strings to strings")
+            if key == last:
+                raise WireError(f"extras key {key!r} appears twice")
+            last = key
+            texts.append(_quote(key) + ":" + _quote(value))
+        pairs = ",".join(texts)
+    text = _FRAME % (
+        _quote(cid),
+        pairs,
+        _quote(sender),
+        _quote(kind),
+        _quote(label),
+        entries,
+        _quote(receiver),
+    )
+    return text.encode("ascii")
 
 
 def decode_message(data: bytes) -> ConversationMessage:
@@ -156,10 +250,12 @@ def decode_message(data: bytes) -> ConversationMessage:
     # ValueError covers bad UTF-8, bad JSON and integers with more digits
     # than int() converts; RecursionError covers too deeply nested JSON.
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = _decode_json(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise WireError(f"undecodable message: {exc}") from None
-    if not isinstance(doc, dict):
+    # JSON decoding gives exact dict, list, str, int and bool types, so type()
+    # identity checks below are isinstance checks that run faster.
+    if type(doc) is not dict:
         raise WireError("message is not an object")
     try:
         kind = doc["kind"]
@@ -171,57 +267,59 @@ def decode_message(data: bytes) -> ConversationMessage:
         extras = doc["extras"]
     except KeyError as exc:
         raise WireError(f"message lacks field {exc.args[0]!r}") from None
-    if kind not in (INVITATION, IN_SESSION):
-        raise WireError(f"unknown message kind {kind!r}")
-    for field, value in (("cid", cid), ("from", sender), ("to", receiver), ("label", label)):
-        if not isinstance(value, str):
-            raise WireError(f"field {field!r} is not a string")
-    if not isinstance(raw_payload, list):
-        raise WireError("payload is not a list")
-    payload = []
-    names = set()
-    for entry in raw_payload:
-        if not isinstance(entry, dict):
-            raise WireError("payload entry is not an object")
-        try:
-            name, tag, value = entry["name"], entry["type"], entry["value"]
-        except KeyError as exc:
-            raise WireError(f"payload entry lacks {exc.args[0]!r}") from None
-        if not isinstance(name, str):
-            raise WireError("payload field name is not a string")
-        if name in names:
-            raise WireError(f"payload field {name!r} appears twice")
-        names.add(name)
-        if tag == "bytes":
-            try:
-                value = b64decode(value, validate=True)
-            except Exception:
-                raise WireError(f"field {name!r} carries invalid base64") from None
-        elif tag == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise WireError(f"field {name!r} is not an int")
-        elif tag == "bool":
-            if not isinstance(value, bool):
-                raise WireError(f"field {name!r} is not a bool")
-        elif tag == "string":
-            if not isinstance(value, str):
-                raise WireError(f"field {name!r} is not a string")
-        else:
-            raise WireError(f"field {name!r} has unknown type tag {tag!r}")
-        payload.append((name, value))
-    if not isinstance(extras, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in extras.items()
+    if not (
+        kind in _KINDS
+        and type(cid) is str
+        and type(sender) is str
+        and type(receiver) is str
+        and type(label) is str
     ):
+        _check_head(kind, cid, sender, receiver, label)
+    if type(raw_payload) is not list:
+        raise WireError("payload is not a list")
+    payload = ()
+    if raw_payload:
+        values = []
+        names = set()
+        for entry in raw_payload:
+            if type(entry) is not dict:
+                raise WireError("payload entry is not an object")
+            try:
+                name, tag, value = entry["name"], entry["type"], entry["value"]
+            except KeyError as exc:
+                raise WireError(f"payload entry lacks {exc.args[0]!r}") from None
+            if type(name) is not str:
+                raise WireError("payload field name is not a string")
+            if name in names:
+                raise WireError(f"payload field {name!r} appears twice")
+            names.add(name)
+            if tag == "bytes":
+                try:
+                    value = b64decode(value, validate=True)
+                except (TypeError, ValueError):  # binascii.Error is a ValueError
+                    raise WireError(f"field {name!r} carries invalid base64") from None
+            elif tag == "int":
+                if type(value) is not int:
+                    raise WireError(f"field {name!r} is not an int")
+            elif tag == "bool":
+                if type(value) is not bool:
+                    raise WireError(f"field {name!r} is not a bool")
+            elif tag == "string":
+                if type(value) is not str:
+                    raise WireError(f"field {name!r} is not a string")
+            else:
+                raise WireError(f"field {name!r} has unknown type tag {tag!r}")
+            values.append((name, value))
+        payload = tuple(values)
+    if type(extras) is not dict:
         raise WireError("extras must map strings to strings")
-    return ConversationMessage(
-        kind=kind,
-        cid=cid,
-        sender=sender,
-        receiver=receiver,
-        label=label,
-        payload=tuple(payload),
-        extras=tuple(extras.items()),
-    )
+    pairs = ()
+    if extras:
+        pairs = tuple(extras.items())
+        for key, value in pairs:
+            if type(key) is not str or type(value) is not str:
+                raise WireError("extras must map strings to strings")
+    return ConversationMessage(kind, cid, sender, receiver, label, payload, pairs)
 
 
 # --- Invitation configuration -------------------------------------------------

@@ -177,6 +177,27 @@ def test_join_takes_the_invitation_for_its_role(daq_store, case):
     assert runtime.mediation_violations == []
 
 
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_create_joins_the_session_it_created(daq_store, case):
+    # user holds an invitation to role U from boss's session when it creates
+    # its own session in that role
+    runtime = ConversationRuntime(daq_store, case=case)
+    theirs = runtime.endpoint("boss").create(
+        "DataAquisition",
+        make_invitation_config("DataAquisition", {"U": "user", "A": "boss", "I": "instr"}),
+    )
+    user = runtime.endpoint("user")
+    ours = user.create("DataAquisition", make_invitation_config("DataAquisition", DAQ_PRINCIPALS))
+    assert (user.cid, user.role) == (ours, "U")
+    agg = runtime.endpoint("agg").join("A", timeout=0.1)
+    user.send("A", "Request", {"info": "x"})
+    assert agg.receive("U", timeout=1) == ("Request", {"info": "x"})
+    later = runtime.endpoint("user").join("U", timeout=0.1)
+    assert later.cid == theirs
+    assert not runtime.node("user").invitations
+    assert runtime.mediation_violations == []
+
+
 def test_join_times_out_without_invitation(daq_store):
     runtime = ConversationRuntime(daq_store)
     with pytest.raises(Timeout):
@@ -557,6 +578,34 @@ def test_unencodable_message_is_recorded_and_dropped(daq_store, daq_config, case
     run_not_supported(u, a, i)
     assert runtime.dropped == []
     assert len(runtime.mediation_violations) == 1
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_duplicate_extras_key_is_unencodable(daq_store, case):
+    # routed by one principal extra, the bytes would carry the other
+    runtime = ConversationRuntime(daq_store, case=case)
+    for principal in DAQ_PRINCIPALS.values():
+        runtime.node(principal)
+    two_targets = ConversationMessage(
+        kind=INVITATION,
+        cid="c-two",
+        sender="U",
+        receiver="A",
+        extras=(
+            (X_ROLE, "A"),
+            (X_PRINCIPAL, "agg"),
+            (X_PRINCIPAL, "instr"),
+            (X_PROTOCOL_REF, local_ref("DataAquisition", "A")),
+        ),
+    )
+    runtime.broker.publish("out.user", "c-two.invite.agg", two_targets)
+    [(queue_name, reason, message)] = runtime.mediation_violations
+    assert queue_name == "mq.out.user"
+    assert reason.startswith("unencodable: ")
+    assert message is two_targets
+    assert not runtime.node("agg").invitations
+    assert not runtime.node("instr").invitations
+    assert "s.c-two" not in runtime.broker._exchanges
 
 
 @pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "object"])

@@ -1,6 +1,8 @@
 """Wire format round trips and invitation config parsing."""
 
 import json
+from base64 import b64encode
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,8 @@ from parley.wire import (
     ConversationMessage,
     IncompleteConfig,
     InvitationConfig,
+    X_PRINCIPAL,
+    X_ROLE,
     WireError,
     decode_message,
     encode_message,
@@ -76,6 +80,21 @@ def test_with_extras_overwrites_and_preserves():
     stamped = msg.with_extras(b="3", c="4")
     assert stamped.extras_dict() == {"a": "1", "b": "3", "c": "4"}
     assert msg.extras_dict() == {"a": "1", "b": "2"}
+
+
+def test_message_is_a_frozen_value():
+    a = make(label="L", extras=(("b", "2"), ("a", "1")))
+    b = make(label="L", extras=[("a", "1"), ("b", "2")])
+    assert a == b and hash(a) == hash(b)
+    assert a.extras == (("a", "1"), ("b", "2"))
+    assert make(extras=[("a", "1")]).extras == (("a", "1"),)
+    assert replace(a, label="Q") == make(label="Q", extras=a.extras)
+    assert repr(a) == (
+        "ConversationMessage(kind='in_session', cid='c1', sender='A', receiver='B', "
+        "label='L', payload=(), extras=(('a', '1'), ('b', '2')))"
+    )
+    with pytest.raises(FrozenInstanceError):
+        a.cid = "c2"
 
 
 def test_payload_from_dict():
@@ -207,6 +226,145 @@ payload_values = st.one_of(
 def test_round_trip_random(payload, extras):
     msg = make(label="R", payload=tuple(payload), extras=tuple(extras.items()))
     assert decode_message(encode_message(msg)) == msg
+
+
+def reference_encode(message):
+    """The canonical form by definition: the encoder as json.dumps wrote it."""
+    payload = []
+    for name, value in message.payload:
+        if isinstance(value, bool):
+            tag = "bool"
+        elif isinstance(value, int):
+            tag = "int"
+        elif isinstance(value, str):
+            tag = "string"
+        elif isinstance(value, bytes):
+            tag = "bytes"
+        else:
+            raise WireError(f"unsupported payload type {type(value).__name__}")
+        wire_value = b64encode(value).decode("ascii") if tag == "bytes" else value
+        payload.append({"name": name, "type": tag, "value": wire_value})
+    doc = {
+        "kind": message.kind,
+        "cid": message.cid,
+        "from": message.sender,
+        "to": message.receiver,
+        "label": message.label,
+        "payload": payload,
+        "extras": dict(message.extras),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+# Quotes, backslashes, control and non-ASCII characters, a lone surrogate.
+awkward = st.lists(
+    st.sampled_from(
+        ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "é", "\U0001f600", "\ud800", "a"]
+    ),
+    max_size=8,
+).map("".join)
+wire_text = st.text(max_size=12) | awkward
+wire_values = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**80), max_value=10**80),
+    wire_text,
+    st.binary(max_size=40),
+)
+valid_messages = st.builds(
+    ConversationMessage,
+    kind=st.sampled_from([IN_SESSION, INVITATION]),
+    cid=wire_text,
+    sender=wire_text,
+    receiver=wire_text,
+    label=wire_text,
+    payload=st.lists(
+        st.tuples(wire_text, wire_values), max_size=5, unique_by=lambda kv: kv[0]
+    ).map(tuple),
+    extras=st.dictionaries(wire_text, wire_text, max_size=4).map(lambda d: tuple(d.items())),
+)
+
+
+@given(valid_messages)
+def test_encoding_matches_reference(message):
+    assert encode_message(message) == reference_encode(message)
+
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    wire_text,
+    st.binary(max_size=6),
+)
+anything = scalars | st.lists(scalars, max_size=2) | st.tuples(scalars, scalars)
+
+
+def mostly(valid, invalid=anything):
+    """Draws from ``valid`` seven times in eight, else from ``invalid``."""
+    return st.integers(0, 7).flatmap(lambda n: valid if n else invalid)
+
+
+entries = st.tuples(mostly(st.sampled_from(["x", "y"]) | wire_text), mostly(wire_values))
+# Two or more extras are sorted at construction, so only a lone entry is odd.
+extras = mostly(
+    st.lists(
+        st.tuples(st.sampled_from([X_ROLE, X_PRINCIPAL]) | wire_text, wire_text), max_size=3
+    ).map(tuple),
+    st.tuples(anything | st.tuples(anything, anything)),
+)
+arbitrary_messages = st.builds(
+    ConversationMessage,
+    kind=mostly(st.sampled_from([IN_SESSION, INVITATION])),
+    cid=mostly(wire_text),
+    sender=mostly(wire_text),
+    receiver=mostly(wire_text),
+    label=mostly(wire_text),
+    payload=mostly(
+        st.lists(mostly(entries), max_size=3).map(tuple),
+        st.lists(entries, max_size=2) | anything,
+    ),
+    extras=extras,
+)
+
+
+@given(arbitrary_messages)
+def test_encode_refuses_or_round_trips(message):
+    # every message that encodes comes back equal; the rest raise WireError
+    try:
+        wire = encode_message(message)
+    except WireError:
+        return
+    assert decode_message(wire) == message
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(cid=7),
+        dict(sender=None),
+        dict(receiver=b"B"),
+        dict(label=("L",)),
+        dict(kind="telegram"),
+        dict(kind=["in_session"]),
+        dict(payload=[("x", 1)]),
+        dict(payload=(("x", 1, 2),)),
+        dict(payload=(["x", 1],)),
+        dict(payload=((3, 1),)),
+        dict(payload=(("x", 1), ("x", 2))),
+        dict(payload=(("x", 1.5),)),
+        dict(payload=(("x", None),)),
+        dict(payload=(("x", 10**5000),)),
+        dict(extras=(("k", 5),)),
+        dict(extras=((5, "v"),)),
+        dict(extras=(("k", "v", "w"),)),
+        dict(extras=(("principal", "agg"), ("principal", "instr"))),
+    ],
+)
+def test_encode_refuses_what_decode_cannot_give_back(fields):
+    with pytest.raises(WireError):
+        encode_message(make(**{"label": "L", **fields}))
 
 
 CONFIG = """\
