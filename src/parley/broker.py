@@ -12,6 +12,10 @@ headers)`` per item, so a chain of consumer republishes runs to completion
 before publish() returns. Queues without a consumer buffer (body, headers)
 pairs until one is attached.
 
+Deleting a queue drops its items and its own bindings, which each queue
+indexes, so the cost does not grow with the number of exchanges. An exchange
+lives until ``delete_exchange`` is called on it with nothing bound.
+
 Headers are shared by every queue a publish reaches and must be treated as
 read-only; a consumer that forwards with more headers builds a new map.
 """
@@ -36,12 +40,14 @@ class BrokerError(Exception):
 
 
 class _Queue:
-    __slots__ = ("name", "items", "consumer")
+    __slots__ = ("name", "items", "consumer", "bindings")
 
     def __init__(self, name: str):
         self.name = name
         self.items: deque = deque()  # (body, headers)
         self.consumer: Optional[Consumer] = None
+        # (exchange name, binding) for each binding of this queue
+        self.bindings: List[tuple] = []
 
 
 def compile_pattern(pattern: str) -> Callable[[List[str]], bool]:
@@ -89,25 +95,47 @@ class Broker:
             self._queues.setdefault(name, _Queue(name))
 
     def delete_queue(self, name: str) -> None:
+        """Delete a queue, its buffered items and its own bindings; a no-op
+        for an unknown name."""
         with self._lock:
-            self._queues.pop(name, None)
-            for bindings in self._exchanges.values():
-                bindings[:] = [b for b in bindings if b[1] != name]
+            q = self._queues.pop(name, None)
+            if q is None:
+                return
+            for exchange, binding in q.bindings:
+                self._exchanges[exchange].remove(binding)
+            q.consumer = None  # ends a drain of this queue in progress
+
+    def delete_exchange(self, name: str) -> None:
+        """Delete an exchange that nothing is bound to; a no-op otherwise.
+
+        An exchange is not deleted for losing its last binding: its owner says
+        when it goes.
+        """
+        with self._lock:
+            if name in self._exchanges and not self._exchanges[name]:
+                del self._exchanges[name]
 
     def bind(self, exchange: str, pattern: str, queue: str) -> None:
         with self._lock:
             bindings = self._exchanges.get(exchange)
             if bindings is None:
                 raise BrokerError(f"unknown exchange {exchange!r}")
-            if queue not in self._queues:
+            q = self._queues.get(queue)
+            if q is None:
                 raise BrokerError(f"unknown queue {queue!r}")
             if not any(b[0] == pattern and b[1] == queue for b in bindings):
-                bindings.append((pattern, queue, compile_pattern(pattern)))
+                binding = (pattern, queue, compile_pattern(pattern))
+                bindings.append(binding)
+                q.bindings.append((exchange, binding))
 
     def unbind(self, exchange: str, pattern: str, queue: str) -> None:
         with self._lock:
             bindings = self._exchanges.get(exchange, [])
-            bindings[:] = [b for b in bindings if b[0] != pattern or b[1] != queue]
+            for binding in bindings:
+                if binding[0] == pattern and binding[1] == queue:
+                    bindings.remove(binding)
+                    self._queues[queue].bindings.remove((exchange, binding))
+                    return
 
     def set_consumer(self, queue: str, consumer: Optional[Consumer]) -> None:
         """Attach or detach a consumer; attaching drains buffered items."""

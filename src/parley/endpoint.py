@@ -24,7 +24,9 @@ from anywhere else may be bytes, which are decoded as on the wire. Bytes that
 do not decode, objects that do not encode, messages for a conversation the
 principal is not in, and messages whose routing key disagrees with their body
 are recorded in ``mediation_violations`` and dropped; nothing raises back
-into the publisher.
+into the publisher. So is a message that no queue receives, which the
+sender's mediator learns from the count ``publish`` returns: its receiver has
+stopped, or the receiver's mediator refused the invitation.
 
 Invitations follow the same shape: ``create`` publishes one invitation per
 configured role through the creator's mediator onto the shared ``invite``
@@ -36,7 +38,21 @@ or with a reference the monitor cannot initialize, is recorded in
 ``mediation_violations`` before anything is allocated for it. The invitation
 handed over carries the two stamps, taken from the headers, in its extras;
 ``join`` refuses one that lacks them. The creator invites itself the same
-way, so session setup has a single path.
+way, so session setup has a single path. A principal takes at most one role
+in a conversation: ``create`` refuses a config that gives it two, and its
+mediator refuses a second invitation to a conversation it is already in.
+
+Session lifecycle. Accepting an invitation allocates the principal's share of
+the conversation: the inbox ``in.<principal>.<cid>``, in the mediated cases
+the mediator queue ``mq.s.<principal>.<cid>`` bound to ``s.<cid>`` (in the
+unmediated case the inbox is bound there instead), the monitor session for
+``(cid, role)`` and the cid in the node's ``cids``. The share is released
+when the endpoint that joined it stops: both queues and their bindings are
+deleted, the monitor session and the cid are dropped, and ``s.<cid>`` is
+deleted once nothing is bound to it. ``ConversationRuntime.close()`` stops
+every endpoint still joined and releases every invitation never claimed.
+Completion alone releases nothing, since ``receive`` and ``status`` still
+read the completed session until the endpoint stops.
 
 Three mediation cases exist: ``monitor`` (full FSM checking), ``forwarder``
 (mediation and tagging without any checking; the benchmark baseline), and
@@ -111,7 +127,8 @@ class _Node:
         self.monitor = monitor
         self.invitations: deque = deque()
         self.cond = threading.Condition()
-        self.cids: Set[str] = set()  # conversations this principal's mediator serves
+        self.cids: Set[str] = set()  # conversations this principal holds a share of
+        self.joined: Dict[str, "Endpoint"] = {}  # cid -> the endpoint that joined it
 
 
 class ConversationRuntime:
@@ -212,7 +229,8 @@ class ConversationRuntime:
             if target is None:
                 self.note_mediation_violation(queue, "invitation names no target", message)
                 return
-            self.broker.publish("invite", target, data, stamp)
+            if not self.broker.publish("invite", target, data, stamp):
+                self.note_mediation_violation(queue, f"no mediator for {target}", message)
             return
         if node.monitor is not None:
             verdict = node.monitor.check(message, message.sender)
@@ -224,12 +242,9 @@ class ConversationRuntime:
                 queue, f"unknown conversation {message.cid}", message
             )
             return
-        self.broker.publish(
-            f"s.{message.cid}",
-            f"{message.cid}.{message.sender}.{message.receiver}",
-            data,
-            stamp,
-        )
+        key = f"{message.cid}.{message.sender}.{message.receiver}"
+        if not self.broker.publish(f"s.{message.cid}", key, data, stamp):
+            self.note_mediation_violation(queue, f"no queue bound for {key}", message)
 
     def _on_inv(self, node: _Node, queue: str, body: Body, headers: Headers) -> None:
         """Invitation arriving at its target principal's mediator."""
@@ -243,6 +258,11 @@ class ConversationRuntime:
                 queue, "invitation without its sender's stamp", message
             )
             return
+        if message.cid in node.cids:
+            self.note_mediation_violation(
+                queue, f"already in conversation {message.cid}", message
+            )
+            return
         role = message.extra(X_ROLE)
         capability = message.extra(X_PROTOCOL_REF)
         if node.monitor is not None:
@@ -251,7 +271,7 @@ class ConversationRuntime:
             except MonitorError as exc:
                 self.note_mediation_violation(queue, f"init_session failed: {exc}", message)
                 return
-        self._declare_session(node.principal, message.cid, role)
+        self._declare_session(node, message.cid, role)
         # The stamps come from the headers only; a body cannot stamp itself.
         handed = message.with_extras(
             **{X_MEDIATED_OUT: headers[X_MEDIATED_OUT], X_MEDIATED_IN: role}
@@ -260,17 +280,38 @@ class ConversationRuntime:
             node.invitations.append(handed)
             node.cond.notify_all()
 
-    def _declare_session(self, principal: str, cid: str, role: str) -> None:
-        """Allocate the mediator's session queue and the endpoint inbox."""
-        self.broker.declare_exchange(f"s.{cid}")
-        inbox = inbox_queue(principal, cid)
+    def _declare_session(self, node: _Node, cid: str, role: str) -> None:
+        """Allocate the principal's share: the endpoint inbox and, when
+        mediated, the mediator's session queue, which ``release`` frees."""
+        exchange = f"s.{cid}"
+        self.broker.declare_exchange(exchange)
+        inbox = inbox_queue(node.principal, cid)
         self.broker.declare_queue(inbox)
-        mq = f"mq.s.{principal}.{cid}"
-        self.broker.declare_queue(mq)
-        self.broker.bind(f"s.{cid}", f"{cid}.*.{role}", mq)
-        node = self.node(principal)
         node.cids.add(cid)
+        if self.case == NONE:
+            self.broker.bind(exchange, f"{cid}.*.{role}", inbox)
+            return
+        mq = f"mq.s.{node.principal}.{cid}"
+        self.broker.declare_queue(mq)
+        self.broker.bind(exchange, f"{cid}.*.{role}", mq)
         self.broker.set_consumer(mq, partial(self._on_session, node, mq, cid, role))
+
+    def release(self, node: _Node, cid: str, role: str) -> None:
+        """Free the principal's share of conversation ``cid``, taken in ``role``.
+
+        Deletes the inbox and the mediator's session queue with its binding,
+        ends the monitor session, drops the cid, and deletes the session
+        exchange once nothing is bound to it. Releasing a share twice does
+        nothing more.
+        """
+        broker = self.broker
+        broker.delete_queue(inbox_queue(node.principal, cid))
+        if self.case != NONE:
+            broker.delete_queue(f"mq.s.{node.principal}.{cid}")
+        broker.delete_exchange(f"s.{cid}")
+        if node.monitor is not None:
+            node.monitor.end_session(cid, role)
+        node.cids.discard(cid)
 
     def _on_session(
         self, node: _Node, queue: str, cid: str, role: str, body: Body, headers: Headers
@@ -306,10 +347,7 @@ class ConversationRuntime:
 
     def deliver_invitation_direct(self, entry, message: ConversationMessage) -> None:
         node = self.node(entry.principal)
-        self.broker.declare_exchange(f"s.{message.cid}")
-        inbox = inbox_queue(entry.principal, message.cid)
-        self.broker.declare_queue(inbox)
-        self.broker.bind(f"s.{message.cid}", f"{message.cid}.*.{entry.role}", inbox)
+        self._declare_session(node, message.cid, entry.role)
         with node.cond:
             node.invitations.append(message)
             node.cond.notify_all()
@@ -320,7 +358,19 @@ class ConversationRuntime:
         self.mediation_violations.append((queue, reason, message))
 
     def close(self) -> None:
-        """Release the runtime; the in-process broker holds no OS resources."""
+        """Release every session still open.
+
+        Stops each endpoint still joined and releases each invitation never
+        claimed. The principals' nodes stay, so the runtime can go on serving.
+        """
+        for node in list(self._nodes.values()):
+            for endpoint in list(node.joined.values()):
+                endpoint.stop()
+            with node.cond:
+                pending = list(node.invitations)
+                node.invitations.clear()
+            for invitation in pending:
+                self.release(node, invitation.cid, invitation.extra(X_ROLE))
 
 
 def inbox_queue(principal: str, cid: str) -> str:
@@ -348,6 +398,7 @@ class Endpoint:
         self._buckets: Dict[str, deque] = {}
         self._callbacks: Dict[str, object] = {}
         self._stopped = False
+        self._ended: Optional[str] = None  # the status when it stopped
         self._tasks: Optional[queuemod.Queue] = None
         self._dispatcher: Optional[threading.Thread] = None
 
@@ -374,12 +425,19 @@ class Endpoint:
             raise IncompleteConfig(
                 f"unknown roles: {', '.join(sorted(configured - declared))}"
             )
-        own = config.entries_for_principal(self.principal)
-        if not own:
+        # A principal's share of a session is released per (principal, cid),
+        # so it may take only one role.
+        roles_of: Dict[str, str] = {}
+        for entry in config.entries:
+            other = roles_of.setdefault(entry.principal, entry.role)
+            if other != entry.role:
+                raise RoleMismatch(
+                    f"{entry.principal} is invited as both {other} and {entry.role}"
+                )
+        creator_role = roles_of.get(self.principal)
+        if creator_role is None:
             raise IncompleteConfig(f"creator {self.principal} has no invitation entry")
-        creator_role = own[0].role
         cid = uuid.uuid4().hex
-        self.runtime.broker.declare_exchange(f"s.{cid}")
         for entry in config.entries:
             self.runtime.node(entry.principal)  # mediation must exist before routing
         for entry in config.entries:
@@ -435,6 +493,7 @@ class Endpoint:
             self.roles = self.runtime.store.local(capability).roles
         except KeyError:
             self.roles = ()
+        node.joined[self.cid] = self
         inbox = inbox_queue(self.principal, self.cid)
         self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
@@ -524,26 +583,30 @@ class Endpoint:
     recv_async = receive_async
 
     def stop(self) -> None:
-        """Leave the conversation; idempotent. Pending receives unblock."""
+        """Leave the conversation and release this principal's share of it;
+        idempotent. Pending receives unblock, and ``status`` goes on reporting
+        the status the session had when it stopped."""
+        ended = self.status()
         with self._cond:
             if self._stopped:
                 return
             self._stopped = True
+            self._ended = ended
             self._callbacks.clear()
+            self._buckets.clear()
             self._cond.notify_all()
         if self.cid is not None:
-            try:
-                self.runtime.broker.set_consumer(
-                    inbox_queue(self.principal, self.cid), None
-                )
-            except Exception:
-                pass
+            self.node.joined.pop(self.cid, None)
+            self.runtime.release(self.node, self.cid, self.role)
         if self._tasks is not None:
             self._tasks.put(None)
             self._dispatcher.join(timeout=2)
 
     def status(self) -> str:
-        """This endpoint's monitor session status (unknown when unmediated)."""
+        """This endpoint's monitor session status (unknown when unmediated);
+        after ``stop``, the status the session had when it stopped."""
+        if self._ended is not None:
+            return self._ended
         monitor = self.node.monitor
         if monitor is None or self.cid is None:
             return "unknown"

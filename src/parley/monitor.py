@@ -1,10 +1,10 @@
 """Per-endpoint conversation monitors.
 
-A monitor owns one FSM-backed session per (conversation id, role) pair. Each
-checked message either advances exactly one thread cursor or produces a
-violation verdict and leaves the session untouched; payload bindings
-accumulate across the whole session so later assertions can refer to earlier
-fields.
+A monitor owns one FSM-backed session per (conversation id, role) pair, from
+``init_session`` to ``end_session``. Each checked message either advances
+exactly one thread cursor or produces a violation verdict and leaves the
+session untouched; payload bindings accumulate across the whole session so
+later assertions can refer to earlier fields.
 
 A session is an ``fsm.Run`` of its nested FSM (cursors, fired threads and
 counters), stepped only by the run's ``transition``, ``fire`` and
@@ -242,6 +242,11 @@ class Monitor:
         self.sessions[key] = state
         self._refresh_status(state)
         return key
+
+    def end_session(self, cid: str, role: str) -> None:
+        """Forget the session for (cid, role); its messages are then checked
+        as an unknown session. A no-op for a session it does not hold."""
+        self.sessions.pop((cid, role), None)
 
     def session_status(self, key: tuple) -> str:
         state = self.sessions.get(tuple(key))

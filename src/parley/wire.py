@@ -18,7 +18,8 @@ tags are not part of the body: mediators stamp them as broker headers.
   outside printable ASCII, as ``\\n`` and the like where JSON has a short
   form and as ``\\uXXXX`` (a surrogate pair above U+FFFF) otherwise;
 - ints as ``int.__repr__`` spells them, bools as ``true`` and ``false``,
-  bytes as a base64 string with padding.
+  bytes as a base64 string with padding, whose bytes go into the output
+  without a detour through ``str``.
 
 It refuses with ``WireError`` exactly the messages that could not come back
 from ``decode_message``: a non-string ``cid``, ``from``, ``to`` or
@@ -183,6 +184,7 @@ def encode_message(message: ConversationMessage) -> bytes:
     if type(payload) is not tuple:
         raise WireError("payload is not a tuple")
     entries = ""
+    blobs = []  # base64 of the bytes values, spliced in at the NUL marks
     if payload:
         texts = []
         names = set()
@@ -208,7 +210,10 @@ def encode_message(message: ConversationMessage) -> bytes:
                 except ValueError:  # more digits than int() converts back
                     raise WireError(f"field {name!r} has too many digits") from None
             elif isinstance(value, bytes):
-                typed = '"bytes","value":"' + b64encode(value).decode("ascii") + '"'
+                # A NUL marks the spot: quoted text escapes every control
+                # character, so no other NUL is written.
+                typed = '"bytes","value":"\0"'
+                blobs.append(b64encode(value))
             else:
                 raise WireError(
                     f"payload field {name!r} has unsupported type {type(value).__name__}"
@@ -241,7 +246,15 @@ def encode_message(message: ConversationMessage) -> bytes:
         entries,
         _quote(receiver),
     )
-    return text.encode("ascii")
+    data = text.encode("ascii")
+    if blobs:
+        # One copy of each base64 value, straight into the output bytes.
+        parts = data.split(b"\0")
+        spliced = [parts[0]]
+        for blob, part in zip(blobs, parts[1:]):
+            spliced += (blob, part)
+        data = b"".join(spliced)
+    return data
 
 
 def decode_message(data: bytes) -> ConversationMessage:

@@ -223,3 +223,38 @@ def test_buffered_item_keeps_its_headers():
     got = []
     broker.set_consumer("q", lambda body, headers: got.append((body, dict(headers))))
     assert got == [(b"one", {"stamp": "A"}), (b"two", {}), (b"three", {"stamp": "B"})]
+
+
+def test_delete_queue_removes_only_its_own_bindings():
+    broker = Broker()
+    for exchange in ("x1", "x2"):
+        broker.declare_exchange(exchange)
+    for queue in ("q1", "q2"):
+        broker.declare_queue(queue)
+        broker.bind("x1", "a.*", queue)
+        broker.bind("x2", "#", queue)
+    broker.push("q1", b"buffered")
+    broker.delete_queue("q1")
+    assert broker.pending("q1") == 0
+    assert broker.publish("x1", "a.b", b"x") == 1
+    assert broker.publish("x2", "k", b"x") == 1
+    assert broker.pending("q2") == 2
+    broker.delete_queue("q1")  # unknown now: a no-op
+    broker.delete_queue("q2")
+    assert broker.publish("x1", "a.b", b"x") == 0  # both exchanges survive
+    assert broker.publish("x2", "k", b"x") == 0
+
+
+def test_delete_exchange_only_when_unbound():
+    broker = Broker()
+    broker.declare_exchange("ex")
+    broker.declare_queue("q")
+    broker.bind("ex", "a", "q")
+    broker.delete_exchange("ex")  # still bound: stays
+    assert broker.publish("ex", "a", b"x") == 1
+    broker.unbind("ex", "a", "q")
+    broker.delete_exchange("ex")
+    with pytest.raises(BrokerError):
+        broker.publish("ex", "a", b"x")
+    broker.delete_exchange("ex")  # unknown now: a no-op
+    broker.delete_queue("q")  # its index no longer names the exchange

@@ -126,6 +126,22 @@ def test_run_clean_conversation(workdir, capsys):
     assert captured.err == ""
 
 
+def test_run_with_stop_lines_reports_the_status_when_stopped(workdir, capsys):
+    # each role stops after its last step, which releases its share
+    script = workdir / "stop.script"
+    script.write_text(NOT_SUPPORTED_SCRIPT + "stop U\nstop A\nstop I\n")
+    code = main([
+        "run", str(workdir / "daq.scr"),
+        "--config", str(workdir / "daq.yml"),
+        "--script", str(script),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    for role in "UAI":
+        assert f"{role}: completed" in captured.out
+    assert captured.err == ""
+
+
 def test_run_polling_with_bytes_payload(workdir, capsys):
     script = workdir / "poll.script"
     script.write_text(POLLING_SCRIPT)

@@ -829,3 +829,220 @@ def test_make_invitation_config_uses_reference_convention(daq_config):
     assert entry.principal == "instr"
     assert entry.capability == local_ref("DataAquisition", "I")
     assert daq_config.roles() == {"U", "A", "I"}
+
+
+# --- session teardown -------------------------------------------------------
+
+
+def held(runtime):
+    """What the runtime holds beyond its principals' nodes."""
+    broker = runtime.broker
+    return {
+        "queues": len(broker._queues),
+        "exchanges": len(broker._exchanges),
+        "bindings": sum(len(b) for b in broker._exchanges.values()),
+        "sessions": sum(
+            len(node.monitor.sessions) for node in runtime._nodes.values() if node.monitor
+        ),
+        "cids": sum(len(node.cids) for node in runtime._nodes.values()),
+        "joined": sum(len(node.joined) for node in runtime._nodes.values()),
+        "invitations": sum(len(node.invitations) for node in runtime._nodes.values()),
+    }
+
+
+def baseline(runtime):
+    for principal in DAQ_PRINCIPALS.values():
+        runtime.node(principal)
+    return held(runtime)
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_churned_sessions_release_everything(daq_store, daq_config, case):
+    runtime = ConversationRuntime(daq_store, case=case, record_trace=False)
+    empty = baseline(runtime)
+    for _ in range(1000):
+        u = runtime.endpoint("user")
+        u.create("DataAquisition", daq_config)
+        a = runtime.endpoint("agg").join("A")
+        i = runtime.endpoint("instr").join("I")
+        run_not_supported(u, a, i)
+        for endpoint in (u, a, i):
+            endpoint.stop()
+    assert held(runtime) == empty  # no queue, monitor session or cid is left
+    assert runtime.dropped == []
+    assert runtime.mediation_violations == []
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_stop_releases_only_its_own_share(daq_store, daq_config, case):
+    empty = baseline(ConversationRuntime(daq_store, case=case))
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    per_share = 1 if case == NONE else 2
+    before = held(runtime)
+    i.stop()
+    after = held(runtime)
+    assert before["queues"] - after["queues"] == per_share
+    assert before["bindings"] - after["bindings"] == 1
+    assert inbox_queue("instr", cid) not in runtime.broker._queues
+    assert f"mq.s.instr.{cid}" not in runtime.broker._queues
+    assert cid not in runtime.node("instr").cids
+    assert cid in runtime.node("agg").cids
+    if case == MONITOR:
+        assert (cid, "I") not in runtime.monitor_for("instr").sessions
+        assert (cid, "A") in runtime.monitor_for("agg").sessions
+    # the others still talk
+    u.send("A", "Request", {"info": "x"})
+    assert a.receive("U") == ("Request", {"info": "x"})
+    u.stop()
+    assert f"s.{cid}" in runtime.broker._exchanges
+    a.stop()
+    assert f"s.{cid}" not in runtime.broker._exchanges
+    assert held(runtime) == empty
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_close_releases_open_sessions_and_unclaimed_invitations(daq_store, daq_config, case):
+    runtime = ConversationRuntime(daq_store, case=case)
+    empty = baseline(runtime)
+    u = runtime.endpoint("user")
+    cid = u.create("DataAquisition", daq_config)
+    a = runtime.endpoint("agg").join("A")
+    u.send("A", "Request", {"info": "x"})  # left in A's bucket
+    # instr never claims its invitation; a second session is never joined
+    runtime.endpoint("user").create("DataAquisition", daq_config)
+    assert held(runtime) != empty
+    runtime.close()
+    assert held(runtime) == empty
+    for endpoint in (u, a):
+        with pytest.raises(NotJoined):
+            endpoint.receive("U" if endpoint is a else "A", timeout=0)
+    assert u.status() == ("active" if case == MONITOR else "unknown")
+    u.stop()  # stopping again releases nothing more
+    runtime.close()
+    assert held(runtime) == empty
+    # the runtime goes on serving
+    u = runtime.endpoint("user")
+    u.create("DataAquisition", daq_config)
+    run_not_supported(u, runtime.endpoint("agg").join("A"), runtime.endpoint("instr").join("I"))
+
+
+def test_close_unblocks_a_pending_receive(daq_store, daq_config):
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    threading.Timer(0.05, runtime.close).start()
+    with pytest.raises(SessionEnded, match="stopped"):
+        u.receive("A", timeout=2)
+
+
+@pytest.mark.parametrize(
+    "case, script, want",
+    [
+        (MONITOR, "completed", ("completed", "completed", "completed")),
+        (MONITOR, "violated", ("violated", "active", "active")),
+        (FORWARDER, "completed", ("unknown", "unknown", "unknown")),
+        (NONE, "completed", ("unknown", "unknown", "unknown")),
+    ],
+)
+def test_status_after_stop_is_the_status_when_stopped(daq_store, daq_config, case, script, want):
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    if script == "completed":
+        run_not_supported(u, a, i)
+    else:
+        u.send("A", "Poll")  # refused at send: U's session is violated
+    for endpoint in (u, a, i):
+        endpoint.stop()
+    assert runtime.monitor_for("user") is None or not runtime.monitor_for("user").sessions
+    assert (u.status(), a.status(), i.status()) == want
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_message_to_a_stopped_peer_is_recorded(daq_store, daq_config, case):
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    i.stop()
+    u.send("A", "Request", {"info": "x"})
+    assert a.receive("U") == ("Request", {"info": "x"})
+    a.send("I", "Request", {"info": "x"})  # reaches no queue; raises nothing
+    [(queue_name, reason, message)] = runtime.mediation_violations
+    assert queue_name == "mq.out.agg"
+    assert reason == f"no queue bound for {cid}.A.I"
+    assert (message.label, message.sender, message.receiver) == ("Request", "A", "I")
+    assert runtime.dropped == []
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_invitation_to_an_unknown_principal_is_recorded(daq_store, case):
+    runtime = ConversationRuntime(daq_store, case=case)
+    runtime.node("user")
+    lost = ConversationMessage(
+        kind=INVITATION,
+        cid="c-lost",
+        sender="U",
+        receiver="A",
+        extras=((X_ROLE, "A"), (X_PRINCIPAL, "ghost")),
+    )
+    runtime.broker.publish("out.user", "c-lost.invite.ghost", lost)
+    assert runtime.mediation_violations == [("mq.out.user", "no mediator for ghost", lost)]
+
+
+def test_message_to_a_refused_invitee_is_recorded(daq_store):
+    # instr's mediator refuses its invitation, so nothing receives for I
+    config = InvitationConfig(
+        tuple(
+            InvitationEntry(
+                role,
+                principal,
+                "Nope_I.scr" if role == "I" else local_ref("DataAquisition", role),
+            )
+            for role, principal in DAQ_PRINCIPALS.items()
+        )
+    )
+    runtime = ConversationRuntime(daq_store)
+    u = runtime.endpoint("user")
+    cid = u.create("DataAquisition", config)
+    a = runtime.endpoint("agg").join("A")
+    u.send("A", "Request", {"info": "x"})
+    a.receive("U")
+    a.send("I", "Request", {"info": "x"})
+    reasons = [(q, r) for q, r, _ in runtime.mediation_violations]
+    assert reasons[1:] == [("mq.out.agg", f"no queue bound for {cid}.A.I")]
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_one_principal_in_two_roles_is_refused(daq_store, case, monkeypatch):
+    runtime = ConversationRuntime(daq_store, case=case)
+    user = runtime.endpoint("user")
+    empty = held(runtime)
+    published = []
+    monkeypatch.setattr(
+        runtime.broker, "publish", lambda *args, **kw: published.append(args)
+    )
+    config = make_invitation_config("DataAquisition", {"U": "user", "A": "agg", "I": "agg"})
+    with pytest.raises(RoleMismatch, match="agg is invited as both A and I"):
+        user.create("DataAquisition", config)
+    assert published == []
+    assert held(runtime) == empty
+    assert user.cid is None
+    assert runtime.mediation_violations == []
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_second_invitation_to_a_conversation_is_refused(daq_store, daq_config, case):
+    # a stamped invitation for a conversation agg is already in, to another role
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    before = held(runtime)
+    again = ConversationMessage(
+        kind=INVITATION,
+        cid=cid,
+        sender="U",
+        receiver="I",
+        extras=(
+            (X_ROLE, "I"),
+            (X_PRINCIPAL, "agg"),
+            (X_PROTOCOL_REF, local_ref("DataAquisition", "I")),
+        ),
+    )
+    runtime.broker.publish("out.user", f"{cid}.invite.agg", again)
+    assert runtime.mediation_violations == [
+        ("mq.inv.agg", f"already in conversation {cid}", again)
+    ]
+    assert held(runtime) == before
+    run_not_supported(u, a, i)
