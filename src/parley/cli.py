@@ -191,13 +191,15 @@ def cmd_run(args) -> int:
         threads.append(worker)
     for worker in threads:
         worker.join()
-    violations = list(runtime.dropped) + list(runtime.mediation_violations)
-    for role, endpoint in endpoints.items():
-        monitor = runtime.monitor_for(entries[role].principal)
+    # Each refusing verdict once, as its monitor's trace entry, whether or
+    # not enforcement dropped the message.
+    violations = list(runtime.mediation_violations)
+    for entry in config.entries:
+        monitor = runtime.monitor_for(entry.principal)
         if monitor is not None:
-            for entry in monitor.trace:
-                if not entry.ok:
-                    violations.append(entry)
+            violations.extend(traced for traced in monitor.trace if not traced.ok)
+    for role, endpoint in endpoints.items():
+        if runtime.monitor_for(entries[role].principal) is not None:
             print(f"{role}: {endpoint.status()}")
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)

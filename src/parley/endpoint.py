@@ -1,15 +1,15 @@
 """Conversation endpoints over a mediated broker.
 
 Topology per conversation (monitored cases): an application endpoint never
-talks to its peers directly. Its sends go to its principal's outbound
-exchange, whose single consumer is the principal's mediator; the mediator
-checks the message against the sender-side session FSM and publishes it onto
-the conversation's exchange with routing key ``<cid>.<from>.<to>``, stamping
-its audit tag as a broker header. Only ``<cid>.*.<role>`` is bound to each
-participant's mediator queue, so the receiver's mediator, and no other, picks
-the message up next, checks it against the receiver-side FSM, adds the second
-audit tag to the headers, and only then pushes the message onto the
-endpoint's inbox queue. Inbox delivery asserts both header tags against the
+talks to its peers directly. Its sends are pushed straight onto its
+principal's outbound queue ``mq.out.<principal>``, whose consumer is the
+principal's mediator; the mediator checks the message against the
+sender-side session FSM and publishes it onto the conversation's exchange
+with routing key ``<cid>.<from>.<to>``, stamping its audit tag as a broker
+header. Only ``<cid>.*.<role>`` is bound to each participant's mediator
+queue, so the receiver's mediator, and no other, picks the message up next,
+checks it against the receiver-side FSM, adds the second audit tag to the
+headers, and only then pushes the message onto the endpoint's inbox queue. Inbox delivery asserts both header tags against the
 message's sender and receiver, and ignores any tags a body carries in its
 extras, so anything injected around the mediators is detected and dropped
 there.
@@ -28,19 +28,22 @@ into the publisher. So is a message that no queue receives, which the
 sender's mediator learns from the count ``publish`` returns: its receiver has
 stopped, or the receiver's mediator refused the invitation.
 
-Invitations follow the same shape: ``create`` publishes one invitation per
-configured role through the creator's mediator onto the shared ``invite``
-exchange keyed by principal name; each invitee's mediator initializes the
-monitor session from the carried local-protocol reference, allocates the
-session queues, and hands the invitation to the application, where ``join``
-claims it. Nothing is sent back. An invitation without its sender's stamp,
-or with a reference the monitor cannot initialize, is recorded in
-``mediation_violations`` before anything is allocated for it. The invitation
-handed over carries the two stamps, taken from the headers, in its extras;
-``join`` refuses one that lacks them. The creator invites itself the same
-way, so session setup has a single path. A principal takes at most one role
-in a conversation: ``create`` refuses a config that gives it two, and its
-mediator refuses a second invitation to a conversation it is already in.
+Invitations follow the same shape: ``create`` pushes one invitation per
+configured role onto the creator's outbound queue, and its mediator stamps it
+and publishes it onto the shared ``invite`` exchange keyed by principal name.
+Each invitee's mediator initializes the monitor session from the carried
+local-protocol reference and accepts the invitation: it allocates the
+principal's share and queues the invitation, where ``join`` claims it.
+Nothing is sent back. An invitation without its sender's stamp, or with a
+reference the monitor cannot initialize, is recorded in
+``mediation_violations`` before anything is allocated for it, so a pending
+invitation is always an accepted one. In the unmediated case ``create``
+accepts each invitation itself, on the same path. The creator invites itself
+the same way; delivery is synchronous, so ``create`` claims its own
+invitation at once, and raises if its mediator refused it. A principal takes
+at most one role in a conversation: ``create`` refuses a config that gives it
+two, and its mediator refuses a second invitation to a conversation it is
+already in.
 
 Session lifecycle. Accepting an invitation allocates the principal's share of
 the conversation: the inbox ``in.<principal>.<cid>``, in the mediated cases
@@ -138,7 +141,6 @@ class ConversationRuntime:
         self,
         store: ProtocolStore,
         case: str = MONITOR,
-        broker: Optional[Broker] = None,
         monitor_mode: Optional[str] = None,
         record_trace: bool = True,
     ):
@@ -146,7 +148,7 @@ class ConversationRuntime:
             raise ValueError(f"unknown mediation case {case!r}")
         self.store = store
         self.case = case
-        self.broker = broker or Broker()
+        self.broker = Broker()
         self.monitor_mode = monitor_mode
         self.record_trace = record_trace
         self._nodes: Dict[str, _Node] = {}
@@ -172,12 +174,9 @@ class ConversationRuntime:
             node = _Node(principal, monitor)
             self._nodes[principal] = node
             if self.case in (MONITOR, FORWARDER):
-                out_x = f"out.{principal}"
-                out_q = f"mq.out.{principal}"
+                out_q = outbound_queue(principal)
                 inv_q = f"mq.inv.{principal}"
-                self.broker.declare_exchange(out_x)
                 self.broker.declare_queue(out_q)
-                self.broker.bind(out_x, "#", out_q)
                 self.broker.set_consumer(out_q, partial(self._on_out, node, out_q))
                 self.broker.declare_queue(inv_q)
                 self.broker.bind("invite", principal, inv_q)
@@ -209,7 +208,7 @@ class ConversationRuntime:
         """Sender-side mediation: check, stamp, and forward as bytes.
 
         A message object is encoded here, the one encode on its path; bytes
-        published on the exchange are forwarded unchanged.
+        pushed onto the queue are forwarded unchanged.
         """
         message = self.decode_or_note(queue, body)
         if message is None:
@@ -271,18 +270,16 @@ class ConversationRuntime:
             except MonitorError as exc:
                 self.note_mediation_violation(queue, f"init_session failed: {exc}", message)
                 return
-        self._declare_session(node, message.cid, role)
-        # The stamps come from the headers only; a body cannot stamp itself.
-        handed = message.with_extras(
-            **{X_MEDIATED_OUT: headers[X_MEDIATED_OUT], X_MEDIATED_IN: role}
-        )
-        with node.cond:
-            node.invitations.append(handed)
-            node.cond.notify_all()
+        self.accept_invitation(node, message)
 
-    def _declare_session(self, node: _Node, cid: str, role: str) -> None:
-        """Allocate the principal's share: the endpoint inbox and, when
-        mediated, the mediator's session queue, which ``release`` frees."""
+    def accept_invitation(self, node: _Node, invitation: ConversationMessage) -> None:
+        """Allocate the principal's share and queue the invitation for ``join``.
+
+        The share is the endpoint inbox and, when mediated, the mediator's
+        session queue, which ``release`` frees. Every case accepts here: the
+        mediator after its checks, ``create`` itself when unmediated.
+        """
+        cid, role = invitation.cid, invitation.extra(X_ROLE)
         exchange = f"s.{cid}"
         self.broker.declare_exchange(exchange)
         inbox = inbox_queue(node.principal, cid)
@@ -290,11 +287,14 @@ class ConversationRuntime:
         node.cids.add(cid)
         if self.case == NONE:
             self.broker.bind(exchange, f"{cid}.*.{role}", inbox)
-            return
-        mq = f"mq.s.{node.principal}.{cid}"
-        self.broker.declare_queue(mq)
-        self.broker.bind(exchange, f"{cid}.*.{role}", mq)
-        self.broker.set_consumer(mq, partial(self._on_session, node, mq, cid, role))
+        else:
+            mq = f"mq.s.{node.principal}.{cid}"
+            self.broker.declare_queue(mq)
+            self.broker.bind(exchange, f"{cid}.*.{role}", mq)
+            self.broker.set_consumer(mq, partial(self._on_session, node, mq, cid, role))
+        with node.cond:
+            node.invitations.append(invitation)
+            node.cond.notify_all()
 
     def release(self, node: _Node, cid: str, role: str) -> None:
         """Free the principal's share of conversation ``cid``, taken in ``role``.
@@ -343,15 +343,6 @@ class ConversationRuntime:
             inbox_queue(node.principal, cid), message, {**headers, X_MEDIATED_IN: role}
         )
 
-    # --- unmediated case --------------------------------------------------------
-
-    def deliver_invitation_direct(self, entry, message: ConversationMessage) -> None:
-        node = self.node(entry.principal)
-        self._declare_session(node, message.cid, entry.role)
-        with node.cond:
-            node.invitations.append(message)
-            node.cond.notify_all()
-
     # --- helpers ------------------------------------------------------------------
 
     def note_mediation_violation(self, queue: str, reason: str, message) -> None:
@@ -377,6 +368,11 @@ def inbox_queue(principal: str, cid: str) -> str:
     return f"in.{principal}.{cid}"
 
 
+def outbound_queue(principal: str) -> str:
+    """The queue an endpoint pushes onto; its consumer is the mediator."""
+    return f"mq.out.{principal}"
+
+
 class Endpoint:
     """One principal's handle on one conversation.
 
@@ -392,7 +388,6 @@ class Endpoint:
         self.cid: Optional[str] = None
         self.role: Optional[str] = None
         self.roles: tuple = ()
-        self.default_timeout = _DEFAULT_TIMEOUT
         self.callback_errors: List[BaseException] = []
         self._cond = threading.Condition()
         self._buckets: Dict[str, deque] = {}
@@ -438,9 +433,9 @@ class Endpoint:
         if creator_role is None:
             raise IncompleteConfig(f"creator {self.principal} has no invitation entry")
         cid = uuid.uuid4().hex
+        runtime = self.runtime
         for entry in config.entries:
-            self.runtime.node(entry.principal)  # mediation must exist before routing
-        for entry in config.entries:
+            node = runtime.node(entry.principal)  # mediation must exist before routing
             invitation = ConversationMessage(
                 kind=INVITATION,
                 cid=cid,
@@ -452,15 +447,20 @@ class Endpoint:
                     (X_PROTOCOL_REF, entry.capability),
                 ),
             )
-            if self.runtime.case == NONE:
-                self.runtime.deliver_invitation_direct(entry, invitation)
+            if runtime.case == NONE:
+                runtime.accept_invitation(node, invitation)
             else:
-                self.runtime.broker.publish(
-                    f"out.{self.principal}", f"{cid}.invite.{entry.principal}", invitation
-                )
-        # Its own invitation, not an older one to the same role from another
-        # session, which stays queued for a later ``join``.
-        self._bind(creator_role, cid, None)
+                runtime.broker.push(outbound_queue(self.principal), invitation)
+        # Delivery is synchronous, so the creator's own invitation has been
+        # accepted or refused by now. It takes that one, not an older one to
+        # the same role from another session, which stays queued for ``join``.
+        with self.node.cond:
+            invitation = self._claim(creator_role, cid)
+        if invitation is None:
+            raise TransportError(
+                f"the mediator of {self.principal} refused its invitation to {cid}"
+            )
+        self._bind(invitation)
         return cid
 
     def join(self, role: str, principal: Optional[str] = None, timeout: Optional[float] = None) -> "Endpoint":
@@ -469,66 +469,52 @@ class Endpoint:
             raise RoleMismatch(
                 f"endpoint belongs to {self.principal}, cannot join as {principal}"
             )
-        return self._bind(role, None, timeout)
-
-    def _bind(self, role: str, cid: Optional[str], timeout: Optional[float]) -> "Endpoint":
-        """Claim an invitation to ``role``, in conversation ``cid`` if given, and join it."""
         if self.cid is not None:
             raise TransportError("endpoint already joined to a conversation")
-        deadline = time.monotonic() + (timeout if timeout is not None else self.default_timeout)
+        deadline = time.monotonic() + (timeout if timeout is not None else _DEFAULT_TIMEOUT)
         node = self.node
         with node.cond:
             while True:
-                invitation = self._claim(role, cid)
+                invitation = self._claim(role, None)
                 if invitation is not None:
                     break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise Timeout(f"no invitation for {self.principal}")
                 node.cond.wait(remaining)
+        return self._bind(invitation)
+
+    def _bind(self, invitation: ConversationMessage) -> "Endpoint":
+        """Join the conversation of a claimed invitation."""
         self.cid = invitation.cid
-        self.role = role
+        self.role = invitation.extra(X_ROLE)
         capability = invitation.extra(X_PROTOCOL_REF)
         try:
             self.roles = self.runtime.store.local(capability).roles
         except KeyError:
             self.roles = ()
-        node.joined[self.cid] = self
+        self.node.joined[self.cid] = self
         inbox = inbox_queue(self.principal, self.cid)
         self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
 
     def _claim(self, role: str, cid: Optional[str]) -> Optional[ConversationMessage]:
-        """Take the oldest audited pending invitation that offers ``role``.
+        """Take the oldest pending invitation that offers ``role``.
 
         With ``cid`` given, only an invitation to that conversation is taken,
-        and None is returned while it has not arrived. Otherwise returns None
+        and None is returned while there is none. Otherwise returns None
         when no invitation is pending, and raises RoleMismatch, leaving them
         queued, when the pending ones offer only other roles. Called with the
         node's condition held.
         """
         pending = self.node.invitations
-        audit = self.runtime.case != NONE
-        for invitation in list(pending):
-            if audit and not self._audited(invitation):
-                pending.remove(invitation)  # recorded; an unmediated invitation never binds
-            elif invitation.extra(X_ROLE) == role and cid in (None, invitation.cid):
+        for invitation in pending:
+            if invitation.extra(X_ROLE) == role and cid in (None, invitation.cid):
                 pending.remove(invitation)
                 return invitation
         if pending and cid is None:
             raise RoleMismatch(f"invitation offers role {pending[0].extra(X_ROLE)}, not {role}")
         return None
-
-    def _audited(self, message: ConversationMessage) -> bool:
-        ok = (
-            message.extra(X_MEDIATED_OUT) == message.sender
-            and message.extra(X_MEDIATED_IN) == message.extra(X_ROLE)
-        )
-        if not ok:
-            self.runtime.note_mediation_violation(
-                "invitation", "missing mediation tags", message
-            )
-        return ok
 
     # --- messaging -----------------------------------------------------------
 
@@ -538,18 +524,19 @@ class Endpoint:
         message = ConversationMessage(
             IN_SESSION, self.cid, self.role, to_role, label, payload_from_dict(payload)
         )
-        key = f"{self.cid}.{self.role}.{to_role}"
+        broker = self.runtime.broker
         if self.runtime.case == NONE:
-            self.runtime.broker.publish(f"s.{self.cid}", key, encode_message(message))
+            key = f"{self.cid}.{self.role}.{to_role}"
+            broker.publish(f"s.{self.cid}", key, encode_message(message))
         else:
             # A hop within the principal: its mediator does the one encode.
-            self.runtime.broker.publish(f"out.{self.principal}", key, message)
+            broker.push(outbound_queue(self.principal), message)
 
     def receive(self, from_role: str, timeout: Optional[float] = None):
         """Next message from ``from_role`` as (label, payload dict); blocks."""
         self._require_joined()
         self._check_peer(from_role)
-        deadline = time.monotonic() + (timeout if timeout is not None else self.default_timeout)
+        deadline = time.monotonic() + (timeout if timeout is not None else _DEFAULT_TIMEOUT)
         with self._cond:
             while True:
                 bucket = self._buckets.get(from_role)

@@ -31,8 +31,9 @@ runtime runs. The oracle and the flat-machine enumerator share none of it.
 
 A step does work bounded by the nesting depth, not by the number of
 threads; only entering a spawn state visits that join's children, once.
-The fired thread's ancestors are checked along the precomputed chain. Instead of rescanning every active thread, a step settles only what
-it can have changed: the subtree that the moved thread's new state spawns,
+The fired thread's ancestors are checked along the precomputed chain.
+Instead of rescanning every active thread, a step settles only what it
+can have changed: the subtree that the moved thread's new state spawns,
 then the moved thread's own join and, while joins keep firing, its
 ancestors. Two counters replace the old scans. For each started join there
 is the number of its children off a terminal state, and the join fires when

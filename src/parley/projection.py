@@ -97,9 +97,10 @@ def _project(node, role, report, loc):
 
     if isinstance(node, Rec):
         body = _project(node.body, role, report, f"{loc} > rec {node.var}")
-        if not _mentions(body, node.var):
+        free = _continue_vars(body)
+        if node.var not in free:
             return body  # binder unused after erasure; outer continues survive
-        if not _has_message(body) and _continue_vars(body) <= {node.var}:
+        if not _has_message(body) and free <= {node.var}:
             return END  # the loop carries nothing this role can observe
         return Rec(node.var, body)
 
@@ -120,21 +121,6 @@ def _project(node, role, report, loc):
         return Parallel(tuple(branches), cont)
 
     raise TypeError(f"cannot project node {type(node).__name__}")
-
-
-def _mentions(node, var: str) -> bool:
-    """Does the subtree continue ``var`` (ignoring inner rebindings)?"""
-    if isinstance(node, Continue):
-        return node.var == var
-    if isinstance(node, (Send, Receive)):
-        return _mentions(node.cont, var)
-    if isinstance(node, Choice):
-        return any(_mentions(b, var) for b in node.branches)
-    if isinstance(node, Rec):
-        return node.var != var and _mentions(node.body, var)
-    if isinstance(node, Parallel):
-        return any(_mentions(b, var) for b in node.branches) or _mentions(node.cont, var)
-    return False
 
 
 def _has_message(node) -> bool:

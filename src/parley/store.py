@@ -2,17 +2,13 @@
 
 Globals are indexed by protocol name; locals by an opaque reference string
 (conventionally ``<Protocol>_<Role>.scr``, the file name a projection is
-written to). Directories of ``.scr`` files can be mounted; files are parsed
-lazily and cached.
+written to).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List
+from typing import Dict
 
-from .parser import parse_protocol
-from .printer import serialize
 from .projection import project_all
 from .protocol import GlobalProtocol, LocalProtocol
 from .wire import UnknownProtocol
@@ -27,10 +23,6 @@ class ProtocolStore:
     def __init__(self):
         self._globals: Dict[str, GlobalProtocol] = {}
         self._locals: Dict[str, LocalProtocol] = {}
-        self._dirs: List[str] = []
-
-    def add_dir(self, path: str) -> None:
-        self._dirs.append(path)
 
     def register_global(self, protocol: GlobalProtocol) -> None:
         self._globals[protocol.name] = protocol
@@ -51,8 +43,6 @@ class ProtocolStore:
     def global_protocol(self, name: str) -> GlobalProtocol:
         found = self._globals.get(name)
         if found is None:
-            found = self._scan_for(name, want_global=True)
-        if found is None:
             raise UnknownProtocol(f"no global protocol named {name!r}")
         return found
 
@@ -62,49 +52,4 @@ class ProtocolStore:
         KeyError (not UnknownProtocol) so the store can serve directly as a
         monitor resolver, which maps lookup failures to its own error.
         """
-        found = self._locals.get(ref)
-        if found is not None:
-            return found
-        for directory in self._dirs:
-            candidate = os.path.join(directory, ref)
-            if os.path.isfile(candidate):
-                protocol = self._parse_file(candidate)
-                if isinstance(protocol, LocalProtocol):
-                    self._locals[ref] = protocol
-                    return protocol
-        raise KeyError(ref)
-
-    def _scan_for(self, name: str, want_global: bool):
-        for directory in self._dirs:
-            try:
-                names = sorted(os.listdir(directory))
-            except OSError:
-                continue
-            for filename in names:
-                if not filename.endswith(".scr"):
-                    continue
-                path = os.path.join(directory, filename)
-                try:
-                    protocol = self._parse_file(path)
-                except Exception:
-                    continue
-                if isinstance(protocol, GlobalProtocol):
-                    self._globals.setdefault(protocol.name, protocol)
-                else:
-                    self._locals.setdefault(filename, protocol)
-        return self._globals.get(name) if want_global else None
-
-    def _parse_file(self, path: str):
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_protocol(handle.read())
-
-    def dump_locals(self, directory: str) -> List[str]:
-        """Write every stored local to ``<ref>`` under ``directory``."""
-        os.makedirs(directory, exist_ok=True)
-        written = []
-        for ref, protocol in sorted(self._locals.items()):
-            path = os.path.join(directory, ref)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(serialize(protocol))
-            written.append(path)
-        return written
+        return self._locals[ref]

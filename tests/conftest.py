@@ -1,4 +1,8 @@
+import warnings
+
 import pytest
+from hypothesis import strategies as st
+from hypothesis.errors import NonInteractiveExampleWarning
 
 from parley.endpoint import make_invitation_config
 from parley.parser import parse_global, parse_local
@@ -62,6 +66,16 @@ local protocol DataAquisition at A(role U, role A, role I) {
 """
 
 DAQ_PRINCIPALS = {"U": "user", "A": "agg", "I": "instr"}
+
+
+def pytest_collection_finish(session):
+    # Hypothesis builds its Unicode character table the first time a text
+    # strategy draws, which can take longer than its too_slow health check
+    # allows one test. Building it here, after start-up and before any test
+    # runs, keeps that cost out of every test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonInteractiveExampleWarning)
+        st.text(min_size=1).example()
 
 
 @pytest.fixture(scope="session")

@@ -171,6 +171,25 @@ def test_run_flags_protocol_violation(workdir, capsys):
     assert "U: violated" in captured.out
 
 
+@pytest.mark.parametrize("mode, refusers", [("enforce", ["U"]), ("suppress", ["U", "A"])])
+def test_run_prints_each_refusal_once(workdir, capsys, mode, refusers):
+    # enforce drops the Poll at U's monitor; suppress forwards it, and A's
+    # monitor refuses it as well
+    script = workdir / "bad.script"
+    script.write_text("send U A Poll\n")
+    code = main([
+        "run", str(workdir / "daq.scr"),
+        "--config", str(workdir / "daq.yml"),
+        "--script", str(script),
+        "--mode", mode,
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    violations = [line for line in captured.err.splitlines() if line.startswith("violation:")]
+    assert [line.split("role='")[1][0] for line in violations] == refusers
+    assert all("label='Poll'" in line and "ok=False" in line for line in violations)
+
+
 def test_run_script_errors(workdir, capsys):
     script = workdir / "odd.script"
     script.write_text("shout U A Hello\n")

@@ -6,6 +6,7 @@ only where blocking behaviour itself is under test.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -53,6 +54,20 @@ def start(daq_store, daq_config, **kw):
     a = runtime.endpoint("agg").join("A")
     i = runtime.endpoint("instr").join("I")
     return runtime, cid, u, a, i
+
+
+def config_with_capability(swapped: str, capability: str) -> InvitationConfig:
+    """The DataAquisition config with role ``swapped`` given ``capability``."""
+    return InvitationConfig(
+        tuple(
+            InvitationEntry(
+                role,
+                principal,
+                capability if role == swapped else local_ref("DataAquisition", role),
+            )
+            for role, principal in DAQ_PRINCIPALS.items()
+        )
+    )
 
 
 def run_not_supported(u, a, i):
@@ -365,31 +380,6 @@ def test_unmediated_case(daq_store, daq_config):
     assert runtime.mediation_violations == []
 
 
-def test_unmediated_invitation_never_binds(daq_store):
-    runtime = ConversationRuntime(daq_store)
-    node = runtime.node("user")
-    sneaky = ConversationMessage(
-        kind=INVITATION,
-        cid="forged",
-        sender="A",
-        receiver="U",
-        extras=(
-            (X_ROLE, "U"),
-            (X_PROTOCOL_REF, local_ref("DataAquisition", "U")),
-        ),
-    )
-    with node.cond:
-        node.invitations.append(sneaky)
-        node.cond.notify_all()
-    ep = runtime.endpoint("user")
-    with pytest.raises(Timeout):
-        ep.join("U", timeout=0.1)
-    assert runtime.mediation_violations == [
-        ("invitation", "missing mediation tags", sneaky)
-    ]
-    assert ep.cid is None
-
-
 def test_pushed_message_without_tags_is_refused(daq_store, daq_config):
     # straight onto the inbox queue, around both mediators
     runtime, cid, u, a, i = start(daq_store, daq_config)
@@ -528,7 +518,7 @@ def test_one_encode_and_one_decode_per_message(daq_store, daq_config, case, monk
     assert runtime.mediation_violations == []
 
 
-def test_legal_bytes_on_the_out_exchange_are_checked_and_delivered(daq_store, daq_config):
+def test_legal_bytes_on_the_outbound_queue_are_checked_and_delivered(daq_store, daq_config):
     runtime, cid, u, a, i = start(daq_store, daq_config)
     legal = ConversationMessage(
         kind=IN_SESSION,
@@ -538,7 +528,7 @@ def test_legal_bytes_on_the_out_exchange_are_checked_and_delivered(daq_store, da
         label="Request",
         payload=(("info", "x"),),
     )
-    runtime.broker.publish("out.user", f"{cid}.U.A", encode_message(legal))
+    runtime.broker.push("mq.out.user", encode_message(legal))
     assert a.receive("U") == ("Request", {"info": "x"})
     assert runtime.dropped == []
     assert runtime.mediation_violations == []
@@ -547,12 +537,12 @@ def test_legal_bytes_on_the_out_exchange_are_checked_and_delivered(daq_store, da
     assert [(stage, v.kind) for stage, v, _ in runtime.dropped] == [("send", "unexpected-label")]
 
 
-def test_illegal_bytes_on_the_out_exchange_are_dropped_at_send(daq_store, daq_config):
+def test_illegal_bytes_on_the_outbound_queue_are_dropped_at_send(daq_store, daq_config):
     runtime, cid, u, a, i = start(daq_store, daq_config)
     illegal = ConversationMessage(
         kind=IN_SESSION, cid=cid, sender="U", receiver="A", label="Poll"
     )
-    runtime.broker.publish("out.user", f"{cid}.U.A", encode_message(illegal))
+    runtime.broker.push("mq.out.user", encode_message(illegal))
     assert [(stage, v.kind) for stage, v, _ in runtime.dropped] == [("send", "unexpected-label")]
     with pytest.raises(Timeout):
         a.receive("U", timeout=0.05)
@@ -569,7 +559,7 @@ def test_unencodable_message_is_recorded_and_dropped(daq_store, daq_config, case
         label="Request",
         payload=(("info", 1.5),),
     )
-    runtime.broker.publish("out.user", f"{cid}.U.A", odd)
+    runtime.broker.push("mq.out.user", odd)
     [(queue_name, reason, message)] = runtime.mediation_violations
     assert queue_name == "mq.out.user"
     assert reason.startswith("unencodable: ")
@@ -598,7 +588,7 @@ def test_duplicate_extras_key_is_unencodable(daq_store, case):
             (X_PROTOCOL_REF, local_ref("DataAquisition", "A")),
         ),
     )
-    runtime.broker.publish("out.user", "c-two.invite.agg", two_targets)
+    runtime.broker.push("mq.out.user", two_targets)
     [(queue_name, reason, message)] = runtime.mediation_violations
     assert queue_name == "mq.out.user"
     assert reason.startswith("unencodable: ")
@@ -614,7 +604,7 @@ def test_forwarder_drops_unknown_conversation(daq_store, daq_config, as_bytes):
     stray = ConversationMessage(
         kind=IN_SESSION, cid="nope", sender="U", receiver="A", label="Request"
     )
-    runtime.broker.publish("out.user", "nope.U.A", encode_message(stray) if as_bytes else stray)
+    runtime.broker.push("mq.out.user", encode_message(stray) if as_bytes else stray)
     assert runtime.mediation_violations == [
         ("mq.out.user", "unknown conversation nope", stray)
     ]
@@ -672,21 +662,12 @@ def test_session_setup_publishes_once_per_role(daq_store, daq_config, case, monk
     endpoints["U"].create("DataAquisition", daq_config)
     endpoints["A"].join("A")
     endpoints["I"].join("I")
-    assert sorted(published) == ["invite"] * 3 + ["out.user"] * 3
+    assert published == ["invite"] * 3
     assert runtime.mediation_violations == []
 
 
 def test_failed_init_session_is_recorded(daq_store):
-    config = InvitationConfig(
-        tuple(
-            InvitationEntry(
-                role,
-                principal,
-                "Nope_I.scr" if role == "I" else local_ref("DataAquisition", role),
-            )
-            for role, principal in DAQ_PRINCIPALS.items()
-        )
-    )
+    config = config_with_capability("I", "Nope_I.scr")
     runtime = ConversationRuntime(daq_store)
     cid = runtime.endpoint("user").create("DataAquisition", config)
     [(queue_name, reason, message)] = runtime.mediation_violations
@@ -696,6 +677,26 @@ def test_failed_init_session_is_recorded(daq_store):
     assert message.cid == cid
     with pytest.raises(Timeout):
         runtime.endpoint("instr").join("I", timeout=0.05)
+
+
+def test_create_refused_by_its_own_mediator_raises_at_once(daq_store):
+    runtime = ConversationRuntime(daq_store)
+    empty = baseline(runtime)
+    user = runtime.endpoint("user")
+    began = time.monotonic()
+    with pytest.raises(TransportError, match="mediator of user refused its invitation") as caught:
+        user.create("DataAquisition", config_with_capability("U", "Nope_U.scr"))
+    assert time.monotonic() - began < 1
+    assert not isinstance(caught.value, Timeout)  # nothing was waited for
+    [(queue_name, reason, message)] = runtime.mediation_violations
+    assert queue_name == "mq.inv.user"
+    assert reason.startswith("init_session failed: ")
+    assert str(caught.value).endswith(message.cid)
+    assert user.cid is None
+    # the shares the other invitees accepted stay until close()
+    assert message.cid in runtime.node("agg").cids
+    runtime.close()
+    assert held(runtime) == empty
 
 
 def test_uncompilable_local_is_recorded(daq_store):
@@ -711,16 +712,7 @@ def test_uncompilable_local_is_recorded(daq_store):
         """
     )
     daq_store.register_local("Looping_I.scr", looping)
-    config = InvitationConfig(
-        tuple(
-            InvitationEntry(
-                role,
-                principal,
-                "Looping_I.scr" if role == "I" else local_ref("DataAquisition", role),
-            )
-            for role, principal in DAQ_PRINCIPALS.items()
-        )
-    )
+    config = config_with_capability("I", "Looping_I.scr")
     runtime = ConversationRuntime(daq_store)
     cid = runtime.endpoint("user").create("DataAquisition", config)
     [(queue_name, reason, message)] = runtime.mediation_violations
@@ -763,12 +755,12 @@ def test_no_mediator_raises_into_the_publisher(daq_store, daq_config, where):
     broker = runtime.broker
     garbage = b"{not json"
     if where == "out":
-        broker.publish("out.user", f"{cid}.U.A", garbage)
+        broker.push("mq.out.user", garbage)
         queue_name = "mq.out.user"
     elif where == "untargeted":
         # an invitation naming no principal has nowhere to go
         lost = ConversationMessage(kind=INVITATION, cid=cid, sender="U", receiver="A")
-        broker.publish("out.user", f"{cid}.invite", encode_message(lost))
+        broker.push("mq.out.user", encode_message(lost))
         queue_name = "mq.out.user"
     elif where == "invite":
         broker.publish("invite", "user", garbage)
@@ -787,7 +779,7 @@ def test_no_mediator_raises_into_the_publisher(daq_store, daq_config, where):
 def test_body_that_is_not_bytes_is_recorded_and_dropped(daq_store, daq_config, case, body, where):
     runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
     if where == "out":
-        runtime.broker.publish("out.user", f"{cid}.U.A", body)
+        runtime.broker.push("mq.out.user", body)
         queue_name = "mq.out.user"
     else:
         runtime.broker.push(inbox_queue("user", cid), body)
@@ -822,6 +814,26 @@ def test_routing_key_mismatch_is_recorded(daq_store, daq_config):
         with pytest.raises(Timeout):
             endpoint.receive(peer, timeout=0.05)
     assert a.status() == "active"
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_node_allocates_only_its_mediator_queues(daq_store, case):
+    runtime = ConversationRuntime(daq_store, case=case)
+    broker = runtime.broker
+    queues, exchanges = set(broker._queues), set(broker._exchanges)
+    runtime.node("user")
+    bindings = [
+        (exchange, pattern, queue)
+        for exchange, bound in broker._exchanges.items()
+        for pattern, queue, _ in bound
+    ]
+    assert set(broker._exchanges) == exchanges  # no exchange of its own
+    if case == NONE:
+        assert set(broker._queues) == queues
+        assert bindings == []
+    else:
+        assert set(broker._queues) - queues == {"mq.out.user", "mq.inv.user"}
+        assert bindings == [("invite", "user", "mq.inv.user")]
 
 
 def test_make_invitation_config_uses_reference_convention(daq_config):
@@ -979,22 +991,13 @@ def test_invitation_to_an_unknown_principal_is_recorded(daq_store, case):
         receiver="A",
         extras=((X_ROLE, "A"), (X_PRINCIPAL, "ghost")),
     )
-    runtime.broker.publish("out.user", "c-lost.invite.ghost", lost)
+    runtime.broker.push("mq.out.user", lost)
     assert runtime.mediation_violations == [("mq.out.user", "no mediator for ghost", lost)]
 
 
 def test_message_to_a_refused_invitee_is_recorded(daq_store):
     # instr's mediator refuses its invitation, so nothing receives for I
-    config = InvitationConfig(
-        tuple(
-            InvitationEntry(
-                role,
-                principal,
-                "Nope_I.scr" if role == "I" else local_ref("DataAquisition", role),
-            )
-            for role, principal in DAQ_PRINCIPALS.items()
-        )
-    )
+    config = config_with_capability("I", "Nope_I.scr")
     runtime = ConversationRuntime(daq_store)
     u = runtime.endpoint("user")
     cid = u.create("DataAquisition", config)
@@ -1012,9 +1015,8 @@ def test_one_principal_in_two_roles_is_refused(daq_store, case, monkeypatch):
     user = runtime.endpoint("user")
     empty = held(runtime)
     published = []
-    monkeypatch.setattr(
-        runtime.broker, "publish", lambda *args, **kw: published.append(args)
-    )
+    for name in ("publish", "push"):
+        monkeypatch.setattr(runtime.broker, name, lambda *args, **kw: published.append(args))
     config = make_invitation_config("DataAquisition", {"U": "user", "A": "agg", "I": "agg"})
     with pytest.raises(RoleMismatch, match="agg is invited as both A and I"):
         user.create("DataAquisition", config)
@@ -1040,7 +1042,7 @@ def test_second_invitation_to_a_conversation_is_refused(daq_store, daq_config, c
             (X_PROTOCOL_REF, local_ref("DataAquisition", "I")),
         ),
     )
-    runtime.broker.publish("out.user", f"{cid}.invite.agg", again)
+    runtime.broker.push("mq.out.user", again)
     assert runtime.mediation_violations == [
         ("mq.inv.agg", f"already in conversation {cid}", again)
     ]
