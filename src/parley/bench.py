@@ -23,6 +23,7 @@ Scenarios:
 from __future__ import annotations
 
 import gc
+import platform
 import statistics
 import time
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ _CASE_RUNTIME = {"Monitor": MONITOR, "Forwarder": FORWARDER, "NoMonitor": NONE}
 
 DEFAULT_REPETITIONS = 100
 DEFAULT_WARMUP = 10
+DEFAULT_CLOCK = time.monotonic_ns
 
 SESSION_LENGTH_PARAMS = tuple(range(100, 1001, 100))
 PROTOCOL_SIZE_PARAMS = (1, 2, 3, 4, 5, 6)
@@ -194,7 +196,7 @@ def bench_run(
     cases: Sequence[str] = CASES,
     repetitions: int = DEFAULT_REPETITIONS,
     warmup: int = DEFAULT_WARMUP,
-    clock=time.monotonic_ns,
+    clock=DEFAULT_CLOCK,
 ) -> List[BenchRecord]:
     scenario = SCENARIOS[scenario_name]
     chosen = tuple(params) if params is not None else scenario.params
@@ -281,19 +283,40 @@ def bench_report(records: Sequence[BenchRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def environment() -> Dict[str, object]:
+    """What a run was timed on: the Python version and implementation, the
+    platform, and ``DEFAULT_CLOCK`` with what ``time.get_clock_info`` says
+    of it."""
+    name = DEFAULT_CLOCK.__name__
+    info = time.get_clock_info(name.removesuffix("_ns"))
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "clock": {
+            "function": f"time.{name}",
+            "implementation": info.implementation,
+            "resolution_s": info.resolution,
+        },
+    }
+
+
 def bench_json(records: Sequence[BenchRecord]) -> Dict[str, dict]:
     """One document per scenario, for ``BENCH_<scenario>.json``.
 
-    Each cell is one (parameter, case) with its mean, standard deviation and
-    repetition count, in ns per session; the overhead against the Forwarder
-    is given both in percent and in ns per message, and is null without a
-    Forwarder cell.
+    ``environment`` records what the run was timed on; ``bench_run``'s
+    default clock is the one it names. Each cell is one (parameter, case) with
+    its mean, standard deviation and repetition count, in ns per session;
+    the overhead against the Forwarder is given both in percent and in ns
+    per message, and is null without a Forwarder cell.
     """
     baselines = _forwarder_means(records)
     documents: Dict[str, dict] = {}
+    timed_on = environment()
     for r in records:
         doc = documents.setdefault(
-            r.scenario, {"scenario": r.scenario, "unit": "ns", "cells": []}
+            r.scenario,
+            {"scenario": r.scenario, "unit": "ns", "environment": timed_on, "cells": []},
         )
         messages = messages_per_session(r.scenario, r.parameter)
         base = baselines.get((r.scenario, r.parameter))

@@ -18,9 +18,14 @@ Bytes travel only where a message crosses between principals: on the
 conversation exchange and on ``invite``. A principal's own hops, from its
 endpoint to its mediator and from its mediator to its inbox, hand over the
 ``ConversationMessage`` itself. So the sender's mediator encodes a message
-once and the receiver's mediator decodes it once, as in the unmediated case,
-where the sender encodes and the inbox decodes. A body published or pushed
-from anywhere else may be bytes, which are decoded as on the wire. Bytes that
+once; in the unmediated case the sender does. The receiver does not parse
+those bytes again. While the runtime publishes bytes it has just encoded, it
+keeps the message beside them, and the receiver's mediator (unmediated, the
+inbox) takes that message when it is handed that very bytes object; why this
+is exact is set out in ``wire``. The record lives only for that publish, and
+holds one message. Any other body published or pushed from anywhere else may
+be bytes, which are decoded as on the wire; so is a copy of the runtime's
+own bytes, or bytes buffered until an endpoint joins. Bytes that
 do not decode, objects that do not encode, messages for a conversation the
 principal is not in, and messages whose routing key disagrees with their body
 are recorded in ``mediation_violations`` and dropped; nothing raises back
@@ -40,7 +45,8 @@ reference the monitor cannot initialize, is recorded in
 invitation is always an accepted one. In the unmediated case ``create``
 accepts each invitation itself, on the same path. The creator invites itself
 the same way; delivery is synchronous, so ``create`` claims its own
-invitation at once, and raises if its mediator refused it. A principal takes
+invitation at once. If its mediator refused it, ``create`` releases the
+shares the other invitees accepted and raises. A principal takes
 at most one role in a conversation: ``create`` refuses a config that gives it
 two, and its mediator refuses a second invitation to a conversation it is
 already in.
@@ -52,8 +58,9 @@ unmediated case the inbox is bound there instead), the monitor session for
 ``(cid, role)`` and the cid in the node's ``cids``. The share is released
 when the endpoint that joined it stops: both queues and their bindings are
 deleted, the monitor session and the cid are dropped, and ``s.<cid>`` is
-deleted once nothing is bound to it. ``ConversationRuntime.close()`` stops
-every endpoint still joined and releases every invitation never claimed.
+deleted once nothing is bound to it. ``ConversationRuntime.withdraw`` stops
+the endpoint joined to a conversation and releases the invitation to it never
+claimed; ``close()`` does so for every conversation.
 Completion alone releases nothing, since ``receive`` and ``status`` still
 read the completed session until the endpoint stops.
 
@@ -96,6 +103,7 @@ from .wire import (
     X_ROLE,
     decode_message,
     encode_message,
+    is_plain,
     load_invitation_config,
     payload_from_dict,
 )
@@ -155,6 +163,8 @@ class ConversationRuntime:
         self._lock = threading.RLock()
         self.dropped: List[tuple] = []  # (stage, verdict, message)
         self.mediation_violations: List[tuple] = []  # (queue, reason, message)
+        # (bytes, the message they were just encoded from) while publishing them
+        self._in_flight: Optional[tuple] = None
         self.broker.declare_exchange("invite")
 
     # --- nodes --------------------------------------------------------------
@@ -194,15 +204,44 @@ class ConversationRuntime:
     def decode_or_note(self, queue: str, body: Body) -> Optional[ConversationMessage]:
         """The message in ``body``, or None after recording why it is not one.
 
-        A message object, as a principal's own hops carry, is returned as is.
+        A message object, as a principal's own hops carry, is returned as is,
+        and so is the message the runtime is publishing ``body`` for, when
+        ``body`` is the very bytes object it encoded that message to.
         """
         if isinstance(body, ConversationMessage):
             return body
+        in_flight = self._in_flight
+        if in_flight is not None and in_flight[0] is body:
+            return in_flight[1]
         try:
             return decode_message(body)
         except WireError as exc:
             self.note_mediation_violation(queue, f"undecodable: {exc}", body)
             return None
+
+    def publish(
+        self,
+        exchange: str,
+        key: str,
+        data: Body,
+        headers: Optional[Headers] = None,
+        source: Optional[ConversationMessage] = None,
+    ) -> int:
+        """``Broker.publish``, handing receivers ``source`` for ``data``.
+
+        ``source`` is the message the runtime has just encoded ``data`` from,
+        if it did. A plain one is recorded for as long as the publish is
+        delivered, so ``decode_or_note`` skips parsing ``data``. Another
+        thread publishing meanwhile replaces or clears the record, which only
+        makes a receiver decode.
+        """
+        if source is None or not is_plain(source):
+            return self.broker.publish(exchange, key, data, headers)
+        self._in_flight = (data, source)
+        try:
+            return self.broker.publish(exchange, key, data, headers)
+        finally:
+            self._in_flight = None
 
     def _on_out(self, node: _Node, queue: str, body: Body, headers: Headers) -> None:
         """Sender-side mediation: check, stamp, and forward as bytes.
@@ -213,7 +252,7 @@ class ConversationRuntime:
         message = self.decode_or_note(queue, body)
         if message is None:
             return
-        data = body
+        data, source = body, None
         if isinstance(body, ConversationMessage):
             # Encoded before the check, so a message that cannot travel
             # never advances the sender's FSM.
@@ -222,13 +261,14 @@ class ConversationRuntime:
             except WireError as exc:
                 self.note_mediation_violation(queue, f"unencodable: {exc}", message)
                 return
+            source = message
         stamp = {X_MEDIATED_OUT: message.sender}
         if message.kind == INVITATION:
             target = message.extra(X_PRINCIPAL)
             if target is None:
                 self.note_mediation_violation(queue, "invitation names no target", message)
                 return
-            if not self.broker.publish("invite", target, data, stamp):
+            if not self.publish("invite", target, data, stamp, source):
                 self.note_mediation_violation(queue, f"no mediator for {target}", message)
             return
         if node.monitor is not None:
@@ -242,7 +282,7 @@ class ConversationRuntime:
             )
             return
         key = f"{message.cid}.{message.sender}.{message.receiver}"
-        if not self.broker.publish(f"s.{message.cid}", key, data, stamp):
+        if not self.publish(f"s.{message.cid}", key, data, stamp, source):
             self.note_mediation_violation(queue, f"no queue bound for {key}", message)
 
     def _on_inv(self, node: _Node, queue: str, body: Body, headers: Headers) -> None:
@@ -355,13 +395,25 @@ class ConversationRuntime:
         claimed. The principals' nodes stay, so the runtime can go on serving.
         """
         for node in list(self._nodes.values()):
-            for endpoint in list(node.joined.values()):
+            self.withdraw(node)
+
+    def withdraw(self, node: _Node, cid: Optional[str] = None) -> None:
+        """Release the principal's share of conversation ``cid``, or of every
+        conversation when None: stop the endpoint joined to it and release
+        the invitation to it never claimed."""
+        for joined_cid, endpoint in list(node.joined.items()):
+            if cid in (None, joined_cid):
                 endpoint.stop()
-            with node.cond:
+        with node.cond:
+            if cid is None:
                 pending = list(node.invitations)
                 node.invitations.clear()
-            for invitation in pending:
-                self.release(node, invitation.cid, invitation.extra(X_ROLE))
+            else:
+                pending = [i for i in node.invitations if i.cid == cid]
+                for invitation in pending:
+                    node.invitations.remove(invitation)
+        for invitation in pending:
+            self.release(node, invitation.cid, invitation.extra(X_ROLE))
 
 
 def inbox_queue(principal: str, cid: str) -> str:
@@ -457,6 +509,9 @@ class Endpoint:
         with self.node.cond:
             invitation = self._claim(creator_role, cid)
         if invitation is None:
+            # The session cannot start: release what the others accepted.
+            for entry in config.entries:
+                runtime.withdraw(runtime.node(entry.principal), cid)
             raise TransportError(
                 f"the mediator of {self.principal} refused its invitation to {cid}"
             )
@@ -524,13 +579,13 @@ class Endpoint:
         message = ConversationMessage(
             IN_SESSION, self.cid, self.role, to_role, label, payload_from_dict(payload)
         )
-        broker = self.runtime.broker
-        if self.runtime.case == NONE:
+        runtime = self.runtime
+        if runtime.case == NONE:
             key = f"{self.cid}.{self.role}.{to_role}"
-            broker.publish(f"s.{self.cid}", key, encode_message(message))
+            runtime.publish(f"s.{self.cid}", key, encode_message(message), source=message)
         else:
             # A hop within the principal: its mediator does the one encode.
-            broker.push(outbound_queue(self.principal), message)
+            runtime.broker.push(outbound_queue(self.principal), message)
 
     def receive(self, from_role: str, timeout: Optional[float] = None):
         """Next message from ``from_role`` as (label, payload dict); blocks."""
@@ -587,7 +642,10 @@ class Endpoint:
             self.runtime.release(self.node, self.cid, self.role)
         if self._tasks is not None:
             self._tasks.put(None)
-            self._dispatcher.join(timeout=2)
+            # A callback may stop its own endpoint; the dispatcher then ends
+            # when that callback returns.
+            if threading.current_thread() is not self._dispatcher:
+                self._dispatcher.join(timeout=2)
 
     def status(self) -> str:
         """This endpoint's monitor session status (unknown when unmediated);

@@ -33,13 +33,21 @@ name a key twice. So ``decode_message(encode_message(m)) == m`` for every
 ``decode_message`` is total: any bytes yield a message or raise
 ``WireError``, and any value that is not bytes raises ``WireError``. It
 accepts any JSON spelling of a message, not only the canonical one.
+
+The runtime skips the decode of bytes it has just encoded itself. While it
+publishes such bytes, it keeps the message they came from beside them, and a
+receiver handed that very bytes object gets the message instead of parsing
+it. That is exact: delivery is synchronous, bytes are immutable, the round
+trip above gives back an equal message, and ``is_plain`` admits only
+messages whose every field already has the exact type the decoder would
+build. Any other body, including a copy of those bytes, is decoded.
 """
 
 from __future__ import annotations
 
 import json
 from base64 import b64decode, b64encode
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Optional, Tuple
 
@@ -113,19 +121,11 @@ class ConversationMessage:
         if type(extras) is not tuple or len(extras) > 1:
             object.__setattr__(self, "extras", tuple(sorted(extras)))
 
-    def extras_dict(self) -> Dict[str, str]:
-        return dict(self.extras)
-
     def extra(self, key: str, default: Optional[str] = None) -> Optional[str]:
         for k, v in self.extras:
             if k == key:
                 return v
         return default
-
-    def with_extras(self, **kv: str) -> "ConversationMessage":
-        merged = dict(self.extras)
-        merged.update(kv)
-        return replace(self, extras=tuple(merged.items()))
 
     def payload_dict(self) -> Dict[str, object]:
         return dict(self.payload)
@@ -333,6 +333,38 @@ def decode_message(data: bytes) -> ConversationMessage:
             if type(key) is not str or type(value) is not str:
                 raise WireError("extras must map strings to strings")
     return ConversationMessage(kind, cid, sender, receiver, label, payload, pairs)
+
+
+_PLAIN_VALUES = frozenset((str, int, bool, bytes))
+
+
+def is_plain(message: ConversationMessage) -> bool:
+    """Whether ``message`` is built only of the exact types ``decode_message``
+    builds: a ``ConversationMessage`` whose scalar fields, payload names and
+    extras are ``str`` and whose payload values are ``str``, ``int``, ``bool``
+    or ``bytes``, no subclass of any of them.
+
+    For a plain message that encodes, ``decode_message(encode_message(m))``
+    is equal to ``m`` field by field and type by type, so a receiver may be
+    handed ``m`` itself in place of decoding its bytes. Call it only on a
+    message that encoded: the tuples and pairs were checked there.
+    """
+    if not (
+        type(message) is ConversationMessage
+        and type(message.kind) is str
+        and type(message.cid) is str
+        and type(message.sender) is str
+        and type(message.receiver) is str
+        and type(message.label) is str
+    ):
+        return False
+    for name, value in message.payload:
+        if type(name) is not str or type(value) not in _PLAIN_VALUES:
+            return False
+    for key, value in message.extras:
+        if type(key) is not str or type(value) is not str:
+            return False
+    return True
 
 
 # --- Invitation configuration -------------------------------------------------

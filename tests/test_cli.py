@@ -1,6 +1,8 @@
 """CLI subcommands through main(argv)."""
 
 import json
+import platform
+import time
 
 import pytest
 
@@ -250,6 +252,16 @@ def test_bench_writes_json_beside_the_csv(workdir, capsys):
             (cell["mean_ns"] - base) / (2 * param + 1)
         )
     assert cells[2, "Forwarder"]["overhead_vs_forwarder_pct"] == 0
+    timed_on = document["environment"]
+    assert timed_on["python"] == platform.python_version()
+    assert timed_on["implementation"] == platform.python_implementation()
+    assert timed_on["platform"] == platform.platform()
+    monotonic = time.get_clock_info("monotonic")
+    assert timed_on["clock"] == {
+        "function": "time.monotonic_ns",
+        "implementation": monotonic.implementation,
+        "resolution_s": monotonic.resolution,
+    }
 
 
 def test_bench_json_without_forwarder_leaves_overhead_null(workdir, capsys):

@@ -5,12 +5,16 @@ thread exercise the full mediation chain deterministically; threads appear
 only where blocking behaviour itself is under test.
 """
 
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parley.endpoint as endpoint_mod
+from parley.bench import pingpong_source
 from parley.endpoint import (
     ConversationRuntime,
     FORWARDER,
@@ -19,8 +23,8 @@ from parley.endpoint import (
     inbox_queue,
     make_invitation_config,
 )
-from parley.parser import parse_local
-from parley.store import local_ref
+from parley.parser import parse_global, parse_local
+from parley.store import ProtocolStore, local_ref
 from parley.wire import (
     IN_SESSION,
     INVITATION,
@@ -485,7 +489,9 @@ def test_invitation_stamped_in_its_body_never_binds(daq_store):
 @pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
 def test_one_encode_and_one_decode_per_message(daq_store, daq_config, case, monkeypatch):
     # bytes only between principals: the sender's mediator (unmediated, the
-    # sender) encodes, the receiver's mediator (unmediated, the inbox) decodes
+    # sender) encodes once, and the receiver's mediator (unmediated, the
+    # inbox) takes the message those bytes were encoded from, so the runtime
+    # never decodes its own bytes
     runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
     sent, decoded = [], []
     real_encode, real_decode = endpoint_mod.encode_message, endpoint_mod.decode_message
@@ -511,10 +517,12 @@ def test_one_encode_and_one_decode_per_message(daq_store, daq_config, case, monk
     monkeypatch.setattr(runtime.broker, "push", push)
     run_not_supported(u, a, i)
     assert len(sent) == 5
-    assert len(decoded) == 5
+    assert decoded == []
     if case == NONE:
         inboxed = [decode_message(body) for body in inboxed]
-    assert inboxed == sent  # mediated inboxes get the message itself
+    else:  # mediated inboxes get the sender's message object itself
+        assert all(got is want for got, want in zip(inboxed, sent))
+    assert inboxed == sent
     assert runtime.mediation_violations == []
 
 
@@ -693,8 +701,9 @@ def test_create_refused_by_its_own_mediator_raises_at_once(daq_store):
     assert reason.startswith("init_session failed: ")
     assert str(caught.value).endswith(message.cid)
     assert user.cid is None
-    # the shares the other invitees accepted stay until close()
-    assert message.cid in runtime.node("agg").cids
+    # the shares the other invitees accepted are released with the refusal
+    assert message.cid not in runtime.node("agg").cids
+    assert held(runtime) == empty
     runtime.close()
     assert held(runtime) == empty
 
@@ -1048,3 +1057,290 @@ def test_second_invitation_to_a_conversation_is_refused(daq_store, daq_config, c
     ]
     assert held(runtime) == before
     run_not_supported(u, a, i)
+
+
+# --- the receiver takes the message the runtime just encoded -------------------
+
+
+@pytest.fixture()
+def decoded(monkeypatch):
+    """Each body the runtime calls ``decode_message`` on, in order."""
+    bodies = []
+    real_decode = endpoint_mod.decode_message
+
+    def decode(body):
+        bodies.append(body)
+        return real_decode(body)
+
+    monkeypatch.setattr(endpoint_mod, "decode_message", decode)
+    return bodies
+
+
+class Text(str):
+    """A str subclass: it encodes as a string and decodes as a plain str."""
+
+
+class Number(int):
+    """An int subclass: it encodes as an int and decodes as a plain int."""
+
+
+def shape(message):
+    """A message's fields, each beside its exact type, payload values included."""
+    heads = (message.kind, message.cid, message.sender, message.receiver, message.label)
+    return (
+        type(message),
+        [(type(value), value) for value in heads],
+        [(type(name), name, type(value), value) for name, value in message.payload],
+        [(type(key), key, type(value), value) for key, value in message.extras],
+    )
+
+
+plain_text = st.text(max_size=8)
+plain_values = st.one_of(st.booleans(), st.integers(), plain_text, st.binary(max_size=24))
+# Mostly plain, sometimes a subclass value the decoder cannot give back.
+handoff_text = plain_text | plain_text.map(Text)
+handoff_values = plain_values | plain_text.map(Text) | st.integers().map(Number)
+handoff_fields = st.tuples(
+    handoff_text,
+    st.lists(st.tuples(plain_text, handoff_values), max_size=4, unique_by=lambda kv: kv[0]),
+    st.dictionaries(plain_text, handoff_text, max_size=3),
+)
+
+
+@pytest.mark.parametrize("case", [FORWARDER, NONE])
+@settings(max_examples=60, deadline=None)
+@given(fields=handoff_fields)
+def test_receiver_gets_what_decoding_the_bytes_gives(daq_global, case, fields):
+    # what the receiver's mediator and endpoint take for the runtime's own
+    # bytes equals, type for type, what decoding a copy of them gives
+    label, payload, extras = fields
+    store = ProtocolStore()
+    store.register_global(daq_global)
+    store.register_projections(daq_global)
+    runtime = ConversationRuntime(store, case=case)
+    u = runtime.endpoint("user")
+    cid = u.create("DataAquisition", make_invitation_config("DataAquisition", DAQ_PRINCIPALS))
+    runtime.endpoint("agg").join("A")
+    taken = []  # (queue, body, message) for each body the runtime took apart
+    real_decode_or_note = runtime.decode_or_note
+
+    def decode_or_note(queue, body):
+        message = real_decode_or_note(queue, body)
+        taken.append((queue, body, message))
+        return message
+
+    runtime.decode_or_note = decode_or_note
+    message = ConversationMessage(
+        IN_SESSION, cid, "U", "A", label, tuple(payload), tuple(extras.items())
+    )
+    if case == NONE:
+        runtime.publish(f"s.{cid}", f"{cid}.U.A", encode_message(message), source=message)
+    else:
+        runtime.broker.push("mq.out.user", message)
+    assert runtime.mediation_violations == []
+    [data] = [body for _, body, _ in taken if isinstance(body, bytes)]
+    want = shape(decode_message(bytes(bytearray(data))))
+    receivers = [inbox_queue("agg", cid)] + ([] if case == NONE else [f"mq.s.agg.{cid}"])
+    got = {queue: shape(message) for queue, _, message in taken if queue in receivers}
+    assert got == {queue: want for queue in receivers}
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+@pytest.mark.parametrize(
+    "make",
+    [lambda data: data, lambda data: bytes(bytearray(data)), bytearray],
+    ids=["same", "copy", "bytearray"],
+)
+def test_bytes_the_runtime_is_not_publishing_are_decoded_once(
+    daq_store, daq_config, case, make, monkeypatch, decoded
+):
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    published = []
+    real_publish = runtime.broker.publish
+
+    def publish(exchange, key, body, headers=None):
+        published.append(body)
+        return real_publish(exchange, key, body, headers)
+
+    monkeypatch.setattr(runtime.broker, "publish", publish)
+    u.send("A", "Request", {"info": "x"})
+    assert a.receive("U") == ("Request", {"info": "x"})
+    [data] = published
+    # after its publish returned, the runtime's own bytes, a copy or a
+    # bytearray of them, published or pushed from outside, are each decoded
+    # exactly once, by whichever consumer they reach first
+    broker = runtime.broker
+    stamp, stamps = {X_MEDIATED_OUT: "U"}, {X_MEDIATED_OUT: "U", X_MEDIATED_IN: "A"}
+    targets = [
+        lambda body: broker.publish(f"s.{cid}", f"{cid}.U.A", body, stamp),
+        lambda body: broker.push(inbox_queue("agg", cid), body, stamps),
+    ]
+    if case != NONE:
+        targets.append(lambda body: broker.push(f"mq.s.agg.{cid}", body, stamp))
+    for inject in targets:
+        body = make(data)
+        decoded.clear()
+        inject(body)
+        assert len(decoded) == 1 and decoded[0] is body
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_a_copy_pushed_during_the_publish_is_decoded(daq_store, daq_config, case, decoded):
+    # a consumer bound beside the receiver copies the runtime's bytes onto
+    # the receiver's inbox while their publish is still being delivered
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    broker = runtime.broker
+    broker.declare_queue("copier")
+    broker.bind(f"s.{cid}", f"{cid}.*.A", "copier")
+    copies = []
+
+    def copy_onto_the_inbox(body, headers):
+        copies.append(bytes(bytearray(body)))
+        stamps = {X_MEDIATED_OUT: "U", X_MEDIATED_IN: "A"}
+        broker.push(inbox_queue("agg", cid), copies[-1], stamps)
+
+    broker.set_consumer("copier", copy_onto_the_inbox)
+    u.send("A", "Request", {"info": "x"})
+    [copy] = copies
+    assert len(decoded) == 1 and decoded[0] is copy
+
+
+def test_bytes_pushed_onto_the_outbound_queue_are_decoded_by_each_mediator(
+    daq_store, daq_config, decoded
+):
+    # the sender's mediator forwards bytes it did not encode as they are, so
+    # the receiver's mediator decodes them too
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    data = encode_message(
+        ConversationMessage(IN_SESSION, cid, "U", "A", "Request", (("info", "x"),))
+    )
+    runtime.broker.push("mq.out.user", data)
+    assert len(decoded) == 2 and all(body is data for body in decoded)
+    assert a.receive("U") == ("Request", {"info": "x"})
+
+
+def test_bytes_buffered_before_join_are_decoded_once(daq_store, daq_config, monkeypatch, decoded):
+    # unmediated, the inbox holds bytes until its endpoint joins, long after
+    # their publish returned
+    runtime = ConversationRuntime(daq_store, case=NONE)
+    u = runtime.endpoint("user")
+    u.create("DataAquisition", daq_config)
+    published = []
+    real_publish = runtime.broker.publish
+
+    def publish(exchange, key, body, headers=None):
+        published.append(body)
+        return real_publish(exchange, key, body, headers)
+
+    monkeypatch.setattr(runtime.broker, "publish", publish)
+    u.send("A", "Request", {"info": "x"})
+    assert decoded == []
+    a = runtime.endpoint("agg").join("A")
+    [data] = published
+    assert len(decoded) == 1 and decoded[0] is data
+    assert a.receive("U") == ("Request", {"info": "x"})
+
+
+def echo_sessions(case, count):
+    """A runtime with ``count`` Echo sessions, as (server, client) pairs."""
+    store = ProtocolStore()
+    echo = parse_global(pingpong_source(with_payload=True))
+    store.register_global(echo)
+    store.register_projections(echo)
+    runtime = ConversationRuntime(store, case=case)
+    pairs = []
+    for n in range(1, count + 1):
+        server = runtime.endpoint(f"srv{n}")
+        server.create("Echo", make_invitation_config("Echo", {"S": f"srv{n}", "C": f"cli{n}"}))
+        pairs.append((server, runtime.endpoint(f"cli{n}").join("C")))
+    return runtime, pairs
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_callback_sending_beside_another_publisher_gets_its_messages(case):
+    # cli1 replies from its callback thread while the main thread drives a
+    # second session on the same runtime, so two threads publish at once
+    runtime, [(srv1, cli1), (srv2, cli2)] = echo_sessions(case, 2)
+    seen = []
+    ended = threading.Event()
+
+    def reply(label, payload):
+        seen.append((label, payload))
+        if label == "OK":
+            cli1.receive_async("S", reply)
+            cli1.send("S", "ACK", payload)
+        else:
+            ended.set()
+
+    cli1.receive_async("S", reply)
+    blobs = [k.to_bytes(2, "big") * 100 for k in range(200)]
+    for blob in blobs:
+        srv1.send("C", "OK", {"data": blob})
+        other = {"data": blob[::-1]}
+        srv2.send("C", "OK", other)
+        assert cli2.receive("S") == ("OK", other)
+        cli2.send("S", "ACK", other)
+        assert srv2.receive("C") == ("ACK", other)
+        assert srv1.receive("C", timeout=5) == ("ACK", {"data": blob})
+    srv1.send("C", "KO")
+    assert ended.wait(5)
+    assert seen == [("OK", {"data": blob}) for blob in blobs] + [("KO", {})]
+    assert cli1.callback_errors == []
+    assert runtime.dropped == [] and runtime.mediation_violations == []
+    runtime.close()
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_threads_publishing_at_once_each_get_their_own_messages(case):
+    # more publishing threads than cores, switching as often as they can,
+    # each driving its own session on one runtime: a receiver handed another
+    # thread's message would see the wrong payload
+    runtime, pairs = echo_sessions(case, 4)
+    errors = []
+    ready = threading.Barrier(len(pairs))
+
+    def drive(n, server, client):
+        try:
+            ready.wait(timeout=5)
+            for k in range(300):
+                ok, ack = {"data": b"OK %d %d" % (n, k)}, {"data": b"ACK %d %d" % (n, k)}
+                server.send("C", "OK", ok)
+                assert client.receive("S", timeout=5) == ("OK", ok)
+                client.send("S", "ACK", ack)
+                assert server.receive("C", timeout=5) == ("ACK", ack)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=drive, args=(n, *pair)) for n, pair in enumerate(pairs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert runtime.dropped == [] and runtime.mediation_violations == []
+    runtime.close()
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_stop_inside_a_callback_lets_the_callback_finish(daq_store, daq_config, case):
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    finished = threading.Event()
+
+    def leave(label, payload):
+        a.stop()
+        finished.set()
+
+    a.receive_async("U", leave)
+    u.send("A", "Request", {"info": "x"})
+    assert finished.wait(2)
+    a._dispatcher.join(timeout=2)
+    assert not a._dispatcher.is_alive()
+    assert a.callback_errors == []
+    assert cid not in runtime.node("agg").cids
+    assert inbox_queue("agg", cid) not in runtime.broker._queues

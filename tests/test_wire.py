@@ -3,6 +3,7 @@
 import json
 from base64 import b64encode
 from dataclasses import FrozenInstanceError, replace
+from enum import IntEnum
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from parley.wire import (
     WireError,
     decode_message,
     encode_message,
+    is_plain,
     load_invitation_config,
     parse_invitation_config,
     payload_from_dict,
@@ -73,13 +75,6 @@ def test_invitation_kind_round_trips():
     assert again.kind == INVITATION
     assert again.extra("role") == "U"
     assert again.extra("missing", "dflt") == "dflt"
-
-
-def test_with_extras_overwrites_and_preserves():
-    msg = make(extras=(("a", "1"), ("b", "2")))
-    stamped = msg.with_extras(b="3", c="4")
-    assert stamped.extras_dict() == {"a": "1", "b": "3", "c": "4"}
-    assert msg.extras_dict() == {"a": "1", "b": "2"}
 
 
 def test_message_is_a_frozen_value():
@@ -283,6 +278,47 @@ valid_messages = st.builds(
     ).map(tuple),
     extras=st.dictionaries(wire_text, wire_text, max_size=4).map(lambda d: tuple(d.items())),
 )
+
+
+class Flavour(IntEnum):
+    PLAIN = 1
+
+
+class Text(str):
+    pass
+
+
+class Message(ConversationMessage):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(label=Text("L")),
+        dict(cid=Text("c1")),
+        dict(kind=Text(IN_SESSION)),
+        dict(payload=(("x", Flavour.PLAIN),)),
+        dict(payload=(("x", Text("v")),)),
+        dict(payload=((Text("x"), 1),)),
+        dict(extras=(("k", Text("v")),)),
+        dict(extras=((Text("k"), "v"),)),
+    ],
+)
+def test_a_subclass_anywhere_is_not_plain(fields):
+    message = make(**{"label": "L", **fields})
+    assert decode_message(encode_message(message)) == message
+    assert not is_plain(message)
+
+
+def test_a_subclass_of_the_message_is_not_plain():
+    assert not is_plain(Message(IN_SESSION, "c1", "A", "B", "L"))
+
+
+@given(valid_messages)
+def test_decoded_messages_are_plain(message):
+    assert is_plain(message)
+    assert is_plain(decode_message(encode_message(message)))
 
 
 @given(valid_messages)
