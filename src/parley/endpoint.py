@@ -80,7 +80,7 @@ from functools import partial
 from typing import Dict, List, Optional, Set, Union
 
 from .broker import Broker, Headers
-from .monitor import ENFORCE, Monitor, MonitorError
+from .monitor import COMPLETED, ENFORCE, Monitor, MonitorError
 from .store import ProtocolStore, local_ref
 from .wire import (
     IN_SESSION,
@@ -600,7 +600,7 @@ class Endpoint:
                     return message.label, message.payload_dict()
                 if self._stopped:
                     raise SessionEnded(f"conversation {self.cid} was stopped")
-                if self._completed():
+                if self.status() == COMPLETED:
                     raise SessionEnded(f"conversation {self.cid} has completed")
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -716,9 +716,3 @@ class Endpoint:
             raise UnknownPeerRole(f"{role} is this endpoint's own role")
         if self.roles and role not in self.roles:
             raise UnknownPeerRole(f"{role} is not a role of this conversation")
-
-    def _completed(self) -> bool:
-        monitor = self.node.monitor
-        if monitor is None:
-            return False
-        return monitor.session_status((self.cid, self.role)) == "completed"

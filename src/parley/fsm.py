@@ -40,9 +40,9 @@ is the number of its children off a terminal state, and the join fires when
 that reaches zero. For the run there is the number of fired threads off a
 terminal state, and the run is complete when that is zero. Both are kept up
 to date on every cursor move, because a terminal state may still have
-outgoing transitions. The full-scan :func:`settle` stays as the reference:
-compilation uses it for the initial configuration, and the tests compare
-every incremental step against it.
+outgoing transitions. The start configuration is settled by the same steps:
+:func:`compile` builds one settled :class:`Run` per machine, and every run
+after it starts as a copy, so no session settles its start again.
 """
 
 from __future__ import annotations
@@ -130,10 +130,8 @@ class NestedFsm:
     terminal: frozenset
     # (label, sender, receiver) -> (thread id, its chain, {state: TransitionValue})
     dispatch: Dict[tuple, tuple]
-    # the settled initial configuration every run starts from
-    start_cursors: tuple = ()
-    start_pending: tuple = ()
-    start_open: int = 0
+    # the settled run every new run copies; set by compile()
+    start: Optional[Run] = field(default=None, compare=False, repr=False)
 
     @property
     def initial(self) -> list:
@@ -328,11 +326,7 @@ def compile(protocol: LocalProtocol) -> NestedFsm:  # noqa: A001 - mirrors re.co
     fsm = _Compiler(protocol).run()
     # Linearity guarantee: never more than two states per tree node.
     assert fsm.state_count() <= 2 * count_nodes(protocol.body)
-    cursors = fsm.initial
-    settle(fsm, cursors)
-    fsm.start_cursors = tuple(cursors)
-    fsm.start_pending = tuple(_pending(fsm, cursors))
-    fsm.start_open = 0 if cursors[0] in fsm.terminal else 1
+    fsm.start = Run(fsm)
     return fsm
 
 
@@ -489,28 +483,23 @@ def trace_language(machine, depth: int) -> set:
 
 
 def _thread_traces(thread: FsmThread, depth: int) -> set:
-    edges: Dict[int, list] = {}
-    for key, value in thread.transitions.items():
-        edges.setdefault(key.state, []).append(
-            ((key.label, key.sender, key.receiver), value.next_state)
-        )
     traces = {()}
     frontier = [(thread.initial, ())]
     for _ in range(depth):
         nxt = []
         for state, prefix in frontier:
-            for triple, target in edges.get(state, ()):
-                trace = prefix + (triple,)
+            for key in thread.by_state.get(state, ()):
+                trace = prefix + ((key.label, key.sender, key.receiver),)
                 if trace not in traces:
                     traces.add(trace)
-                    nxt.append((target, trace))
+                    nxt.append((thread.transitions[key].next_state, trace))
         frontier = nxt
     return traces
 
 
 def _nested_traces(fsm: NestedFsm, depth: int) -> set:
     traces = {()}
-    frontier = [(Run(fsm), ())]
+    frontier = [(fsm.start.copy(), ())]
     for _ in range(depth):
         nxt = []
         for run, prefix in frontier:
@@ -547,12 +536,15 @@ class Run:
     __slots__ = ("fsm", "cursors", "fired", "pending", "started", "open")
 
     def __init__(self, fsm: NestedFsm):
+        """A run at the machine's start, its joins settled. ``fsm.start.copy()``
+        is the same run without settling it again."""
         self.fsm = fsm
-        self.cursors = list(fsm.start_cursors)
+        self.cursors = fsm.initial
         self.fired = {0}
-        self.pending = list(fsm.start_pending)
+        self.pending = [0] * len(fsm.threads)
         self.started = [False] * len(fsm.threads)
-        self.open = fsm.start_open
+        self.open = 0 if self.cursors[0] in fsm.terminal else 1
+        self._enter(0)
 
     def copy(self) -> "Run":
         other = Run.__new__(Run)
@@ -644,12 +636,6 @@ class Run:
             join = joins.get(cursors[tid])
 
 
-# --- The full-scan reference -------------------------------------------------
-#
-# Compilation settles the initial configuration with these, and the tests
-# check every incremental step of a Run against them.
-
-
 def active_threads(fsm: NestedFsm, cursors) -> list:
     """Thread ids able to fire transitions under the given cursors."""
     active = [False] * len(fsm.threads)
@@ -661,29 +647,6 @@ def active_threads(fsm: NestedFsm, cursors) -> list:
                 active[thread.parent] and cursors[thread.parent] == thread.spawn_state
             )
     return [t.thread_id for t in fsm.threads if active[t.thread_id]]
-
-
-def settle(fsm: NestedFsm, cursors: list) -> None:
-    """Fire, in place, every join whose children have all finished."""
-    threads, terminal = fsm.threads, fsm.terminal
-    changed = True
-    while changed:
-        changed = False
-        for tid in active_threads(fsm, cursors):
-            join = threads[tid].joins.get(cursors[tid])
-            if join is not None and all(cursors[c] in terminal for c in join.children):
-                cursors[tid] = join.next_state
-                changed = True
-
-
-def _pending(fsm: NestedFsm, cursors) -> list:
-    """Per active thread on a spawn state, its children off a terminal state."""
-    pending = [0] * len(fsm.threads)
-    for tid in active_threads(fsm, cursors):
-        join = fsm.threads[tid].joins.get(cursors[tid])
-        if join is not None:
-            pending[tid] = sum(cursors[c] not in fsm.terminal for c in join.children)
-    return pending
 
 
 # --- Graphviz rendering ------------------------------------------------------

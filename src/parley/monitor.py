@@ -7,8 +7,9 @@ session untouched; payload bindings accumulate across the whole session so
 later assertions can refer to earlier fields.
 
 A session is an ``fsm.Run`` of its nested FSM (cursors, fired threads and
-counters), stepped only by the run's ``transition``, ``fire`` and
-``enabled``, the same code that enumerates the machine's trace language.
+counters), copied from the machine's settled start and stepped only by the
+run's ``transition``, ``fire`` and ``enabled``, the same code that
+enumerates the machine's trace language.
 The monitor adds payload arity, bindings, assertions, verdicts and session
 status on top; it has no copy of the thread semantics.
 
@@ -238,7 +239,7 @@ class Monitor:
                     f"{protocol_ref!r} does not compile: {exc}"
                 ) from exc
             self.machines[protocol_ref] = (protocol, machine)
-        state = SessionState(protocol_ref, fsmmod.Run(machine))
+        state = SessionState(protocol_ref, machine.start.copy())
         self.sessions[key] = state
         self._refresh_status(state)
         return key

@@ -10,7 +10,6 @@ from parley.fsm import (
     active_threads,
     compile as compile_fsm,
     product_oracle,
-    settle,
     to_dot,
     trace_language,
 )
@@ -287,6 +286,19 @@ def test_grid_sample_against_oracle():
 # --- the incremental stepper against the full-scan reference -------------------
 
 
+def settle(fsm, cursors):
+    """Fire, in place, every join whose children have all finished."""
+    threads, terminal = fsm.threads, fsm.terminal
+    changed = True
+    while changed:
+        changed = False
+        for tid in active_threads(fsm, cursors):
+            join = threads[tid].joins.get(cursors[tid])
+            if join is not None and all(cursors[c] in terminal for c in join.children):
+                cursors[tid] = join.next_state
+                changed = True
+
+
 def _differential_machines():
     for local in protogen.local_grid():
         yield local.name, compile_fsm(local)
@@ -322,6 +334,8 @@ def test_incremental_settle_agrees_with_full_scan():
         expected = fsm.initial
         settle(fsm, expected)
         _assert_matches_full_scan(start, expected, (name, ()))
+        _assert_matches_full_scan(fsm.start, expected, (name, "stored start"))
+        assert fsm.start.fired == {0}, name
         frontier, seen = [(start, ())], set()
         for _ in range(6):
             following = []

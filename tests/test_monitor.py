@@ -432,3 +432,27 @@ def test_check_touches_threads_by_depth_not_width(role):
             counts.append(len(touched))
         assert max(counts) == depth + 1 == 2, (k, counts)
         assert monitor.session_status(key) == COMPLETED
+
+
+def _snapshot(run):
+    return list(run.cursors), set(run.fired), list(run.pending), list(run.started), run.open
+
+
+@pytest.mark.parametrize("role", ["S", "C"])
+def test_a_finished_session_leaves_the_machine_start_for_the_next(role):
+    local = project(parse_global(wide_source(4)), role).protocol
+    monitor = Monitor(lambda ref: local, record_trace=False)
+    first = monitor.init_session("w1", role, local.name)
+    start = monitor.sessions[first].run.fsm.start
+    before = _snapshot(start)
+    assert any(before[2])  # the root spawns at start: its join is pending
+    assert monitor.sessions[first].run is not start
+    steps = [(f"OK{i}", "S", "C") for i in range(1, 5)]
+    steps += [(f"ACK{i}", "C", "S") for i in range(1, 5)]
+    for triple in steps:
+        assert monitor.check(msg("w1", *triple), role).ok
+    assert monitor.session_status(first) == COMPLETED
+    assert _snapshot(start) == before
+    second = monitor.sessions[monitor.init_session("w2", role, local.name)].run
+    assert second.fsm.start is start
+    assert _snapshot(second) == before
