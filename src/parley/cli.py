@@ -106,7 +106,10 @@ def _decode_payload(text: str) -> Dict[str, object]:
     decoded = {}
     for key, value in raw.items():
         if isinstance(value, dict) and set(value) == {"__b64__"}:
-            decoded[key] = base64.b64decode(value["__b64__"])
+            try:
+                decoded[key] = base64.b64decode(value["__b64__"], validate=True)
+            except (TypeError, ValueError):  # binascii.Error is a ValueError
+                raise ValueError(f"payload field {key!r} is not valid base64") from None
         else:
             decoded[key] = value
     return decoded
@@ -124,7 +127,10 @@ def _parse_script(text: str) -> Dict[str, List[tuple]]:
         if verb == "send":
             if len(parts) < 4:
                 raise ValueError(f"line {number}: send <role> <to> <label> [payload-json]")
-            payload = _decode_payload(parts[4]) if len(parts) > 4 else {}
+            try:
+                payload = _decode_payload(parts[4]) if len(parts) > 4 else {}
+            except ValueError as exc:  # bad JSON or base64
+                raise ValueError(f"line {number}: {exc}") from None
             plans.setdefault(parts[1], []).append(("send", parts[2], parts[3], payload))
         elif verb == "recv":
             if len(parts) != 3:
@@ -176,21 +182,25 @@ def cmd_run(args) -> int:
         return _fail(str(exc))
     endpoints = {creator_role: creator}
     failures: List[str] = []
-    threads = []
     for role in plans:
         if role == creator_role:
             continue
         endpoint = runtime.endpoint(entries[role].principal)
-        endpoint.join(role)
-        endpoints[role] = endpoint
-    for role, plan in plans.items():
-        worker = threading.Thread(
-            target=_run_plan, args=(endpoints[role], plan, failures, role)
-        )
-        worker.start()
-        threads.append(worker)
-    for worker in threads:
-        worker.join()
+        # Delivery is synchronous: the invitation is queued by now, or its
+        # mediator refused it and recorded why.
+        try:
+            endpoints[role] = endpoint.join(role, timeout=0)
+        except TransportError as exc:
+            failures.append(f"{role}: {exc}")
+    if not failures:
+        threads = [
+            threading.Thread(target=_run_plan, args=(endpoints[role], plan, failures, role))
+            for role, plan in plans.items()
+        ]
+        for worker in threads:
+            worker.start()
+        for worker in threads:
+            worker.join()
     # Each refusing verdict once, as its monitor's trace entry, whether or
     # not enforcement dropped the message.
     violations = list(runtime.mediation_violations)

@@ -9,24 +9,21 @@ with routing key ``<cid>.<from>.<to>``, stamping its audit tag as a broker
 header. Only ``<cid>.*.<role>`` is bound to each participant's mediator
 queue, so the receiver's mediator, and no other, picks the message up next,
 checks it against the receiver-side FSM, adds the second audit tag to the
-headers, and only then pushes the message onto the endpoint's inbox queue. Inbox delivery asserts both header tags against the
-message's sender and receiver, and ignores any tags a body carries in its
-extras, so anything injected around the mediators is detected and dropped
-there.
+headers, and only then pushes the message onto the endpoint's inbox queue.
+Inbox delivery asserts both header tags against the message's sender and
+receiver, and ignores any tags a body carries in its extras, so anything
+injected around the mediators is detected and dropped there.
 
-Bytes travel only where a message crosses between principals: on the
-conversation exchange and on ``invite``. A principal's own hops, from its
-endpoint to its mediator and from its mediator to its inbox, hand over the
-``ConversationMessage`` itself. So the sender's mediator encodes a message
-once; in the unmediated case the sender does. The receiver does not parse
-those bytes again. While the runtime publishes bytes it has just encoded, it
-keeps the message beside them, and the receiver's mediator (unmediated, the
-inbox) takes that message when it is handed that very bytes object; why this
-is exact is set out in ``wire``. The record lives only for that publish, and
-holds one message. Any other body published or pushed from anywhere else may
-be bytes, which are decoded as on the wire; so is a copy of the runtime's
-own bytes, or bytes buffered until an endpoint joins. Bytes that
-do not decode, objects that do not encode, messages for a conversation the
+The runtime puts bytes on no hop of its own. A message that ``wire.is_plain``
+admits travels as the ``ConversationMessage`` itself, from the endpoint
+through both mediators to the inbox, so a legal message is neither encoded
+nor decoded. Only a message that is not plain, such as one carrying a ``str``
+subclass, is encoded, by the sender's mediator (unmediated, the sender), and
+the receiver's mediator (unmediated, the inbox) decodes those bytes. That is
+exact, as ``wire`` sets out: a receiver gets what decoding the bytes would
+give. Bytes pushed or published from outside the runtime are forwarded as
+they are and decoded by each mediator or inbox they reach. Bytes that do not
+decode, objects that do not encode, messages for a conversation the
 principal is not in, and messages whose routing key disagrees with their body
 are recorded in ``mediation_violations`` and dropped; nothing raises back
 into the publisher. So is a message that no queue receives, which the
@@ -114,8 +111,8 @@ NONE = "none"
 
 _DEFAULT_TIMEOUT = 10.0
 
-# What a queue carries: bytes between principals, the message itself on a
-# principal's own hops.
+# What a queue carries: a plain message as itself, bytes for a message that
+# is not plain and for whatever arrives from outside the runtime.
 Body = Union[bytes, ConversationMessage]
 
 
@@ -163,8 +160,6 @@ class ConversationRuntime:
         self._lock = threading.RLock()
         self.dropped: List[tuple] = []  # (stage, verdict, message)
         self.mediation_violations: List[tuple] = []  # (queue, reason, message)
-        # (bytes, the message they were just encoded from) while publishing them
-        self._in_flight: Optional[tuple] = None
         self.broker.declare_exchange("invite")
 
     # --- nodes --------------------------------------------------------------
@@ -204,56 +199,27 @@ class ConversationRuntime:
     def decode_or_note(self, queue: str, body: Body) -> Optional[ConversationMessage]:
         """The message in ``body``, or None after recording why it is not one.
 
-        A message object, as a principal's own hops carry, is returned as is,
-        and so is the message the runtime is publishing ``body`` for, when
-        ``body`` is the very bytes object it encoded that message to.
+        A message object is returned as is; anything else is decoded.
         """
         if isinstance(body, ConversationMessage):
             return body
-        in_flight = self._in_flight
-        if in_flight is not None and in_flight[0] is body:
-            return in_flight[1]
         try:
             return decode_message(body)
         except WireError as exc:
             self.note_mediation_violation(queue, f"undecodable: {exc}", body)
             return None
 
-    def publish(
-        self,
-        exchange: str,
-        key: str,
-        data: Body,
-        headers: Optional[Headers] = None,
-        source: Optional[ConversationMessage] = None,
-    ) -> int:
-        """``Broker.publish``, handing receivers ``source`` for ``data``.
-
-        ``source`` is the message the runtime has just encoded ``data`` from,
-        if it did. A plain one is recorded for as long as the publish is
-        delivered, so ``decode_or_note`` skips parsing ``data``. Another
-        thread publishing meanwhile replaces or clears the record, which only
-        makes a receiver decode.
-        """
-        if source is None or not is_plain(source):
-            return self.broker.publish(exchange, key, data, headers)
-        self._in_flight = (data, source)
-        try:
-            return self.broker.publish(exchange, key, data, headers)
-        finally:
-            self._in_flight = None
-
     def _on_out(self, node: _Node, queue: str, body: Body, headers: Headers) -> None:
-        """Sender-side mediation: check, stamp, and forward as bytes.
+        """Sender-side mediation: check, stamp, and forward.
 
-        A message object is encoded here, the one encode on its path; bytes
-        pushed onto the queue are forwarded unchanged.
+        A plain message object is forwarded as itself and one that is not is
+        encoded here; bytes pushed onto the queue are forwarded unchanged.
         """
         message = self.decode_or_note(queue, body)
         if message is None:
             return
-        data, source = body, None
-        if isinstance(body, ConversationMessage):
+        data = body
+        if isinstance(body, ConversationMessage) and not is_plain(body):
             # Encoded before the check, so a message that cannot travel
             # never advances the sender's FSM.
             try:
@@ -261,14 +227,13 @@ class ConversationRuntime:
             except WireError as exc:
                 self.note_mediation_violation(queue, f"unencodable: {exc}", message)
                 return
-            source = message
         stamp = {X_MEDIATED_OUT: message.sender}
         if message.kind == INVITATION:
             target = message.extra(X_PRINCIPAL)
             if target is None:
                 self.note_mediation_violation(queue, "invitation names no target", message)
                 return
-            if not self.publish("invite", target, data, stamp, source):
+            if not self.broker.publish("invite", target, data, stamp):
                 self.note_mediation_violation(queue, f"no mediator for {target}", message)
             return
         if node.monitor is not None:
@@ -282,7 +247,7 @@ class ConversationRuntime:
             )
             return
         key = f"{message.cid}.{message.sender}.{message.receiver}"
-        if not self.publish(f"s.{message.cid}", key, data, stamp, source):
+        if not self.broker.publish(f"s.{message.cid}", key, data, stamp):
             self.note_mediation_violation(queue, f"no queue bound for {key}", message)
 
     def _on_inv(self, node: _Node, queue: str, body: Body, headers: Headers) -> None:
@@ -358,7 +323,7 @@ class ConversationRuntime:
     ) -> None:
         """Receiver-side mediation for one (principal, cid, role) binding.
 
-        The message is decoded once, here, and handed to the inbox as is.
+        Bytes are decoded once, here, and the message handed to the inbox as is.
         """
         message = self.decode_or_note(queue, body)
         if message is None:
@@ -582,9 +547,9 @@ class Endpoint:
         runtime = self.runtime
         if runtime.case == NONE:
             key = f"{self.cid}.{self.role}.{to_role}"
-            runtime.publish(f"s.{self.cid}", key, encode_message(message), source=message)
+            body = message if is_plain(message) else encode_message(message)
+            runtime.broker.publish(f"s.{self.cid}", key, body)
         else:
-            # A hop within the principal: its mediator does the one encode.
             runtime.broker.push(outbound_queue(self.principal), message)
 
     def receive(self, from_role: str, timeout: Optional[float] = None):

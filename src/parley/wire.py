@@ -34,13 +34,11 @@ name a key twice. So ``decode_message(encode_message(m)) == m`` for every
 ``WireError``, and any value that is not bytes raises ``WireError``. It
 accepts any JSON spelling of a message, not only the canonical one.
 
-The runtime skips the decode of bytes it has just encoded itself. While it
-publishes such bytes, it keeps the message they came from beside them, and a
-receiver handed that very bytes object gets the message instead of parsing
-it. That is exact: delivery is synchronous, bytes are immutable, the round
-trip above gives back an equal message, and ``is_plain`` admits only
-messages whose every field already has the exact type the decoder would
-build. Any other body, including a copy of those bytes, is decoded.
+A message that ``is_plain`` admits, exactly one that encodes and decodes
+back equal type for type, crosses the broker as the object itself, which is
+immutable all through, so sender and receiver may share it; the runtime
+encodes only a message that is not plain, so a receiver always gets what
+decoding the bytes would give.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Optional, Tuple
 
-import yaml
 
 INVITATION = "invitation"
 IN_SESSION = "in_session"
@@ -336,34 +333,55 @@ def decode_message(data: bytes) -> ConversationMessage:
 
 
 _PLAIN_VALUES = frozenset((str, int, bool, bytes))
+# At most 603 digits, within the lowest limit int() may be set to convert
+# (640), so a plain int always spells and reads back.
+_PLAIN_INT_BITS = 2000
 
 
-def is_plain(message: ConversationMessage) -> bool:
-    """Whether ``message`` is built only of the exact types ``decode_message``
-    builds: a ``ConversationMessage`` whose scalar fields, payload names and
-    extras are ``str`` and whose payload values are ``str``, ``int``, ``bool``
-    or ``bytes``, no subclass of any of them.
-
-    For a plain message that encodes, ``decode_message(encode_message(m))``
-    is equal to ``m`` field by field and type by type, so a receiver may be
-    handed ``m`` itself in place of decoding its bytes. Call it only on a
-    message that encoded: the tuples and pairs were checked there.
+def is_plain(message) -> bool:
+    """Whether ``encode_message(message)`` succeeds and ``decode_message``
+    gives back an equal message type for type, so that it may travel as
+    itself: an exact ``ConversationMessage`` of a known kind, with ``str``
+    head fields, a tuple of (name, value) pairs with distinct ``str`` names
+    and ``str``, ``bool``, ``bytes`` or ``int`` values, and (key, value)
+    extras of ``str`` in key order, no key twice. Every type is exact, as a
+    subclass decodes as its base. An int over 2000 bits is not plain; the
+    encoder decides whether it travels.
     """
     if not (
         type(message) is ConversationMessage
         and type(message.kind) is str
+        and message.kind in _KINDS
         and type(message.cid) is str
         and type(message.sender) is str
         and type(message.receiver) is str
         and type(message.label) is str
+        and type(message.payload) is tuple
     ):
         return False
-    for name, value in message.payload:
-        if type(name) is not str or type(value) not in _PLAIN_VALUES:
+    names = set()
+    for entry in message.payload:
+        if type(entry) is not tuple or len(entry) != 2:
             return False
-    for key, value in message.extras:
+        name, value = entry
+        if type(name) is not str or name in names or type(value) not in _PLAIN_VALUES:
+            return False
+        if type(value) is int and value.bit_length() > _PLAIN_INT_BITS:
+            return False
+        names.add(name)
+    extras = message.extras
+    if type(extras) is not tuple:
+        return False
+    last = None
+    for entry in extras:
+        if type(entry) is not tuple or len(entry) != 2:
+            return False
+        key, value = entry
         if type(key) is not str or type(value) is not str:
             return False
+        if last is not None and key <= last:
+            return False
+        last = key
     return True
 
 
@@ -407,6 +425,10 @@ def parse_invitation_config(text: str) -> InvitationConfig:
     The spaced key spellings match the documented config block; underscore
     variants (principal_name, local_capability) are accepted too.
     """
+    # Imported here, not with the module: only a YAML config needs it, and
+    # it would add to the resident size of every process that imports parley.
+    import yaml
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

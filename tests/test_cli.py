@@ -211,6 +211,39 @@ def test_run_script_errors(workdir, capsys):
     assert "not in config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["5", '"AAE"', '"AA==AA=="', '"é"', "[1]", "null"])
+def test_run_reports_a_bad_base64_payload_as_a_script_error(workdir, capsys, value):
+    script = workdir / "b64.script"
+    script.write_text('send U A Request {"info": "x"}\nsend I A Raw {"x": {"__b64__": %s}}\n' % value)
+    assert main([
+        "run", str(workdir / "daq.scr"),
+        "--config", str(workdir / "daq.yml"),
+        "--script", str(script),
+    ]) == 1
+    assert capsys.readouterr().err == "error: line 2: payload field 'x' is not valid base64\n"
+
+
+def test_run_refused_invitation_exits_at_once_with_the_reason(workdir, capsys):
+    # I's mediator cannot load Nope.scr and refuses the invitation before
+    # anyone joins, so the run ends without waiting for it
+    (workdir / "nope.yml").write_text(CONFIG_SRC.replace("DataAquisition_I.scr", "Nope.scr"))
+    script = workdir / "ok.script"
+    script.write_text(NOT_SUPPORTED_SCRIPT)
+    began = time.monotonic()
+    code = main([
+        "run", str(workdir / "daq.scr"),
+        "--config", str(workdir / "nope.yml"),
+        "--script", str(script),
+    ])
+    assert time.monotonic() - began < 5
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: I: no invitation for instr" in captured.err
+    [violation] = [line for line in captured.err.splitlines() if line.startswith("violation:")]
+    assert "init_session failed: " in violation and "Nope.scr" in violation
+    assert "<-" not in captured.out  # no script line ran
+
+
 def test_bench_writes_csv(workdir, capsys):
     target = workdir / "report.csv"
     code = main([

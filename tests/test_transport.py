@@ -46,6 +46,7 @@ from parley.wire import (
     X_ROLE,
     decode_message,
     encode_message,
+    is_plain,
 )
 
 from conftest import DAQ_PRINCIPALS
@@ -487,43 +488,52 @@ def test_invitation_stamped_in_its_body_never_binds(daq_store):
 
 
 @pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
-def test_one_encode_and_one_decode_per_message(daq_store, daq_config, case, monkeypatch):
-    # bytes only between principals: the sender's mediator (unmediated, the
-    # sender) encodes once, and the receiver's mediator (unmediated, the
-    # inbox) takes the message those bytes were encoded from, so the runtime
-    # never decodes its own bytes
-    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
-    sent, decoded = [], []
-    real_encode, real_decode = endpoint_mod.encode_message, endpoint_mod.decode_message
+def test_plain_messages_are_never_encoded_or_decoded(daq_store, daq_config, case, monkeypatch):
+    # a plain message crosses every hop as itself: neither create's
+    # invitations nor the sends are encoded or decoded, and each inbox gets
+    # the very object its sender built
+    coded = []
 
-    def encode(message):
-        sent.append(message)
-        return real_encode(message)
+    def refuse(body):
+        coded.append(body)
+        raise AssertionError("a plain message was encoded or decoded")
 
-    def decode(data):
-        decoded.append(data)
-        return real_decode(data)
+    monkeypatch.setattr(endpoint_mod, "encode_message", refuse)
+    monkeypatch.setattr(endpoint_mod, "decode_message", refuse)
+    runtime = ConversationRuntime(daq_store, case=case)
+    broker = runtime.broker
+    crossed = {"mq.out": [], "invite": [], "s": [], "in": []}  # bodies per hop
+    real_publish, real_push = broker.publish, broker.push
 
-    inboxed = []
-    real_push = runtime.broker.push
+    def publish(exchange, key, body, headers=None):
+        crossed["s" if exchange.startswith("s.") else exchange].append(body)
+        return real_publish(exchange, key, body, headers)
 
     def push(queue, body, headers=None):
-        if queue.startswith("in."):
-            inboxed.append(body)
+        for hop in ("mq.out", "in"):
+            if queue.startswith(hop + "."):
+                crossed[hop].append(body)
         real_push(queue, body, headers)
 
-    monkeypatch.setattr(endpoint_mod, "encode_message", encode)
-    monkeypatch.setattr(endpoint_mod, "decode_message", decode)
-    monkeypatch.setattr(runtime.broker, "push", push)
+    monkeypatch.setattr(broker, "publish", publish)
+    monkeypatch.setattr(broker, "push", push)
+    u = runtime.endpoint("user")
+    cid = u.create("DataAquisition", daq_config)
+    a = runtime.endpoint("agg").join("A")
+    i = runtime.endpoint("instr").join("I")
     run_not_supported(u, a, i)
-    assert len(sent) == 5
-    assert decoded == []
-    if case == NONE:
-        inboxed = [decode_message(body) for body in inboxed]
-    else:  # mediated inboxes get the sender's message object itself
-        assert all(got is want for got, want in zip(inboxed, sent))
-    assert inboxed == sent
-    assert runtime.mediation_violations == []
+    assert coded == []
+    assert len(crossed["s"]) == 5
+    assert len(crossed["invite"]) == (0 if case == NONE else 3)
+    bodies = [body for hop in crossed.values() for body in hop]
+    assert all(type(body) is ConversationMessage for body in bodies)
+    if case != NONE:
+        sent = [body for body in crossed["mq.out"] if body.kind == IN_SESSION]
+        assert all(x is y for x, y in zip(crossed["invite"], crossed["mq.out"][:3]))
+        assert len(sent) == len(crossed["in"]) == 5
+        assert all(x is y is z for x, y, z in zip(sent, crossed["s"], crossed["in"]))
+    assert all(body.cid == cid for body in bodies)
+    assert runtime.dropped == [] and runtime.mediation_violations == []
 
 
 def test_legal_bytes_on_the_outbound_queue_are_checked_and_delivered(daq_store, daq_config):
@@ -1059,7 +1069,7 @@ def test_second_invitation_to_a_conversation_is_refused(daq_store, daq_config, c
     run_not_supported(u, a, i)
 
 
-# --- the receiver takes the message the runtime just encoded -------------------
+# --- bytes only for what is not plain, or comes from outside -------------------
 
 
 @pytest.fixture()
@@ -1111,8 +1121,9 @@ handoff_fields = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(fields=handoff_fields)
 def test_receiver_gets_what_decoding_the_bytes_gives(daq_global, case, fields):
-    # what the receiver's mediator and endpoint take for the runtime's own
-    # bytes equals, type for type, what decoding a copy of them gives
+    # what the receiver's mediator and endpoint take equals, type for type,
+    # what decoding the message's bytes gives; bytes cross the exchange only
+    # for a message that is not plain
     label, payload, extras = fields
     store = ProtocolStore()
     store.register_global(daq_global)
@@ -1130,19 +1141,22 @@ def test_receiver_gets_what_decoding_the_bytes_gives(daq_global, case, fields):
         return message
 
     runtime.decode_or_note = decode_or_note
+    if case == NONE:
+        extras = {}  # an endpoint sends no extras
     message = ConversationMessage(
         IN_SESSION, cid, "U", "A", label, tuple(payload), tuple(extras.items())
     )
     if case == NONE:
-        runtime.publish(f"s.{cid}", f"{cid}.U.A", encode_message(message), source=message)
+        u.send("A", label, dict(payload))
     else:
         runtime.broker.push("mq.out.user", message)
     assert runtime.mediation_violations == []
-    [data] = [body for _, body, _ in taken if isinstance(body, bytes)]
-    want = shape(decode_message(bytes(bytearray(data))))
+    want = shape(decode_message(encode_message(message)))
     receivers = [inbox_queue("agg", cid)] + ([] if case == NONE else [f"mq.s.agg.{cid}"])
     got = {queue: shape(message) for queue, _, message in taken if queue in receivers}
     assert got == {queue: want for queue in receivers}
+    [crossed] = [body for queue, body, _ in taken if queue == receivers[-1]]
+    assert type(crossed) is (ConversationMessage if is_plain(message) else bytes)
 
 
 @pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
@@ -1152,23 +1166,15 @@ def test_receiver_gets_what_decoding_the_bytes_gives(daq_global, case, fields):
     ids=["same", "copy", "bytearray"],
 )
 def test_bytes_the_runtime_is_not_publishing_are_decoded_once(
-    daq_store, daq_config, case, make, monkeypatch, decoded
+    daq_store, daq_config, case, make, decoded
 ):
     runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
-    published = []
-    real_publish = runtime.broker.publish
-
-    def publish(exchange, key, body, headers=None):
-        published.append(body)
-        return real_publish(exchange, key, body, headers)
-
-    monkeypatch.setattr(runtime.broker, "publish", publish)
-    u.send("A", "Request", {"info": "x"})
-    assert a.receive("U") == ("Request", {"info": "x"})
-    [data] = published
-    # after its publish returned, the runtime's own bytes, a copy or a
-    # bytearray of them, published or pushed from outside, are each decoded
-    # exactly once, by whichever consumer they reach first
+    data = encode_message(
+        ConversationMessage(IN_SESSION, cid, "U", "A", "Request", (("info", "x"),))
+    )
+    # a message's bytes, a copy or a bytearray of them, published or pushed
+    # from outside the runtime, are each decoded exactly once, by whichever
+    # consumer they reach first
     broker = runtime.broker
     stamp, stamps = {X_MEDIATED_OUT: "U"}, {X_MEDIATED_OUT: "U", X_MEDIATED_IN: "A"}
     targets = [
@@ -1186,8 +1192,8 @@ def test_bytes_the_runtime_is_not_publishing_are_decoded_once(
 
 @pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
 def test_a_copy_pushed_during_the_publish_is_decoded(daq_store, daq_config, case, decoded):
-    # a consumer bound beside the receiver copies the runtime's bytes onto
-    # the receiver's inbox while their publish is still being delivered
+    # a consumer bound beside the receiver pushes the bytes of the message
+    # onto the receiver's inbox while its publish is still being delivered
     runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
     broker = runtime.broker
     broker.declare_queue("copier")
@@ -1195,7 +1201,7 @@ def test_a_copy_pushed_during_the_publish_is_decoded(daq_store, daq_config, case
     copies = []
 
     def copy_onto_the_inbox(body, headers):
-        copies.append(bytes(bytearray(body)))
+        copies.append(encode_message(body))
         stamps = {X_MEDIATED_OUT: "U", X_MEDIATED_IN: "A"}
         broker.push(inbox_queue("agg", cid), copies[-1], stamps)
 
@@ -1219,24 +1225,18 @@ def test_bytes_pushed_onto_the_outbound_queue_are_decoded_by_each_mediator(
     assert a.receive("U") == ("Request", {"info": "x"})
 
 
-def test_bytes_buffered_before_join_are_decoded_once(daq_store, daq_config, monkeypatch, decoded):
+def test_bytes_buffered_before_join_are_decoded_once(daq_store, daq_config, decoded):
     # unmediated, the inbox holds bytes until its endpoint joins, long after
     # their publish returned
     runtime = ConversationRuntime(daq_store, case=NONE)
     u = runtime.endpoint("user")
-    u.create("DataAquisition", daq_config)
-    published = []
-    real_publish = runtime.broker.publish
-
-    def publish(exchange, key, body, headers=None):
-        published.append(body)
-        return real_publish(exchange, key, body, headers)
-
-    monkeypatch.setattr(runtime.broker, "publish", publish)
-    u.send("A", "Request", {"info": "x"})
+    cid = u.create("DataAquisition", daq_config)
+    data = encode_message(
+        ConversationMessage(IN_SESSION, cid, "U", "A", "Request", (("info", "x"),))
+    )
+    assert runtime.broker.publish(f"s.{cid}", f"{cid}.U.A", data) == 1
     assert decoded == []
     a = runtime.endpoint("agg").join("A")
-    [data] = published
     assert len(decoded) == 1 and decoded[0] is data
     assert a.receive("U") == ("Request", {"info": "x"})
 

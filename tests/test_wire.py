@@ -1,12 +1,13 @@
 """Wire format round trips and invitation config parsing."""
 
 import json
+import sys
 from base64 import b64encode
 from dataclasses import FrozenInstanceError, replace
 from enum import IntEnum
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parley.wire import (
@@ -401,6 +402,116 @@ def test_encode_refuses_or_round_trips(message):
 def test_encode_refuses_what_decode_cannot_give_back(fields):
     with pytest.raises(WireError):
         encode_message(make(**{"label": "L", **fields}))
+
+
+def shape(message):
+    """A message's fields, each beside its exact type, payload values included."""
+    heads = (message.kind, message.cid, message.sender, message.receiver, message.label)
+    return (
+        type(message),
+        [(type(value), value) for value in heads],
+        [(type(name), name, type(value), value) for name, value in message.payload],
+        [(type(key), key, type(value), value) for key, value in message.extras],
+    )
+
+
+def wide(message):
+    """Whether a payload value is an int wider than is_plain admits."""
+    return any(
+        type(value) is int and value.bit_length() > 2000
+        for _, value in message.payload
+    )
+
+
+# Ints on both sides of 2000 bits and of 640 digits (about 2126 bits).
+wide_ints = st.integers(1995, 2140).flatmap(
+    lambda bits: st.sampled_from([2**bits - 1, 2**bits, -(2**bits)])
+)
+subclassed = wire_text.map(Text) | st.just(Flavour.PLAIN)
+odd_texts = mostly(wire_text, subclassed | anything)
+odd_entries = st.tuples(
+    mostly(st.sampled_from(["x", "y"]) | wire_text, subclassed | anything),
+    mostly(wire_values, wide_ints | subclassed | anything),
+)
+# Two or more extras are sorted at construction, so a str subclass is the one
+# odd type they can hold.
+odd_extras = mostly(
+    st.lists(
+        st.tuples(
+            mostly(st.sampled_from([X_ROLE, X_PRINCIPAL]) | wire_text, wire_text.map(Text)),
+            mostly(wire_text, wire_text.map(Text)),
+        ),
+        max_size=3,
+    ).map(tuple),
+    st.tuples(anything | st.tuples(anything, anything)),
+)
+
+
+@st.composite
+def odd_messages(draw):
+    """Messages that are mostly well formed and sometimes malformed anywhere."""
+    cls = draw(mostly(st.just(ConversationMessage), st.just(Message)))
+    message = cls(
+        kind=draw(mostly(st.sampled_from([IN_SESSION, INVITATION]), subclassed | wire_text)),
+        cid=draw(odd_texts),
+        sender=draw(odd_texts),
+        receiver=draw(odd_texts),
+        label=draw(odd_texts),
+        payload=draw(
+            mostly(
+                st.lists(mostly(odd_entries), max_size=3).map(tuple),
+                st.lists(odd_entries, max_size=2) | anything,
+            )
+        ),
+        extras=draw(odd_extras),
+    )
+    if len(message.extras) > 1 and draw(mostly(st.just(False), st.just(True))):
+        # Out of key order, as only going around the constructor can make it.
+        object.__setattr__(message, "extras", message.extras[::-1])
+    return message
+
+
+def check_plain_is_exact(message):
+    """``is_plain`` holds exactly when the round trip gives ``message`` back
+    type for type, except that an int wider than 2000 bits is never plain."""
+    try:
+        wire = encode_message(message)
+    except WireError:
+        assert not is_plain(message)
+        return
+    exact = shape(decode_message(wire)) == shape(message)
+    if is_plain(message):
+        assert exact
+    else:
+        assert not exact or wide(message)
+
+
+@settings(max_examples=500)
+@given(odd_messages())
+def test_plain_exactly_when_the_round_trip_is_exact(message):
+    check_plain_is_exact(message)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int digits"
+)
+@given(odd_messages(), wide_ints)
+def test_plain_ints_read_back_under_the_lowest_digit_limit(message, value):
+    # 640 is the lowest limit int() allows; every plain int still spells
+    # and reads back, and a wider one that does not is refused by encode
+    wider = ConversationMessage(IN_SESSION, "c1", "A", "B", "L", (("x", value),))
+    digits = len(str(abs(value)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        check_plain_is_exact(message)
+        check_plain_is_exact(wider)
+        assert is_plain(wider) == (value.bit_length() <= 2000)
+        if digits > 640:
+            with pytest.raises(WireError):
+                encode_message(wider)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 CONFIG = """\
