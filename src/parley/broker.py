@@ -5,9 +5,9 @@ as in AMQP, through an exchange's bindings to every queue whose pattern
 matches the routing key (dot-separated segments; ``*`` matches any one
 segment, any other segment only itself). Patterns are compiled once, when
 they are bound. There is no ``#`` wildcard: binding one is an error.
-The broker never looks inside a body: the conversation runtime sends bytes
-between principals and hands message objects along a principal's own
-queues, and both travel alike. Delivery is synchronous: a queue with a
+The broker never looks inside a body: the conversation runtime sends a
+plain message as the object itself and any other message as its encoded
+bytes, and both travel alike. Delivery is synchronous: a queue with a
 consumer drains in the publisher's thread, calling ``consumer(body,
 headers)`` per item, so a chain of consumer republishes runs to completion
 before publish() returns. Queues without a consumer buffer (body, headers)

@@ -16,11 +16,12 @@ import base64
 import json
 import sys
 import threading
+import time
 from pathlib import Path
 from typing import Dict, List
 
 from . import bench as benchmod
-from .endpoint import ConversationRuntime
+from .endpoint import _DEFAULT_TIMEOUT, ConversationRuntime
 from .fsm import compile as compile_fsm
 from .fsm import to_dot
 from .parser import ParseError, parse_global, parse_local, parse_protocol
@@ -28,7 +29,7 @@ from .printer import serialize
 from .projection import project
 from .protocol import ValidationError
 from .store import ProtocolStore, local_ref
-from .wire import TransportError, load_invitation_config
+from .wire import Timeout, TransportError, load_invitation_config
 
 
 def _read(path: str) -> str:
@@ -145,18 +146,41 @@ def _parse_script(text: str) -> Dict[str, List[tuple]]:
     return plans
 
 
-def _run_plan(endpoint, plan: List[tuple], failures: List[str], role: str) -> None:
+# How often a waiting recv looks whether its peer's script has ended.
+_RECV_POLL = 0.05
+
+
+def _receive(endpoint, peer: str, ended: Dict[str, threading.Event]):
+    """``endpoint.receive(peer)``, except that it gives up once ``peer``'s
+    script has ended with nothing from it queued: delivery is synchronous,
+    so nothing more can arrive. A role with no script has ended. It waits
+    no longer in all than ``receive`` does by default."""
+    deadline = time.monotonic() + _DEFAULT_TIMEOUT
+    while True:
+        done = peer not in ended or ended[peer].is_set()
+        try:
+            return endpoint.receive(peer, timeout=0 if done else _RECV_POLL)
+        except Timeout:
+            if done or time.monotonic() >= deadline:
+                raise
+
+
+def _run_plan(
+    endpoint, plan: List[tuple], failures: List[str], role: str, ended: Dict[str, threading.Event]
+) -> None:
     try:
         for command in plan:
             if command[0] == "send":
                 endpoint.send(command[1], command[2], command[3])
             elif command[0] == "recv":
-                label, _ = endpoint.receive(command[1])
+                label, _ = _receive(endpoint, command[1], ended)
                 print(f"{role} <- {command[1]}: {label}")
             else:
                 endpoint.stop()
     except TransportError as exc:
         failures.append(f"{role}: {exc}")
+    finally:
+        ended[role].set()
 
 
 def cmd_run(args) -> int:
@@ -193,8 +217,11 @@ def cmd_run(args) -> int:
         except TransportError as exc:
             failures.append(f"{role}: {exc}")
     if not failures:
+        ended = {role: threading.Event() for role in plans}
         threads = [
-            threading.Thread(target=_run_plan, args=(endpoints[role], plan, failures, role))
+            threading.Thread(
+                target=_run_plan, args=(endpoints[role], plan, failures, role, ended)
+            )
             for role, plan in plans.items()
         ]
         for worker in threads:

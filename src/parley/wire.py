@@ -7,32 +7,18 @@ bytes) and a value; bytes travel base64-encoded. ``extras`` is a flat
 string-to-string map used for invitation attributes. The mediation audit
 tags are not part of the body: mediators stamp them as broker headers.
 
-``encode_message`` writes one canonical form, byte for byte what
-``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` gives:
-
-- no whitespace; object keys in sorted order, ``cid, extras, from, kind,
-  label, payload, to`` at the top, ``name, type, value`` in each payload
-  entry and the extras keys sorted;
-- strings quoted by ``json.encoder.encode_basestring_ascii``, so the bytes
-  are ASCII: quotes and backslashes are escaped, and so is every character
-  outside printable ASCII, as ``\\n`` and the like where JSON has a short
-  form and as ``\\uXXXX`` (a surrogate pair above U+FFFF) otherwise;
-- ints as ``int.__repr__`` spells them, bools as ``true`` and ``false``,
-  bytes as a base64 string with padding, whose bytes go into the output
-  without a detour through ``str``.
-
-It refuses with ``WireError`` exactly the messages that could not come back
-from ``decode_message``: a non-string ``cid``, ``from``, ``to`` or
-``label``, an unknown ``kind``, a payload that is not a tuple of
-(name, value) pairs, a payload name that is not a string or appears twice, a
-value that is not str, int, bool or bytes or an int with more digits than
-``int()`` converts, and extras that are not (key, value) string pairs or
-name a key twice. So ``decode_message(encode_message(m)) == m`` for every
-``m`` that encodes.
+``encode_message`` writes ``json.dumps(doc, sort_keys=True,
+separators=(",", ":"))`` of that object, and lets ``decode_message`` judge
+it: a message whose bytes do not decode back to the same seven fields,
+field for field, is refused with ``WireError``, as is one ``json`` cannot
+write. So ``decode_message(encode_message(m))`` equals ``m`` field for field
+for every ``m`` that encodes; it is an exact ``ConversationMessage`` even if
+``m`` is a subclass.
 
 ``decode_message`` is total: any bytes yield a message or raise
 ``WireError``, and any value that is not bytes raises ``WireError``. It
-accepts any JSON spelling of a message, not only the canonical one.
+accepts any JSON spelling of a message, not only the one ``encode_message``
+writes.
 
 A message that ``is_plain`` admits, exactly one that encodes and decodes
 back equal type for type, crosses the broker as the object itself, which is
@@ -46,7 +32,6 @@ from __future__ import annotations
 import json
 from base64 import b64decode, b64encode
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Optional, Tuple
 
 
@@ -144,113 +129,44 @@ def _check_payload_value(name: str, value) -> None:
     raise WireError(f"payload field {name!r} has unsupported type {type(value).__name__}")
 
 
-def _check_head(kind, cid, sender, receiver, label) -> None:
-    """The checks on a message's scalar fields, shared by encode and decode."""
-    if kind not in _KINDS:
-        raise WireError(f"unknown message kind {kind!r}")
-    for field, value in (("cid", cid), ("from", sender), ("to", receiver), ("label", label)):
-        if not isinstance(value, str):
-            raise WireError(f"field {field!r} is not a string")
-
-
 # json.loads with no options calls this same method, after a check that
 # only changes the message of one error.
 _decode_json = json.JSONDecoder().decode
 
-# The canonical body; json.dumps with sorted keys and no spaces gives the same.
-_FRAME = '{"cid":%s,"extras":{%s},"from":%s,"kind":%s,"label":%s,"payload":[%s],"to":%s}'
+
+def _tagged(name, value) -> dict:
+    # bool before int: bool is an int subclass.
+    if isinstance(value, bool):
+        tag = "bool"
+    elif isinstance(value, int):
+        tag = "int"
+    elif isinstance(value, str):
+        tag = "string"
+    elif isinstance(value, bytes):
+        tag, value = "bytes", b64encode(value).decode("ascii")
+    else:
+        raise WireError(f"payload field {name!r} has unsupported type {type(value).__name__}")
+    return {"name": name, "type": tag, "value": value}
 
 
 def encode_message(message: ConversationMessage) -> bytes:
-    kind, cid, sender, receiver, label = (
-        message.kind,
-        message.cid,
-        message.sender,
-        message.receiver,
-        message.label,
-    )
-    if not (
-        kind in _KINDS
-        and isinstance(cid, str)
-        and isinstance(sender, str)
-        and isinstance(receiver, str)
-        and isinstance(label, str)
-    ):
-        _check_head(kind, cid, sender, receiver, label)
-    payload = message.payload
-    if type(payload) is not tuple:
-        raise WireError("payload is not a tuple")
-    entries = ""
-    blobs = []  # base64 of the bytes values, spliced in at the NUL marks
-    if payload:
-        texts = []
-        names = set()
-        for entry in payload:
-            if type(entry) is not tuple or len(entry) != 2:
-                raise WireError("payload entry is not a (name, value) pair")
-            name, value = entry
-            if not isinstance(name, str):
-                raise WireError("payload field name is not a string")
-            if name in names:
-                raise WireError(f"payload field {name!r} appears twice")
-            names.add(name)
-            # bool before int: bool is an int subclass.
-            if value is True:
-                typed = '"bool","value":true'
-            elif value is False:
-                typed = '"bool","value":false'
-            elif isinstance(value, str):
-                typed = '"string","value":' + _quote(value)
-            elif isinstance(value, int):
-                try:
-                    typed = '"int","value":' + int.__repr__(value)
-                except ValueError:  # more digits than int() converts back
-                    raise WireError(f"field {name!r} has too many digits") from None
-            elif isinstance(value, bytes):
-                # A NUL marks the spot: quoted text escapes every control
-                # character, so no other NUL is written.
-                typed = '"bytes","value":"\0"'
-                blobs.append(b64encode(value))
-            else:
-                raise WireError(
-                    f"payload field {name!r} has unsupported type {type(value).__name__}"
-                )
-            texts.append('{"name":' + _quote(name) + ',"type":' + typed + "}")
-        entries = ",".join(texts)
-    extras = message.extras
-    pairs = ""
-    if extras:
-        texts = []
-        last = None
-        # Sorted at construction, so a repeated key sits next to its twin.
-        for entry in extras:
-            if type(entry) is not tuple or len(entry) != 2:
-                raise WireError("extras entry is not a (key, value) pair")
-            key, value = entry
-            if not (isinstance(key, str) and isinstance(value, str)):
-                raise WireError("extras must map strings to strings")
-            if key == last:
-                raise WireError(f"extras key {key!r} appears twice")
-            last = key
-            texts.append(_quote(key) + ":" + _quote(value))
-        pairs = ",".join(texts)
-    text = _FRAME % (
-        _quote(cid),
-        pairs,
-        _quote(sender),
-        _quote(kind),
-        _quote(label),
-        entries,
-        _quote(receiver),
-    )
-    data = text.encode("ascii")
-    if blobs:
-        # One copy of each base64 value, straight into the output bytes.
-        parts = data.split(b"\0")
-        spliced = [parts[0]]
-        for blob, part in zip(blobs, parts[1:]):
-            spliced += (blob, part)
-        data = b"".join(spliced)
+    try:
+        doc = {
+            "kind": message.kind,
+            "cid": message.cid,
+            "from": message.sender,
+            "to": message.receiver,
+            "label": message.label,
+            "payload": [_tagged(name, value) for name, value in message.payload],
+            "extras": dict(message.extras),
+        }
+        data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise WireError(f"unencodable message: {exc}") from None
+    back = decode_message(data)
+    for field in ("kind", "cid", "sender", "receiver", "label", "payload", "extras"):
+        if getattr(back, field) != getattr(message, field):
+            raise WireError(f"field {field!r} does not survive the wire")
     return data
 
 
@@ -277,14 +193,11 @@ def decode_message(data: bytes) -> ConversationMessage:
         extras = doc["extras"]
     except KeyError as exc:
         raise WireError(f"message lacks field {exc.args[0]!r}") from None
-    if not (
-        kind in _KINDS
-        and type(cid) is str
-        and type(sender) is str
-        and type(receiver) is str
-        and type(label) is str
-    ):
-        _check_head(kind, cid, sender, receiver, label)
+    if kind not in _KINDS:
+        raise WireError(f"unknown message kind {kind!r}")
+    for field, value in (("cid", cid), ("from", sender), ("to", receiver), ("label", label)):
+        if type(value) is not str:
+            raise WireError(f"field {field!r} is not a string")
     if type(raw_payload) is not list:
         raise WireError("payload is not a list")
     payload = ()
@@ -398,15 +311,6 @@ class InvitationEntry:
 @dataclass(frozen=True)
 class InvitationConfig:
     entries: Tuple[InvitationEntry, ...]
-
-    def entry_for_role(self, role: str) -> Optional[InvitationEntry]:
-        for entry in self.entries:
-            if entry.role == role:
-                return entry
-        return None
-
-    def entries_for_principal(self, principal: str) -> list:
-        return [e for e in self.entries if e.principal == principal]
 
     def roles(self) -> set:
         return {e.role for e in self.entries}

@@ -159,7 +159,7 @@ def test_run_polling_with_bytes_payload(workdir, capsys):
 
 
 def test_run_flags_protocol_violation(workdir, capsys):
-    # no recv in the script: the send is dropped, a waiting peer would stall
+    # U's monitor drops the send, and no recv waits for it
     script = workdir / "bad.script"
     script.write_text("send U A Poll\n")
     code = main([
@@ -170,6 +170,24 @@ def test_run_flags_protocol_violation(workdir, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "violation:" in captured.err
+    assert "U: violated" in captured.out
+
+
+def test_run_stops_waiting_once_the_peer_script_has_ended(workdir, capsys):
+    # U's monitor drops the Poll and U's script ends, so nothing more can
+    # reach A: its recv gives up at once instead of after the full timeout
+    script = workdir / "bad.script"
+    script.write_text("send U A Poll\nrecv A U\n")
+    began = time.monotonic()
+    code = main([
+        "run", str(workdir / "daq.scr"),
+        "--config", str(workdir / "daq.yml"),
+        "--script", str(script),
+    ])
+    assert time.monotonic() - began < 5
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: A: nothing from U" in captured.err
     assert "U: violated" in captured.out
 
 

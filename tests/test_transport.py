@@ -856,7 +856,7 @@ def test_node_allocates_only_its_mediator_queues(daq_store, case):
 
 
 def test_make_invitation_config_uses_reference_convention(daq_config):
-    entry = daq_config.entry_for_role("I")
+    (entry,) = [e for e in daq_config.entries if e.role == "I"]
     assert entry.principal == "instr"
     assert entry.capability == local_ref("DataAquisition", "I")
     assert daq_config.roles() == {"U", "A", "I"}
@@ -1103,6 +1103,21 @@ def shape(message):
         [(type(name), name, type(value), value) for name, value in message.payload],
         [(type(key), key, type(value), value) for key, value in message.extras],
     )
+
+
+class Message(ConversationMessage):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_a_message_subclass_reaches_the_receiver_as_a_message(daq_store, daq_config, case):
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    sent = Message(IN_SESSION, cid, "U", "A", "Request", (("info", "x"),))
+    runtime.broker.push("mq.out.user", sent)
+    assert runtime.dropped == [] and runtime.mediation_violations == []
+    [got] = a._buckets["U"]
+    assert shape(got) == (ConversationMessage,) + shape(sent)[1:]
+    assert a.receive("U") == ("Request", {"info": "x"})
 
 
 plain_text = st.text(max_size=8)

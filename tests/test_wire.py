@@ -16,6 +16,7 @@ from parley.wire import (
     ConversationMessage,
     IncompleteConfig,
     InvitationConfig,
+    InvitationEntry,
     X_PRINCIPAL,
     X_ROLE,
     WireError,
@@ -316,6 +317,15 @@ def test_a_subclass_of_the_message_is_not_plain():
     assert not is_plain(Message(IN_SESSION, "c1", "A", "B", "L"))
 
 
+def test_a_subclass_of_the_message_round_trips_field_for_field():
+    message = Message(
+        INVITATION, "c1", "A", "B", "L", (("n", 7), ("b", b"\x00")), ((X_ROLE, "U"),)
+    )
+    again = decode_message(encode_message(message))
+    assert again != message  # the dataclass compares classes too
+    assert shape(again) == (ConversationMessage,) + shape(message)[1:]
+
+
 @given(valid_messages)
 def test_decoded_messages_are_plain(message):
     assert is_plain(message)
@@ -376,6 +386,21 @@ def test_encode_refuses_or_round_trips(message):
     assert decode_message(wire) == message
 
 
+def nested(depth):
+    """A list nested ``depth`` lists deep."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def looped():
+    """A list that contains itself."""
+    value = []
+    value.append(value)
+    return value
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -397,6 +422,10 @@ def test_encode_refuses_or_round_trips(message):
         dict(extras=((5, "v"),)),
         dict(extras=(("k", "v", "w"),)),
         dict(extras=(("principal", "agg"), ("principal", "instr"))),
+        dict(extras=((["k"], "v"),)),
+        dict(payload=None),
+        dict(label=nested(100_000)),
+        dict(label=looped()),
     ],
 )
 def test_encode_refuses_what_decode_cannot_give_back(fields):
@@ -532,11 +561,8 @@ def test_parse_invitation_config():
     config = parse_invitation_config(CONFIG)
     assert isinstance(config, InvitationConfig)
     assert config.roles() == {"U", "A", "I"}
-    entry = config.entry_for_role("A")
-    assert entry.principal == "bob"
-    assert entry.capability == "DataAquisition_A.scr"
-    assert config.entry_for_role("Z") is None
-    assert [e.role for e in config.entries_for_principal("bob")] == ["A", "I"]
+    assert config.entries[1] == InvitationEntry("A", "bob", "DataAquisition_A.scr")
+    assert [e.principal for e in config.entries] == ["alice", "bob", "bob"]
 
 
 def test_underscore_key_variants_accepted():
@@ -546,7 +572,7 @@ def test_underscore_key_variants_accepted():
         "    principal_name: alice\n"
         "    local_capability: P_U.scr\n"
     )
-    assert config.entry_for_role("U").capability == "P_U.scr"
+    assert config.entries == (InvitationEntry("U", "alice", "P_U.scr"),)
 
 
 @pytest.mark.parametrize(
