@@ -13,6 +13,14 @@ headers)`` per item, so a chain of consumer republishes runs to completion
 before publish() returns. Queues without a consumer buffer (body, headers)
 pairs until one is attached.
 
+Each exchange keeps a route table: the queues a routing key reached, in
+binding order, filled from the matcher scan on the key's first publish, so
+later publishes of that key run no matcher. A key that reaches no queue is
+not cached. The table is emptied whenever the exchange's bindings change (a
+bind, the deletion of a queue bound to it) and goes with the exchange. It is
+also emptied when it holds ``ROUTE_CAP`` keys and another is to go in, so a
+publisher inventing keys cannot grow it without bound.
+
 Deleting a queue drops its items and its own bindings, which each queue
 indexes, so the cost does not grow with the number of exchanges. An exchange
 lives until ``delete_exchange`` is called on it with nothing bound.
@@ -33,6 +41,9 @@ Headers = Mapping[str, str]
 Consumer = Callable[[object, Headers], None]
 
 NO_HEADERS: Headers = MappingProxyType({})
+
+# Routing keys one exchange's route table holds before it is cleared.
+ROUTE_CAP = 64
 
 
 class BrokerError(Exception):
@@ -75,13 +86,17 @@ class Broker:
         self._lock = threading.RLock()
         # exchange name -> [(pattern, queue name, matcher)]
         self._exchanges: Dict[str, List[tuple]] = {}
+        # exchange name -> {routing key: names of the queues it reaches}
+        self._routes: Dict[str, Dict[str, tuple]] = {}
         self._queues: Dict[str, _Queue] = {}
 
     # --- topology ---------------------------------------------------------
 
     def declare_exchange(self, name: str) -> None:
         with self._lock:
-            self._exchanges.setdefault(name, [])
+            if name not in self._exchanges:
+                self._exchanges[name] = []
+                self._routes[name] = {}
 
     def declare_queue(self, name: str) -> None:
         with self._lock:
@@ -96,6 +111,7 @@ class Broker:
                 return
             for exchange, binding in q.bindings:
                 self._exchanges[exchange].remove(binding)
+                self._routes[exchange].clear()
             q.consumer = None  # ends a drain of this queue in progress
 
     def delete_exchange(self, name: str) -> None:
@@ -107,6 +123,7 @@ class Broker:
         with self._lock:
             if name in self._exchanges and not self._exchanges[name]:
                 del self._exchanges[name]
+                del self._routes[name]
 
     def bind(self, exchange: str, pattern: str, queue: str) -> None:
         with self._lock:
@@ -120,6 +137,7 @@ class Broker:
                 binding = (pattern, queue, compile_pattern(pattern))
                 bindings.append(binding)
                 q.bindings.append((exchange, binding))
+                self._routes[exchange].clear()
 
     def set_consumer(self, queue: str, consumer: Optional[Consumer]) -> None:
         """Attach or detach a consumer; attaching drains buffered items."""
@@ -140,12 +158,18 @@ class Broker:
 
         Returns the number of queues that received it.
         """
-        key = routing_key.split(".")
         with self._lock:
-            bindings = self._exchanges.get(exchange)
-            if bindings is None:
+            routes = self._routes.get(exchange)
+            if routes is None:
                 raise BrokerError(f"unknown exchange {exchange!r}")
-            hits = [queue for _, queue, matches in bindings if matches(key)]
+            hits = routes.get(routing_key)
+            if hits is None:
+                key = routing_key.split(".")
+                hits = tuple(q for _, q, matches in self._exchanges[exchange] if matches(key))
+                if hits:
+                    if len(routes) >= ROUTE_CAP:
+                        routes.clear()
+                    routes[routing_key] = hits
             for name in hits:
                 self.push(name, body, headers)
             return len(hits)

@@ -61,6 +61,12 @@ claimed; ``close()`` does so for every conversation.
 Completion alone releases nothing, since ``receive`` and ``status`` still
 read the completed session until the endpoint stops.
 
+Inbox hand-off. The inbox consumer files each message under its sender's
+role, or hands it to a callback registered by ``receive_async``, under the
+endpoint's plain lock, which ``receive`` takes too. It wakes receivers only
+while one waits: delivery is synchronous, so in a single-threaded exchange
+the message is filed before its receiver asks and nobody is woken.
+
 Three mediation cases exist: ``monitor`` (full FSM checking), ``forwarder``
 (mediation and tagging without any checking; the benchmark baseline), and
 ``none`` (endpoints bind straight to the conversation exchange).
@@ -406,7 +412,14 @@ class Endpoint:
         self.role: Optional[str] = None
         self.roles: tuple = ()
         self.callback_errors: List[BaseException] = []
-        self._cond = threading.Condition()
+        self._outbound = outbound_queue(self.principal)
+        # Delivery and ``receive`` take the plain lock. The condition on it
+        # is built only when a receive first has to wait, since building one
+        # on a plain lock costs more than the rest of this constructor; it
+        # is notified only while ``_waiting`` says a receiver waits.
+        self._lock = threading.Lock()
+        self._cond: Optional[threading.Condition] = None
+        self._waiting = 0
         self._buckets: Dict[str, deque] = {}
         self._callbacks: Dict[str, object] = {}
         self._stopped = False
@@ -467,7 +480,7 @@ class Endpoint:
             if runtime.case == NONE:
                 runtime.accept_invitation(node, invitation)
             else:
-                runtime.broker.push(outbound_queue(self.principal), invitation)
+                runtime.broker.push(self._outbound, invitation)
         # Delivery is synchronous, so the creator's own invitation has been
         # accepted or refused by now. It takes that one, not an older one to
         # the same role from another session, which stays queued for ``join``.
@@ -550,14 +563,14 @@ class Endpoint:
             body = message if is_plain(message) else encode_message(message)
             runtime.broker.publish(f"s.{self.cid}", key, body)
         else:
-            runtime.broker.push(outbound_queue(self.principal), message)
+            runtime.broker.push(self._outbound, message)
 
     def receive(self, from_role: str, timeout: Optional[float] = None):
         """Next message from ``from_role`` as (label, payload dict); blocks."""
         self._require_joined()
         self._check_peer(from_role)
         deadline = time.monotonic() + (timeout if timeout is not None else _DEFAULT_TIMEOUT)
-        with self._cond:
+        with self._lock:
             while True:
                 bucket = self._buckets.get(from_role)
                 if bucket:
@@ -570,13 +583,19 @@ class Endpoint:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise Timeout(f"nothing from {from_role}")
-                self._cond.wait(remaining)
+                if self._cond is None:
+                    self._cond = threading.Condition(self._lock)
+                self._waiting += 1
+                try:
+                    self._cond.wait(remaining)
+                finally:
+                    self._waiting -= 1
 
     def receive_async(self, from_role: str, callback) -> None:
         """Register a one-shot callback for the next message from ``from_role``."""
         self._require_joined()
         self._check_peer(from_role)
-        with self._cond:
+        with self._lock:
             if from_role in self._callbacks:
                 raise DuplicateRegistration(f"a callback already waits on {from_role}")
             bucket = self._buckets.get(from_role)
@@ -594,14 +613,15 @@ class Endpoint:
         idempotent. Pending receives unblock, and ``status`` goes on reporting
         the status the session had when it stopped."""
         ended = self.status()
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 return
             self._stopped = True
             self._ended = ended
             self._callbacks.clear()
             self._buckets.clear()
-            self._cond.notify_all()
+            if self._waiting:
+                self._cond.notify_all()
         if self.cid is not None:
             self.node.joined.pop(self.cid, None)
             self.runtime.release(self.node, self.cid, self.role)
@@ -638,7 +658,7 @@ class Endpoint:
                     queue, "missing or forged mediation tags", message
                 )
                 return
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 return
             callback = self._callbacks.pop(message.sender, None)
@@ -646,7 +666,8 @@ class Endpoint:
                 self._dispatch(callback, message)
                 return
             self._buckets.setdefault(message.sender, deque()).append(message)
-            self._cond.notify_all()
+            if self._waiting:
+                self._cond.notify_all()
 
     def _dispatch(self, callback, message: ConversationMessage) -> None:
         if self._tasks is None:

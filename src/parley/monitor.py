@@ -276,7 +276,8 @@ class Monitor:
         state = self.sessions.get(key)
         if state is None:
             verdict = MonitorVerdict(False, UNKNOWN_SESSION, f"no session {key}")
-            self._record(message, role, verdict)
+            if self.record_trace:
+                self._record(message, role, verdict)
             return verdict
 
         triple = (message.label, message.sender, message.receiver)
@@ -287,7 +288,8 @@ class Monitor:
             verdict = self._fire(state, message, *hit)
         if not verdict.ok:
             state.status = VIOLATED
-        self._record(message, role, verdict)
+        if self.record_trace:
+            self._record(message, role, verdict)
         return verdict
 
     def _fire(self, state: SessionState, message, tid: int, value) -> MonitorVerdict:
@@ -312,8 +314,10 @@ class Monitor:
                     )
                     return MonitorVerdict(False, ASSERTION_FAILED, detail)
             state.env.update(bound)
-        state.run.fire(tid, value.next_state)
-        self._refresh_status(state)
+        run = state.run
+        run.fire(tid, value.next_state)
+        if state.status != VIOLATED:
+            state.status = ACTIVE if run.open else COMPLETED
         return ACCEPT
 
     def _miss(self, state: SessionState, triple) -> MonitorVerdict:
@@ -340,8 +344,6 @@ class Monitor:
         state.status = COMPLETED if state.run.complete else ACTIVE
 
     def _record(self, message, role: str, verdict: MonitorVerdict) -> None:
-        if not self.record_trace:
-            return
         self.trace.append(
             TraceEntry(
                 cid=message.cid,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parley.broker import NO_HEADERS, Broker, BrokerError, compile_pattern
+from parley.broker import NO_HEADERS, ROUTE_CAP, Broker, BrokerError, compile_pattern
 
 
 def reference_matches(pattern, key):
@@ -255,3 +255,78 @@ def test_delete_exchange_only_when_unbound():
         broker.publish("ex", "a", b"x")
     broker.delete_exchange("ex")  # unknown now: a no-op
     broker.delete_queue("q")  # unknown now: a no-op
+
+
+# --- route tables -------------------------------------------------------------
+
+
+def routed(broker, exchange):
+    """The routing keys cached in an exchange's route table."""
+    return set(broker._routes[exchange])
+
+
+def test_a_cached_key_reaches_a_queue_bound_after_it():
+    broker = Broker()
+    broker.declare_exchange("ex")
+    for name in ("q1", "q2"):
+        broker.declare_queue(name)
+    broker.bind("ex", "a.*", "q1")
+    assert broker.publish("ex", "a.b", b"x") == 1
+    assert routed(broker, "ex") == {"a.b"}
+    broker.bind("ex", "*.b", "q2")
+    assert broker.publish("ex", "a.b", b"y") == 2
+    assert broker.pending("q1") == 2
+    assert broker.pending("q2") == 1
+
+
+def test_a_cached_key_stops_reaching_a_deleted_queue():
+    broker = Broker()
+    broker.declare_exchange("ex")
+    for name in ("q1", "q2"):
+        broker.declare_queue(name)
+        broker.bind("ex", "a.*", name)
+    assert broker.publish("ex", "a.b", b"x") == 2
+    broker.delete_queue("q1")
+    assert broker.publish("ex", "a.b", b"y") == 1
+    assert broker.pending("q2") == 2
+    broker.delete_queue("q2")
+    assert broker.publish("ex", "a.b", b"z") == 0
+
+
+def test_delete_exchange_drops_its_route_table():
+    broker = Broker()
+    broker.declare_exchange("ex")
+    broker.declare_queue("q")
+    broker.bind("ex", "a", "q")
+    broker.publish("ex", "a", b"x")
+    broker.delete_queue("q")
+    broker.delete_exchange("ex")
+    assert "ex" not in broker._routes
+    broker.declare_exchange("ex")  # declared again, it starts with no routes
+    assert routed(broker, "ex") == set()
+    assert broker.publish("ex", "a", b"x") == 0
+
+
+def test_a_key_that_reaches_nothing_is_not_cached():
+    broker = Broker()
+    broker.declare_exchange("ex")
+    broker.declare_queue("q")
+    broker.bind("ex", "a.*", "q")
+    assert broker.publish("ex", "b.c", b"x") == 0
+    assert broker.publish("ex", "a", b"x") == 0
+    assert routed(broker, "ex") == set()
+
+
+def test_a_flood_of_keys_leaves_the_route_table_bounded():
+    broker = Broker()
+    broker.declare_exchange("ex")
+    broker.declare_queue("q")
+    broker.bind("ex", "c.*.r", "q")
+    got = []
+    broker.set_consumer("q", bodies(got))
+    sizes = set()
+    for n in range(10_000):
+        assert broker.publish("ex", f"c.{n}.r", n) == 1
+        sizes.add(len(broker._routes["ex"]))
+    assert got == list(range(10_000))
+    assert max(sizes) == ROUTE_CAP

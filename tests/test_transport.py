@@ -8,11 +8,13 @@ only where blocking behaviour itself is under test.
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parley.broker as broker_mod
 import parley.endpoint as endpoint_mod
 from parley.bench import pingpong_source
 from parley.endpoint import (
@@ -872,6 +874,7 @@ def held(runtime):
         "queues": len(broker._queues),
         "exchanges": len(broker._exchanges),
         "bindings": sum(len(b) for b in broker._exchanges.values()),
+        "routes": len(broker._routes),  # route tables, one per live exchange
         "sessions": sum(
             len(node.monitor.sessions) for node in runtime._nodes.values() if node.monitor
         ),
@@ -1359,3 +1362,113 @@ def test_stop_inside_a_callback_lets_the_callback_finish(daq_store, daq_config, 
     assert a.callback_errors == []
     assert cid not in runtime.node("agg").cids
     assert inbox_queue("agg", cid) not in runtime.broker._queues
+
+
+# --- per-message work ----------------------------------------------------------
+
+
+def test_a_pingpong_session_scans_each_key_once_and_wakes_nobody(monkeypatch):
+    # one thread drives 1000 rounds under Monitor: each exchange runs its
+    # bindings' matchers once per routing key, and since delivery is
+    # synchronous no receiver ever waits, so no condition is notified
+    runs = Counter()  # (binding's matcher, routing key) -> runs
+    compile_pattern = broker_mod.compile_pattern
+
+    def counted_pattern(pattern):
+        matches = compile_pattern(pattern)
+
+        def counted(key):
+            runs[counted, ".".join(key)] += 1
+            return matches(key)
+
+        return counted
+
+    idle = []  # conditions notified while nothing waited on them
+
+    class CountingCondition(threading.Condition):
+        waiting = 0
+
+        def wait(self, timeout=None):
+            self.waiting += 1
+            try:
+                return super().wait(timeout)
+            finally:
+                self.waiting -= 1
+
+        def notify_all(self):
+            if not self.waiting:
+                idle.append(self)
+            super().notify_all()
+
+    monkeypatch.setattr(broker_mod, "compile_pattern", counted_pattern)
+    monkeypatch.setattr(threading, "Condition", CountingCondition)
+    store = ProtocolStore()
+    pingpong = parse_global(pingpong_source())
+    store.register_global(pingpong)
+    store.register_projections(pingpong)
+    runtime = ConversationRuntime(store, case=MONITOR, record_trace=False)
+    server = runtime.endpoint("srv")
+    cid = server.create("PingPong", make_invitation_config("PingPong", {"S": "srv", "C": "cli"}))
+    client = runtime.endpoint("cli").join("C")
+    idle.clear()  # session setup queues invitations that nobody waits for
+    for _ in range(1000):
+        server.send("C", "OK")
+        assert client.receive("S") == ("OK", {})
+        client.send("S", "ACK")
+        assert server.receive("C") == ("ACK", {})
+    server.send("C", "KO")
+    assert client.receive("S") == ("KO", {})
+    assert server.status() == client.status() == "completed"
+    assert runtime.dropped == [] and runtime.mediation_violations == []
+    assert idle == []
+    assert {key for _, key in runs} == {"srv", "cli", f"{cid}.S.C", f"{cid}.C.S"}
+    assert max(runs.values()) == 1
+
+
+def wait_until(test, seconds=5):
+    deadline = time.monotonic() + seconds
+    while not test():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_a_blocked_receive_wakes_when_its_message_arrives(daq_store, daq_config, case):
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    got = []
+    waiter = threading.Thread(
+        target=lambda: got.append((a.receive("U", timeout=5), time.monotonic()))
+    )
+    waiter.start()
+    wait_until(lambda: a._waiting == 1)
+    sent = time.monotonic()
+    u.send("A", "Request", {"info": "x"})
+    waiter.join(timeout=5)
+    [(message, woke)] = got
+    assert message == ("Request", {"info": "x"})
+    assert woke - sent < 1
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_receivers_blocked_on_two_peers_each_get_their_own(daq_store, daq_config, case):
+    # U's message wakes both receivers; the one waiting on I waits again
+    # and is woken by I's message
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    got = {}
+
+    def receive(peer):
+        got[peer] = a.receive(peer, timeout=5)
+
+    waiters = [threading.Thread(target=receive, args=(peer,)) for peer in ("U", "I")]
+    for waiter in waiters:
+        waiter.start()
+    wait_until(lambda: a._waiting == 2)
+    u.send("A", "Request", {"info": "x"})
+    wait_until(lambda: "U" in got)
+    a.send("I", "Request", {"info": "y"})
+    assert i.receive("A") == ("Request", {"info": "y"})
+    i.send("A", "NotSupported")
+    for waiter in waiters:
+        waiter.join(timeout=5)
+    assert got == {"U": ("Request", {"info": "x"}), "I": ("NotSupported", {})}
+    assert runtime.dropped == [] and runtime.mediation_violations == []
