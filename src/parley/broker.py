@@ -1,10 +1,12 @@
-"""In-process message broker with topic exchanges and named queues.
+"""In-process message broker with direct exchanges and named queues.
 
 Publishing routes an opaque body, with an optional map of headers beside it
-as in AMQP, through an exchange's bindings to every queue whose pattern
-matches the routing key (dot-separated segments; ``*`` matches any one
-segment, any other segment only itself). Patterns are compiled once, when
-they are bound. There is no ``#`` wildcard: binding one is an error.
+as in AMQP, through an exchange to every queue bound under exactly its
+routing key, in binding order. A key is bound literally: a binding key with
+a ``*`` or ``#`` segment is an error, so a key written for a wildcard fails
+when it is bound instead of matching less. Each exchange is a map from
+routing key to the queues bound under it, so a publish is one lookup and a
+key that nothing is bound under is never stored.
 The broker never looks inside a body: the conversation runtime sends a
 plain message as the object itself and any other message as its encoded
 bytes, and both travel alike. Delivery is synchronous: a queue with a
@@ -13,17 +15,10 @@ headers)`` per item, so a chain of consumer republishes runs to completion
 before publish() returns. Queues without a consumer buffer (body, headers)
 pairs until one is attached.
 
-Each exchange keeps a route table: the queues a routing key reached, in
-binding order, filled from the matcher scan on the key's first publish, so
-later publishes of that key run no matcher. A key that reaches no queue is
-not cached. The table is emptied whenever the exchange's bindings change (a
-bind, the deletion of a queue bound to it) and goes with the exchange. It is
-also emptied when it holds ``ROUTE_CAP`` keys and another is to go in, so a
-publisher inventing keys cannot grow it without bound.
-
 Deleting a queue drops its items and its own bindings, which each queue
-indexes, so the cost does not grow with the number of exchanges. An exchange
-lives until ``delete_exchange`` is called on it with nothing bound.
+indexes, so the cost does not grow with the number of exchanges; a key left
+with no queue goes too. An exchange lives until ``delete_exchange`` is
+called on it with nothing bound.
 
 Headers are shared by every queue a publish reaches and must be treated as
 read-only; a consumer that forwards with more headers builds a new map.
@@ -33,7 +28,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional
 
@@ -41,9 +35,6 @@ Headers = Mapping[str, str]
 Consumer = Callable[[object, Headers], None]
 
 NO_HEADERS: Headers = MappingProxyType({})
-
-# Routing keys one exchange's route table holds before it is cleared.
-ROUTE_CAP = 64
 
 
 class BrokerError(Exception):
@@ -57,46 +48,22 @@ class _Queue:
         self.name = name
         self.items: deque = deque()  # (body, headers)
         self.consumer: Optional[Consumer] = None
-        # (exchange name, binding) for each binding of this queue
+        # (exchange name, routing key) for each binding of this queue
         self.bindings: List[tuple] = []
-
-
-def compile_pattern(pattern: str) -> Callable[[List[str]], bool]:
-    """Compile a binding pattern to a test on a routing key's segments.
-
-    Raises BrokerError for a ``#`` segment, so that a pattern written for a
-    multi-segment wildcard fails when it is bound instead of matching less.
-    """
-    segments = pattern.split(".")
-    if "#" in segments:
-        raise BrokerError(f"pattern {pattern!r}: '#' is not supported, only '*'")
-    if "*" not in segments:
-        return lambda key: key == segments
-    count = len(segments)
-    literal = [i for i, s in enumerate(segments) if s != "*"]
-    if not literal:
-        return lambda key: len(key) == count
-    pick = itemgetter(*literal)
-    want = pick(segments)
-    return lambda key: len(key) == count and pick(key) == want
 
 
 class Broker:
     def __init__(self):
         self._lock = threading.RLock()
-        # exchange name -> [(pattern, queue name, matcher)]
-        self._exchanges: Dict[str, List[tuple]] = {}
-        # exchange name -> {routing key: names of the queues it reaches}
-        self._routes: Dict[str, Dict[str, tuple]] = {}
+        # exchange name -> {routing key: names of the queues bound under it}
+        self._exchanges: Dict[str, Dict[str, tuple]] = {}
         self._queues: Dict[str, _Queue] = {}
 
     # --- topology ---------------------------------------------------------
 
     def declare_exchange(self, name: str) -> None:
         with self._lock:
-            if name not in self._exchanges:
-                self._exchanges[name] = []
-                self._routes[name] = {}
+            self._exchanges.setdefault(name, {})
 
     def declare_queue(self, name: str) -> None:
         with self._lock:
@@ -109,9 +76,13 @@ class Broker:
             q = self._queues.pop(name, None)
             if q is None:
                 return
-            for exchange, binding in q.bindings:
-                self._exchanges[exchange].remove(binding)
-                self._routes[exchange].clear()
+            for exchange, key in q.bindings:
+                keys = self._exchanges[exchange]
+                rest = tuple(bound for bound in keys[key] if bound != name)
+                if rest:
+                    keys[key] = rest
+                else:
+                    del keys[key]
             q.consumer = None  # ends a drain of this queue in progress
 
     def delete_exchange(self, name: str) -> None:
@@ -121,23 +92,28 @@ class Broker:
         when it goes.
         """
         with self._lock:
-            if name in self._exchanges and not self._exchanges[name]:
+            if self._exchanges.get(name) == {}:
                 del self._exchanges[name]
-                del self._routes[name]
 
     def bind(self, exchange: str, pattern: str, queue: str) -> None:
+        """Bind ``queue`` under the literal routing key ``pattern``.
+
+        Raises BrokerError for a key with a ``*`` or ``#`` segment.
+        """
         with self._lock:
-            bindings = self._exchanges.get(exchange)
-            if bindings is None:
+            keys = self._exchanges.get(exchange)
+            if keys is None:
                 raise BrokerError(f"unknown exchange {exchange!r}")
             q = self._queues.get(queue)
             if q is None:
                 raise BrokerError(f"unknown queue {queue!r}")
-            if not any(b[0] == pattern and b[1] == queue for b in bindings):
-                binding = (pattern, queue, compile_pattern(pattern))
-                bindings.append(binding)
-                q.bindings.append((exchange, binding))
-                self._routes[exchange].clear()
+            segments = pattern.split(".")
+            if "*" in segments or "#" in segments:
+                raise BrokerError(f"key {pattern!r}: exchanges are direct, no wildcards")
+            bound = keys.get(pattern, ())
+            if queue not in bound:
+                keys[pattern] = bound + (queue,)
+                q.bindings.append((exchange, pattern))
 
     def set_consumer(self, queue: str, consumer: Optional[Consumer]) -> None:
         """Attach or detach a consumer; attaching drains buffered items."""
@@ -154,22 +130,15 @@ class Broker:
     def publish(
         self, exchange: str, routing_key: str, body: object, headers: Optional[Headers] = None
     ) -> int:
-        """Route a body and its headers to every queue bound to a matching pattern.
+        """Route a body and its headers to every queue bound under ``routing_key``.
 
         Returns the number of queues that received it.
         """
         with self._lock:
-            routes = self._routes.get(exchange)
-            if routes is None:
+            keys = self._exchanges.get(exchange)
+            if keys is None:
                 raise BrokerError(f"unknown exchange {exchange!r}")
-            hits = routes.get(routing_key)
-            if hits is None:
-                key = routing_key.split(".")
-                hits = tuple(q for _, q, matches in self._exchanges[exchange] if matches(key))
-                if hits:
-                    if len(routes) >= ROUTE_CAP:
-                        routes.clear()
-                    routes[routing_key] = hits
+            hits = keys.get(routing_key, ())
             for name in hits:
                 self.push(name, body, headers)
             return len(hits)

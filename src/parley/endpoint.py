@@ -6,10 +6,11 @@ principal's outbound queue ``mq.out.<principal>``, whose consumer is the
 principal's mediator; the mediator checks the message against the
 sender-side session FSM and publishes it onto the conversation's exchange
 with routing key ``<cid>.<from>.<to>``, stamping its audit tag as a broker
-header. Only ``<cid>.*.<role>`` is bound to each participant's mediator
-queue, so the receiver's mediator, and no other, picks the message up next,
-checks it against the receiver-side FSM, adds the second audit tag to the
-headers, and only then pushes the message onto the endpoint's inbox queue.
+header. Each participant's mediator queue is bound under the literal key
+``<cid>.<peer>.<role>`` for each of its peers' roles, so the receiver's
+mediator, and no other, picks the message up next, checks it against the
+receiver-side FSM, adds the second audit tag to the headers, and only then
+pushes the message onto the endpoint's inbox queue.
 Inbox delivery asserts both header tags against the message's sender and
 receiver, and ignores any tags a body carries in its extras, so anything
 injected around the mediators is detected and dropped there.
@@ -28,30 +29,34 @@ principal is not in, and messages whose routing key disagrees with their body
 are recorded in ``mediation_violations`` and dropped; nothing raises back
 into the publisher. So is a message that no queue receives, which the
 sender's mediator learns from the count ``publish`` returns: its receiver has
-stopped, or the receiver's mediator refused the invitation.
+stopped, the receiver's mediator refused the invitation, or the key names no
+peer of the receiver, as a message addressed to its own sender's role does.
 
 Invitations follow the same shape: ``create`` pushes one invitation per
 configured role onto the creator's outbound queue, and its mediator stamps it
 and publishes it onto the shared ``invite`` exchange keyed by principal name.
 Each invitee's mediator initializes the monitor session from the carried
 local-protocol reference and accepts the invitation: it allocates the
-principal's share and queues the invitation, where ``join`` claims it.
-Nothing is sent back. An invitation without its sender's stamp, or with a
-reference the monitor cannot initialize, is recorded in
-``mediation_violations`` before anything is allocated for it, so a pending
-invitation is always an accepted one. In the unmediated case ``create``
-accepts each invitation itself, on the same path. The creator invites itself
-the same way; delivery is synchronous, so ``create`` claims its own
-invitation at once. If its mediator refused it, ``create`` releases the
-shares the other invitees accepted and raises. A principal takes
+principal's share, binds it under one key per peer role of the referenced
+local protocol, and queues the invitation with its role and the protocol's
+roles, where ``join`` claims it. Nothing is sent back. An invitation without
+its sender's stamp, or with a reference the store does not resolve or the
+monitor cannot initialize, is recorded in ``mediation_violations`` before
+anything is allocated for it, so a pending invitation is always an accepted
+one. In the unmediated case ``create`` accepts each invitation itself, on the
+same path, and records a refusal against the inbox it would have allocated.
+The creator invites itself the same way; delivery is synchronous, so
+``create`` claims its own invitation at once. If it was refused, ``create``
+releases the shares the other invitees accepted and raises. A principal takes
 at most one role in a conversation: ``create`` refuses a config that gives it
 two, and its mediator refuses a second invitation to a conversation it is
 already in.
 
 Session lifecycle. Accepting an invitation allocates the principal's share of
 the conversation: the inbox ``in.<principal>.<cid>``, in the mediated cases
-the mediator queue ``mq.s.<principal>.<cid>`` bound to ``s.<cid>`` (in the
-unmediated case the inbox is bound there instead), the monitor session for
+the mediator queue ``mq.s.<principal>.<cid>`` bound to ``s.<cid>`` under its
+r-1 peer keys for a protocol of r roles (in the unmediated case the inbox is
+bound there instead), the monitor session for
 ``(cid, role)`` and the cid in the node's ``cids``. The share is released
 when the endpoint that joined it stops: both queues and their bindings are
 deleted, the monitor session and the cid are dropped, and ``s.<cid>`` is
@@ -139,8 +144,11 @@ class _Node:
     def __init__(self, principal: str, monitor: Optional[Monitor]):
         self.principal = principal
         self.monitor = monitor
-        self.invitations: deque = deque()
+        self.invitations: deque = deque()  # (invitation, role, protocol's roles)
+        # ``join`` waits on the condition, which is notified only while
+        # ``waiting`` says a join waits.
         self.cond = threading.Condition()
+        self.waiting = 0
         self.cids: Set[str] = set()  # conversations this principal holds a share of
         self.joined: Dict[str, "Endpoint"] = {}  # cid -> the endpoint that joined it
 
@@ -281,36 +289,48 @@ class ConversationRuntime:
             except MonitorError as exc:
                 self.note_mediation_violation(queue, f"init_session failed: {exc}", message)
                 return
-        self.accept_invitation(node, message)
+        self.accept_invitation(node, message, queue)
 
-    def accept_invitation(self, node: _Node, invitation: ConversationMessage) -> None:
+    def accept_invitation(self, node: _Node, invitation: ConversationMessage, queue: str) -> None:
         """Allocate the principal's share and queue the invitation for ``join``.
 
         The share is the endpoint inbox and, when mediated, the mediator's
-        session queue, which ``release`` frees. Every case accepts here: the
-        mediator after its checks, ``create`` itself when unmediated.
+        session queue, bound under ``<cid>.<peer>.<role>`` for each peer role
+        of the invitation's local protocol; ``release`` frees it. An
+        invitation whose protocol reference the store does not resolve is
+        recorded against ``queue`` and refused before anything is allocated.
+        Every case accepts here: the mediator after its checks, ``create``
+        itself when unmediated.
         """
-        cid, role = invitation.cid, invitation.extra(X_ROLE)
+        cid, role, ref = invitation.cid, invitation.extra(X_ROLE), invitation.extra(X_PROTOCOL_REF)
+        try:
+            roles = self.store.local(ref).roles
+        except KeyError:
+            self.note_mediation_violation(queue, f"unknown local protocol {ref}", invitation)
+            return
         exchange = f"s.{cid}"
         self.broker.declare_exchange(exchange)
         inbox = inbox_queue(node.principal, cid)
         self.broker.declare_queue(inbox)
         node.cids.add(cid)
         if self.case == NONE:
-            self.broker.bind(exchange, f"{cid}.*.{role}", inbox)
+            target = inbox
         else:
-            mq = f"mq.s.{node.principal}.{cid}"
-            self.broker.declare_queue(mq)
-            self.broker.bind(exchange, f"{cid}.*.{role}", mq)
-            self.broker.set_consumer(mq, partial(self._on_session, node, mq, cid, role))
+            target = f"mq.s.{node.principal}.{cid}"
+            self.broker.declare_queue(target)
+            self.broker.set_consumer(target, partial(self._on_session, node, target, cid, role))
+        for peer in roles:
+            if peer != role:
+                self.broker.bind(exchange, f"{cid}.{peer}.{role}", target)
         with node.cond:
-            node.invitations.append(invitation)
-            node.cond.notify_all()
+            node.invitations.append((invitation, role, roles))
+            if node.waiting:
+                node.cond.notify_all()
 
     def release(self, node: _Node, cid: str, role: str) -> None:
         """Free the principal's share of conversation ``cid``, taken in ``role``.
 
-        Deletes the inbox and the mediator's session queue with its binding,
+        Deletes the inbox and the mediator's session queue with their bindings,
         ends the monitor session, drops the cid, and deletes the session
         exchange once nothing is bound to it. Releasing a share twice does
         nothing more.
@@ -334,14 +354,14 @@ class ConversationRuntime:
         message = self.decode_or_note(queue, body)
         if message is None:
             return
-        # Only the ``<cid>.*.<role>`` binding routes here, so a body addressed
+        # Only keys ``<cid>.<peer>.<role>`` are bound here, so a body addressed
         # to another role or conversation came in under a routing key that
         # disagrees with it.
         if message.receiver != role or message.cid != cid:
             self.note_mediation_violation(
                 queue,
-                f"routing key names {cid}.*.{role}, body is "
-                f"{message.cid}: {message.sender} to {message.receiver}",
+                f"routing key is {cid}.<peer>.{role}, body's is "
+                f"{message.cid}.{message.sender}.{message.receiver}",
                 message,
             )
             return
@@ -380,11 +400,11 @@ class ConversationRuntime:
                 pending = list(node.invitations)
                 node.invitations.clear()
             else:
-                pending = [i for i in node.invitations if i.cid == cid]
-                for invitation in pending:
-                    node.invitations.remove(invitation)
-        for invitation in pending:
-            self.release(node, invitation.cid, invitation.extra(X_ROLE))
+                pending = [p for p in node.invitations if p[0].cid == cid]
+                for share in pending:
+                    node.invitations.remove(share)
+        for invitation, role, _ in pending:
+            self.release(node, invitation.cid, role)
 
 
 def inbox_queue(principal: str, cid: str) -> str:
@@ -478,22 +498,23 @@ class Endpoint:
                 ),
             )
             if runtime.case == NONE:
-                runtime.accept_invitation(node, invitation)
+                inbox = inbox_queue(entry.principal, cid)
+                runtime.accept_invitation(node, invitation, inbox)
             else:
                 runtime.broker.push(self._outbound, invitation)
         # Delivery is synchronous, so the creator's own invitation has been
         # accepted or refused by now. It takes that one, not an older one to
         # the same role from another session, which stays queued for ``join``.
         with self.node.cond:
-            invitation = self._claim(creator_role, cid)
-        if invitation is None:
+            share = self._claim(creator_role, cid)
+        if share is None:
             # The session cannot start: release what the others accepted.
             for entry in config.entries:
                 runtime.withdraw(runtime.node(entry.principal), cid)
             raise TransportError(
                 f"the mediator of {self.principal} refused its invitation to {cid}"
             )
-        self._bind(invitation)
+        self._bind(*share)
         return cid
 
     def join(self, role: str, principal: Optional[str] = None, timeout: Optional[float] = None) -> "Endpoint":
@@ -508,31 +529,32 @@ class Endpoint:
         node = self.node
         with node.cond:
             while True:
-                invitation = self._claim(role, None)
-                if invitation is not None:
+                share = self._claim(role, None)
+                if share is not None:
                     break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise Timeout(f"no invitation for {self.principal}")
-                node.cond.wait(remaining)
-        return self._bind(invitation)
+                node.waiting += 1
+                try:
+                    node.cond.wait(remaining)
+                finally:
+                    node.waiting -= 1
+        return self._bind(*share)
 
-    def _bind(self, invitation: ConversationMessage) -> "Endpoint":
+    def _bind(self, invitation: ConversationMessage, role: str, roles: tuple) -> "Endpoint":
         """Join the conversation of a claimed invitation."""
         self.cid = invitation.cid
-        self.role = invitation.extra(X_ROLE)
-        capability = invitation.extra(X_PROTOCOL_REF)
-        try:
-            self.roles = self.runtime.store.local(capability).roles
-        except KeyError:
-            self.roles = ()
+        self.role = role
+        self.roles = roles
         self.node.joined[self.cid] = self
         inbox = inbox_queue(self.principal, self.cid)
         self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
 
-    def _claim(self, role: str, cid: Optional[str]) -> Optional[ConversationMessage]:
-        """Take the oldest pending invitation that offers ``role``.
+    def _claim(self, role: str, cid: Optional[str]) -> Optional[tuple]:
+        """Take the oldest pending invitation that offers ``role``, as queued:
+        (invitation, role, protocol's roles).
 
         With ``cid`` given, only an invitation to that conversation is taken,
         and None is returned while there is none. Otherwise returns None
@@ -541,12 +563,12 @@ class Endpoint:
         node's condition held.
         """
         pending = self.node.invitations
-        for invitation in pending:
-            if invitation.extra(X_ROLE) == role and cid in (None, invitation.cid):
-                pending.remove(invitation)
-                return invitation
+        for share in pending:
+            if share[1] == role and cid in (None, share[0].cid):
+                pending.remove(share)
+                return share
         if pending and cid is None:
-            raise RoleMismatch(f"invitation offers role {pending[0].extra(X_ROLE)}, not {role}")
+            raise RoleMismatch(f"invitation offers role {pending[0][1]}, not {role}")
         return None
 
     # --- messaging -----------------------------------------------------------
@@ -700,5 +722,5 @@ class Endpoint:
     def _check_peer(self, role: str) -> None:
         if role == self.role:
             raise UnknownPeerRole(f"{role} is this endpoint's own role")
-        if self.roles and role not in self.roles:
+        if role not in self.roles:
             raise UnknownPeerRole(f"{role} is not a role of this conversation")

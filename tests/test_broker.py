@@ -1,30 +1,20 @@
-"""Topic routing, message headers and queue buffering."""
+"""Direct routing, message headers and queue buffering."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parley.broker import NO_HEADERS, ROUTE_CAP, Broker, BrokerError, compile_pattern
-
-
-def reference_matches(pattern, key):
-    """Topic matching over segment lists, written out recursively."""
-    if not pattern:
-        return not key
-    if not key:
-        return False
-    if pattern[0] == "*" or pattern[0] == key[0]:
-        return reference_matches(pattern[1:], key[1:])
-    return False
-
-
-def matches(pattern, key):
-    return compile_pattern(pattern)(key.split("."))
+from parley.broker import NO_HEADERS, Broker, BrokerError
 
 
 def bodies(got):
     """A consumer that keeps only the bodies it is given."""
     return lambda body, headers: got.append(body)
+
+
+def bound(broker, exchange):
+    """An exchange's table: routing key -> names of the queues bound under it."""
+    return broker._exchanges[exchange]
 
 
 @pytest.mark.parametrize(
@@ -38,39 +28,43 @@ def bodies(got):
         ("a.*", "a.b", True),
         ("a.*.c", "a.x.c", True),
         ("a.*.c", "a.x.y.c", False),
+        ("a.b*", "a.b*", True),
+        ("a.b*", "a.bc", False),
     ],
 )
 def test_pattern_matching(pattern, key, expect):
-    assert matches(pattern, key) is expect
+    # ``expect`` is what topic matching would give: a key bound literally
+    # routes exactly so, and one with a ``*`` segment is refused at bind
+    # rather than matching less (a star inside a segment is literal)
+    broker = Broker()
+    broker.declare_exchange("ex")
+    broker.declare_queue("q")
+    if "*" in pattern.split("."):
+        with pytest.raises(BrokerError):
+            broker.bind("ex", pattern, "q")
+        assert bound(broker, "ex") == {}
+        assert broker.publish("ex", key, b"x") == 0
+    else:
+        broker.bind("ex", pattern, "q")
+        assert broker.publish("ex", key, b"x") == int(expect)
 
 
 segment = st.text(alphabet="abcx", min_size=1, max_size=3)
-key_segment = st.text(alphabet="abx", max_size=2)
-pattern_segment = st.one_of(key_segment, st.just("*"))
-
-
-@given(
-    st.lists(pattern_segment, min_size=1, max_size=5),
-    st.lists(key_segment, min_size=1, max_size=6),
-)
-def test_compiled_pattern_agrees_with_reference(pattern, key):
-    expect = reference_matches(pattern, key)
-    assert matches(".".join(pattern), ".".join(key)) is expect
 
 
 @given(st.lists(segment, min_size=1, max_size=5))
 def test_exact_pattern_matches_only_itself(segments):
     key = ".".join(segments)
-    assert matches(key, key)
-    assert not matches(key, key + ".z")
-    assert not matches(key + ".z", key)
-
-
-@given(st.lists(segment, min_size=1, max_size=5), st.integers(0, 5))
-def test_star_matches_any_single_segment(segments, pos):
-    pos = pos % len(segments)
-    pattern = ".".join("*" if i == pos else s for i, s in enumerate(segments))
-    assert matches(pattern, ".".join(segments))
+    broker = Broker()
+    broker.declare_exchange("ex")
+    broker.declare_queue("q")
+    broker.bind("ex", key, "q")
+    assert broker.publish("ex", key, b"x") == 1
+    assert broker.publish("ex", key + ".z", b"x") == 0
+    assert broker.publish("ex", "z." + key, b"x") == 0
+    assert broker.publish("ex", "*." + key, b"x") == 0
+    if len(segments) > 1:
+        assert broker.publish("ex", ".".join(segments[:-1]), b"x") == 0
 
 
 def test_hash_pattern_is_refused_at_bind():
@@ -92,13 +86,33 @@ def test_publish_routes_to_matching_queues():
     broker.declare_exchange("ex")
     for name in ("q1", "q2", "q3"):
         broker.declare_queue(name)
-    broker.bind("ex", "s.*.A", "q1")
-    broker.bind("ex", "s.B.*", "q2")
-    broker.bind("ex", "t.*.*", "q3")
+    broker.bind("ex", "s.B.A", "q1")
+    broker.bind("ex", "s.B.A", "q2")
+    broker.bind("ex", "s.C.A", "q3")
     assert broker.publish("ex", "s.B.A", b"one") == 2
     assert broker.pending("q1") == 1
     assert broker.pending("q2") == 1
     assert broker.pending("q3") == 0
+
+
+def test_binding_order_is_kept():
+    broker = Broker()
+    broker.declare_exchange("ex")
+    got = []
+    for name in ("q3", "q1", "q2"):
+        broker.declare_queue(name)
+        broker.set_consumer(name, lambda body, headers, n=name: got.append(n))
+        broker.bind("ex", "k", name)
+    broker.bind("ex", "k", "q3")  # bound again: keeps its place
+    assert broker.publish("ex", "k", b"x") == 3
+    assert got == ["q3", "q1", "q2"]
+    broker.delete_queue("q1")
+    broker.declare_queue("q1")
+    broker.set_consumer("q1", lambda body, headers: got.append("q1"))
+    broker.bind("ex", "k", "q1")  # declared again, it binds last
+    got.clear()
+    assert broker.publish("ex", "k", b"x") == 3
+    assert got == ["q3", "q2", "q1"]
 
 
 def test_consumer_gets_buffered_backlog_on_attach():
@@ -149,9 +163,12 @@ def test_duplicate_binding_delivers_once():
     broker = Broker()
     broker.declare_exchange("ex")
     broker.declare_queue("q")
-    broker.bind("ex", "a.*", "q")
-    broker.bind("ex", "a.*", "q")
+    broker.bind("ex", "a.b", "q")
+    broker.bind("ex", "a.b", "q")
+    assert bound(broker, "ex") == {"a.b": ("q",)}
     assert broker.publish("ex", "a.b", b"x") == 1
+    broker.delete_queue("q")  # its one binding goes, and the key with it
+    assert bound(broker, "ex") == {}
 
 
 def test_unbind_and_delete_queue():
@@ -191,14 +208,14 @@ def test_headers_reach_consumers_unchanged():
     broker.declare_exchange("ex")
     for name in ("q1", "q2", "plain"):
         broker.declare_queue(name)
-    broker.bind("ex", "k.*", "q1")
-    broker.bind("ex", "*.*", "q2")
+    for name in ("q1", "q2"):
+        broker.bind("ex", "k.x", name)
     got = []
     for name in ("q1", "q2", "plain"):
         broker.set_consumer(name, lambda body, headers, n=name: got.append((n, body, headers)))
     broker.publish("ex", "k.x", b"routed", {"h": "1"})
     broker.push("plain", b"pushed", {"h": "2", "g": "3"})
-    broker.publish("ex", "k.y", b"bare")
+    broker.publish("ex", "k.x", b"bare")
     assert got == [
         ("q1", b"routed", {"h": "1"}),
         ("q2", b"routed", {"h": "1"}),
@@ -228,16 +245,20 @@ def test_delete_queue_removes_only_its_own_bindings():
         broker.declare_exchange(exchange)
     for queue in ("q1", "q2"):
         broker.declare_queue(queue)
-        broker.bind("x1", "a.*", queue)
+        broker.bind("x1", "a.b", queue)
+        broker.bind("x1", "a.c", queue)
         broker.bind("x2", "k", queue)
     broker.push("q1", b"buffered")
     broker.delete_queue("q1")
     assert broker.pending("q1") == 0
+    assert bound(broker, "x1") == {"a.b": ("q2",), "a.c": ("q2",)}
+    assert bound(broker, "x2") == {"k": ("q2",)}
     assert broker.publish("x1", "a.b", b"x") == 1
     assert broker.publish("x2", "k", b"x") == 1
     assert broker.pending("q2") == 2
     broker.delete_queue("q1")  # unknown now: a no-op
     broker.delete_queue("q2")
+    assert bound(broker, "x1") == bound(broker, "x2") == {}  # no empty key is left
     assert broker.publish("x1", "a.b", b"x") == 0  # both exchanges survive
     assert broker.publish("x2", "k", b"x") == 0
 
@@ -257,76 +278,22 @@ def test_delete_exchange_only_when_unbound():
     broker.delete_queue("q")  # unknown now: a no-op
 
 
-# --- route tables -------------------------------------------------------------
+# --- unbound keys -------------------------------------------------------------
 
 
-def routed(broker, exchange):
-    """The routing keys cached in an exchange's route table."""
-    return set(broker._routes[exchange])
-
-
-def test_a_cached_key_reaches_a_queue_bound_after_it():
-    broker = Broker()
-    broker.declare_exchange("ex")
-    for name in ("q1", "q2"):
-        broker.declare_queue(name)
-    broker.bind("ex", "a.*", "q1")
-    assert broker.publish("ex", "a.b", b"x") == 1
-    assert routed(broker, "ex") == {"a.b"}
-    broker.bind("ex", "*.b", "q2")
-    assert broker.publish("ex", "a.b", b"y") == 2
-    assert broker.pending("q1") == 2
-    assert broker.pending("q2") == 1
-
-
-def test_a_cached_key_stops_reaching_a_deleted_queue():
-    broker = Broker()
-    broker.declare_exchange("ex")
-    for name in ("q1", "q2"):
-        broker.declare_queue(name)
-        broker.bind("ex", "a.*", name)
-    assert broker.publish("ex", "a.b", b"x") == 2
-    broker.delete_queue("q1")
-    assert broker.publish("ex", "a.b", b"y") == 1
-    assert broker.pending("q2") == 2
-    broker.delete_queue("q2")
-    assert broker.publish("ex", "a.b", b"z") == 0
-
-
-def test_delete_exchange_drops_its_route_table():
+def test_a_flood_of_unbound_keys_leaves_the_exchange_its_bindings():
+    # a publisher inventing keys stores nothing: the table holds only what
+    # was bound
     broker = Broker()
     broker.declare_exchange("ex")
     broker.declare_queue("q")
-    broker.bind("ex", "a", "q")
-    broker.publish("ex", "a", b"x")
-    broker.delete_queue("q")
-    broker.delete_exchange("ex")
-    assert "ex" not in broker._routes
-    broker.declare_exchange("ex")  # declared again, it starts with no routes
-    assert routed(broker, "ex") == set()
-    assert broker.publish("ex", "a", b"x") == 0
-
-
-def test_a_key_that_reaches_nothing_is_not_cached():
-    broker = Broker()
-    broker.declare_exchange("ex")
-    broker.declare_queue("q")
-    broker.bind("ex", "a.*", "q")
-    assert broker.publish("ex", "b.c", b"x") == 0
-    assert broker.publish("ex", "a", b"x") == 0
-    assert routed(broker, "ex") == set()
-
-
-def test_a_flood_of_keys_leaves_the_route_table_bounded():
-    broker = Broker()
-    broker.declare_exchange("ex")
-    broker.declare_queue("q")
-    broker.bind("ex", "c.*.r", "q")
+    broker.bind("ex", "c.0.r", "q")
     got = []
     broker.set_consumer("q", bodies(got))
     sizes = set()
     for n in range(10_000):
-        assert broker.publish("ex", f"c.{n}.r", n) == 1
-        sizes.add(len(broker._routes["ex"]))
-    assert got == list(range(10_000))
-    assert max(sizes) == ROUTE_CAP
+        assert broker.publish("ex", f"c.{n}.r", n) == (1 if n == 0 else 0)
+        sizes.add(len(bound(broker, "ex")))
+    assert got == [0]
+    assert sizes == {1}
+    assert bound(broker, "ex") == {"c.0.r": ("q",)}
