@@ -281,9 +281,19 @@ def test_delete_exchange_only_when_unbound():
 # --- unbound keys -------------------------------------------------------------
 
 
-def test_a_flood_of_unbound_keys_leaves_the_exchange_its_bindings():
-    # a publisher inventing keys stores nothing: the table holds only what
-    # was bound
+def test_a_key_that_reaches_nothing_is_not_cached():
+    broker = Broker()
+    broker.declare_exchange("ex")
+    broker.declare_queue("q")
+    broker.bind("ex", "a.b", "q")
+    assert broker.publish("ex", "b.c", b"x") == 0
+    assert broker.publish("ex", "a", b"x") == 0
+    assert bound(broker, "ex") == {"a.b": ("q",)}
+
+
+def test_a_flood_of_keys_leaves_the_route_table_bounded():
+    # a publisher inventing keys stores nothing: the exchange's table holds
+    # only what was bound
     broker = Broker()
     broker.declare_exchange("ex")
     broker.declare_queue("q")
