@@ -18,14 +18,22 @@ Scenarios:
   parameter is k, a run carries 2k messages.
 * ``payload-size``: one ping-pong round plus KO (3 messages) carrying a
   bytes payload of the given size.
+
+``count_work`` counts work instead of timing it: the bytecodes one warm
+session set-up, one message and one session's stop execute, split by the
+source file they run in. The counts do not depend on the machine's speed or
+load, so they show where a cut lands and stay comparable across runs.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import platform
 import statistics
+import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -337,3 +345,100 @@ def bench_json(records: Sequence[BenchRecord]) -> Dict[str, dict]:
             }
         )
     return documents
+
+
+# --- work counts ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WorkCount:
+    """Bytecodes executed, by source file name (``<string>`` for generated
+    code such as dataclass ``__init__`` methods)."""
+
+    setup: Dict[str, int]  # one warm ``create`` plus a ``join`` per other role
+    per_message: Dict[str, float]  # one send and its receive, over the script
+    stop: Dict[str, int]  # every role's ``stop``
+
+
+def _count(counts: Counter, call, *args) -> None:
+    """Run ``call(*args)``, adding the bytecodes it executes to ``counts``.
+
+    Only frames ``call`` opens are traced, so the caller's own bytecodes are
+    not counted.
+    """
+
+    def opcode(frame, event, arg):
+        if event == "opcode":
+            counts[frame.f_code.co_filename] += 1
+        return opcode
+
+    def enter(frame, event, arg):
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return opcode
+
+    sys.settrace(enter)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(None)
+
+
+def _by_file(counts: Counter) -> Dict[str, int]:
+    out: Counter = Counter()
+    for path, n in counts.items():
+        out[os.path.basename(path)] += n
+    return dict(out)
+
+
+def count_work(case: str, protocol_source: str, script: Sequence[tuple] = ()) -> WorkCount:
+    """Count the bytecodes of one warm session of ``protocol_source`` in ``case``.
+
+    Each role is played by a principal of the same name, and the first
+    declared role creates the session. ``script`` lists the session's
+    messages in order as ``(sender, receiver, label)`` or ``(sender,
+    receiver, label, payload)``; each is sent and then received. A first
+    session, with the same script, warms the runtime (nodes, compiled
+    machines); the second is counted in three parts: set-up, messages and
+    stop. The collector is off while counting, so no finalizer lands in a
+    count.
+    """
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    protocol = parse_global(protocol_source)
+    store = ProtocolStore()
+    store.register_global(protocol)
+    store.register_projections(protocol)
+    roles = protocol.roles
+    config = make_invitation_config(protocol.name, {role: role for role in roles})
+    runtime = ConversationRuntime(store, case=_CASE_RUNTIME[case], record_trace=False)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(2):  # the first session warms the runtime; the second is kept
+            setup, messages, stop = Counter(), Counter(), Counter()
+            # endpoints are made outside the count, as a client holds its own
+            endpoints = {role: runtime.endpoint(role) for role in roles}
+            _count(setup, endpoints[roles[0]].create, protocol.name, config)
+            for role in roles[1:]:
+                _count(setup, endpoints[role].join, role)
+            for sender, receiver, label, *payload in script:
+                _count(messages, endpoints[sender].send, receiver, label, *payload)
+                _count(messages, endpoints[receiver].receive, sender)
+            for endpoint in endpoints.values():
+                _count(stop, endpoint.stop)
+    finally:
+        if was_enabled:
+            gc.enable()
+    runtime.close()
+    sent = len(script)
+    return WorkCount(
+        setup=_by_file(setup),
+        per_message={name: n / sent for name, n in _by_file(messages).items()} if sent else {},
+        stop=_by_file(stop),
+    )
+
+
+def pingpong_script(rounds: int) -> List[tuple]:
+    """The messages of a ``session-length`` run of ``rounds`` rounds."""
+    return [("S", "C", "OK"), ("C", "S", "ACK")] * rounds + [("S", "C", "KO")]

@@ -13,7 +13,12 @@ bytes, and both travel alike. Delivery is synchronous: a queue with a
 consumer drains in the publisher's thread, calling ``consumer(body,
 headers)`` per item, so a chain of consumer republishes runs to completion
 before publish() returns. Queues without a consumer buffer (body, headers)
-pairs until one is attached.
+pairs until one is attached. A push onto a queue that has a consumer and no
+backlog hands the item to the consumer directly, without queueing it; that
+is the order a drain would give, since a push made while a consumer runs
+is itself delivered before that consumer returns. A push behind a backlog
+joins its end. A consumer that raises loses its own item, and the exception
+reaches the pusher; items behind it stay queued.
 
 Deleting a queue drops its items and its own bindings, which each queue
 indexes, so the cost does not grow with the number of exchanges; a key left
@@ -42,10 +47,9 @@ class BrokerError(Exception):
 
 
 class _Queue:
-    __slots__ = ("name", "items", "consumer", "bindings")
+    __slots__ = ("items", "consumer", "bindings")
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.items: deque = deque()  # (body, headers)
         self.consumer: Optional[Consumer] = None
         # (exchange name, routing key) for each binding of this queue
@@ -67,7 +71,7 @@ class Broker:
 
     def declare_queue(self, name: str) -> None:
         with self._lock:
-            self._queues.setdefault(name, _Queue(name))
+            self._queues.setdefault(name, _Queue())
 
     def delete_queue(self, name: str) -> None:
         """Delete a queue, its buffered items and its own bindings; a no-op
@@ -76,13 +80,14 @@ class Broker:
             q = self._queues.pop(name, None)
             if q is None:
                 return
+            exchanges = self._exchanges
             for exchange, key in q.bindings:
-                keys = self._exchanges[exchange]
-                rest = tuple(bound for bound in keys[key] if bound != name)
-                if rest:
-                    keys[key] = rest
-                else:
+                keys = exchanges[exchange]
+                bound = keys[key]
+                if len(bound) == 1:  # this queue alone, as bind keeps names distinct
                     del keys[key]
+                else:
+                    keys[key] = tuple(other for other in bound if other != name)
             q.consumer = None  # ends a drain of this queue in progress
 
     def delete_exchange(self, name: str) -> None:
@@ -101,15 +106,18 @@ class Broker:
         Raises BrokerError for a key with a ``*`` or ``#`` segment.
         """
         with self._lock:
-            keys = self._exchanges.get(exchange)
-            if keys is None:
-                raise BrokerError(f"unknown exchange {exchange!r}")
-            q = self._queues.get(queue)
-            if q is None:
-                raise BrokerError(f"unknown queue {queue!r}")
-            segments = pattern.split(".")
-            if "*" in segments or "#" in segments:
-                raise BrokerError(f"key {pattern!r}: exchanges are direct, no wildcards")
+            try:
+                keys = self._exchanges[exchange]
+            except KeyError:
+                raise BrokerError(f"unknown exchange {exchange!r}") from None
+            try:
+                q = self._queues[queue]
+            except KeyError:
+                raise BrokerError(f"unknown queue {queue!r}") from None
+            if "*" in pattern or "#" in pattern:
+                segments = pattern.split(".")
+                if "*" in segments or "#" in segments:
+                    raise BrokerError(f"key {pattern!r}: exchanges are direct, no wildcards")
             bound = keys.get(pattern, ())
             if queue not in bound:
                 keys[pattern] = bound + (queue,)
@@ -118,11 +126,12 @@ class Broker:
     def set_consumer(self, queue: str, consumer: Optional[Consumer]) -> None:
         """Attach or detach a consumer; attaching drains buffered items."""
         with self._lock:
-            q = self._queues.get(queue)
-            if q is None:
-                raise BrokerError(f"unknown queue {queue!r}")
+            try:
+                q = self._queues[queue]
+            except KeyError:
+                raise BrokerError(f"unknown queue {queue!r}") from None
             q.consumer = consumer
-            if consumer is not None:
+            if consumer is not None and q.items:
                 self._drain(q)
 
     # --- traffic ------------------------------------------------------------
@@ -135,23 +144,32 @@ class Broker:
         Returns the number of queues that received it.
         """
         with self._lock:
-            keys = self._exchanges.get(exchange)
-            if keys is None:
-                raise BrokerError(f"unknown exchange {exchange!r}")
+            try:
+                keys = self._exchanges[exchange]
+            except KeyError:
+                raise BrokerError(f"unknown exchange {exchange!r}") from None
             hits = keys.get(routing_key, ())
             for name in hits:
                 self.push(name, body, headers)
             return len(hits)
 
     def push(self, queue: str, body: object, headers: Optional[Headers] = None) -> None:
-        """Append a body and its headers straight onto a queue, bypassing any exchange."""
+        """Deliver a body and its headers straight to a queue, bypassing any exchange."""
         with self._lock:
-            q = self._queues.get(queue)
-            if q is None:
-                raise BrokerError(f"unknown queue {queue!r}")
-            q.items.append((body, NO_HEADERS if headers is None else headers))
-            if q.consumer is not None:
+            try:
+                q = self._queues[queue]
+            except KeyError:
+                raise BrokerError(f"unknown queue {queue!r}") from None
+            if headers is None:
+                headers = NO_HEADERS
+            consumer = q.consumer
+            if consumer is None:
+                q.items.append((body, headers))
+            elif q.items:
+                q.items.append((body, headers))
                 self._drain(q)
+            else:
+                consumer(body, headers)
 
     def pending(self, queue: str) -> int:
         with self._lock:

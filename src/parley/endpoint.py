@@ -35,11 +35,13 @@ peer of the receiver, as a message addressed to its own sender's role does.
 Invitations follow the same shape: ``create`` pushes one invitation per
 configured role onto the creator's outbound queue, and its mediator stamps it
 and publishes it onto the shared ``invite`` exchange keyed by principal name.
-Each invitee's mediator initializes the monitor session from the carried
-local-protocol reference and accepts the invitation: it allocates the
-principal's share, binds it under one key per peer role of the referenced
-local protocol, and queues the invitation with its role and the protocol's
-roles, where ``join`` claims it. Nothing is sent back. An invitation without
+Each invitee's mediator reads the invitation's role and local-protocol
+reference once, initializes the monitor session from them and accepts the
+invitation: it allocates the principal's share, binds it under one key per
+peer role of the referenced local protocol, and queues the invitation with
+its role, the protocol's roles and its inbox, where ``join`` claims it. The
+reference is resolved once per invitee: with a monitor, the protocol the
+monitor compiled gives the roles. Nothing is sent back. An invitation without
 its sender's stamp, or with a reference the store does not resolve or the
 monitor cannot initialize, is recorded in ``mediation_violations`` before
 anything is allocated for it, so a pending invitation is always an accepted
@@ -66,11 +68,17 @@ claimed; ``close()`` does so for every conversation.
 Completion alone releases nothing, since ``receive`` and ``status`` still
 read the completed session until the endpoint stops.
 
-Inbox hand-off. The inbox consumer files each message under its sender's
-role, or hands it to a callback registered by ``receive_async``, under the
-endpoint's plain lock, which ``receive`` takes too. It wakes receivers only
-while one waits: delivery is synchronous, so in a single-threaded exchange
-the message is filed before its receiver asks and nobody is woken.
+Locks and hand-off. Delivery is synchronous, and the broker hands an item to
+a queue's consumer directly when nothing is queued ahead of it (``broker``),
+so a message crosses every hop as a chain of calls in the sender's thread.
+Each node queues its accepted invitations under a plain lock, which ``join``
+takes to claim one; the condition on that lock is built only when a ``join``
+first has to wait, and notified only while one waits. The inbox consumer
+files each message under its sender's role, or hands it to a callback
+registered by ``receive_async``, under the endpoint's plain lock, which
+``receive`` takes too, with its condition built the same lazy way. In a
+single-threaded set-up or exchange the invitation or message is queued
+before anyone asks for it, so no condition is built and nobody is woken.
 
 Three mediation cases exist: ``monitor`` (full FSM checking), ``forwarder``
 (mediation and tagging without any checking; the benchmark baseline), and
@@ -79,10 +87,10 @@ Three mediation cases exist: ``monitor`` (full FSM checking), ``forwarder``
 
 from __future__ import annotations
 
+import os
 import queue as queuemod
 import threading
 import time
-import uuid
 from collections import deque
 from functools import partial
 from typing import Dict, List, Optional, Set, Union
@@ -144,10 +152,13 @@ class _Node:
     def __init__(self, principal: str, monitor: Optional[Monitor]):
         self.principal = principal
         self.monitor = monitor
-        self.invitations: deque = deque()  # (invitation, role, protocol's roles)
-        # ``join`` waits on the condition, which is notified only while
-        # ``waiting`` says a join waits.
-        self.cond = threading.Condition()
+        # (invitation, role, protocol's roles, inbox) per accepted invitation
+        self.invitations: deque = deque()
+        # Accepting an invitation and claiming one take the plain lock. The
+        # condition on it is built only when a ``join`` first has to wait,
+        # and notified only while ``waiting`` says a join waits.
+        self.lock = threading.Lock()
+        self.cond: Optional[threading.Condition] = None
         self.waiting = 0
         self.cids: Set[str] = set()  # conversations this principal holds a share of
         self.joined: Dict[str, "Endpoint"] = {}  # cid -> the endpoint that joined it
@@ -179,6 +190,11 @@ class ConversationRuntime:
     # --- nodes --------------------------------------------------------------
 
     def node(self, principal: str) -> _Node:
+        # A node is never removed and is published only once its mediator is
+        # in place, so a node found without the lock is ready.
+        found = self._nodes.get(principal)
+        if found is not None:
+            return found
         with self._lock:
             found = self._nodes.get(principal)
             if found is not None:
@@ -191,7 +207,6 @@ class ConversationRuntime:
                     record_trace=self.record_trace,
                 )
             node = _Node(principal, monitor)
-            self._nodes[principal] = node
             if self.case in (MONITOR, FORWARDER):
                 out_q = outbound_queue(principal)
                 inv_q = f"mq.inv.{principal}"
@@ -200,6 +215,7 @@ class ConversationRuntime:
                 self.broker.declare_queue(inv_q)
                 self.broker.bind("invite", principal, inv_q)
                 self.broker.set_consumer(inv_q, partial(self._on_inv, node, inv_q))
+            self._nodes[principal] = node
             return node
 
     def endpoint(self, principal: str) -> "Endpoint":
@@ -229,18 +245,21 @@ class ConversationRuntime:
         A plain message object is forwarded as itself and one that is not is
         encoded here; bytes pushed onto the queue are forwarded unchanged.
         """
-        message = self.decode_or_note(queue, body)
-        if message is None:
-            return
-        data = body
-        if isinstance(body, ConversationMessage) and not is_plain(body):
-            # Encoded before the check, so a message that cannot travel
-            # never advances the sender's FSM.
-            try:
-                data = encode_message(message)
-            except WireError as exc:
-                self.note_mediation_violation(queue, f"unencodable: {exc}", message)
+        if isinstance(body, ConversationMessage):
+            message = data = body
+            if not is_plain(body):
+                # Encoded before the check, so a message that cannot travel
+                # never advances the sender's FSM.
+                try:
+                    data = encode_message(body)
+                except WireError as exc:
+                    self.note_mediation_violation(queue, f"unencodable: {exc}", body)
+                    return
+        else:
+            message = self.decode_or_note(queue, body)
+            if message is None:
                 return
+            data = body
         stamp = {X_MEDIATED_OUT: message.sender}
         if message.kind == INVITATION:
             target = message.extra(X_PRINCIPAL)
@@ -281,49 +300,69 @@ class ConversationRuntime:
                 queue, f"already in conversation {message.cid}", message
             )
             return
-        role = message.extra(X_ROLE)
-        capability = message.extra(X_PROTOCOL_REF)
-        if node.monitor is not None:
+        try:
+            extras = dict(message.extras)  # each field is read once, from here
+        except (TypeError, ValueError):  # an object from outside the runtime
+            self.note_mediation_violation(queue, "invitation extras are not a map", message)
+            return
+        role = extras.get(X_ROLE)
+        ref = extras.get(X_PROTOCOL_REF)
+        monitor = node.monitor
+        if monitor is not None:
             try:
-                node.monitor.init_session(message.cid, role, capability)
+                monitor.init_session(message.cid, role, ref)
             except MonitorError as exc:
                 self.note_mediation_violation(queue, f"init_session failed: {exc}", message)
                 return
-        self.accept_invitation(node, message, queue)
+        self.accept_invitation(node, message, role, ref, queue)
 
-    def accept_invitation(self, node: _Node, invitation: ConversationMessage, queue: str) -> None:
+    def accept_invitation(
+        self, node: _Node, invitation: ConversationMessage, role: str, ref: str, queue: str
+    ) -> None:
         """Allocate the principal's share and queue the invitation for ``join``.
 
-        The share is the endpoint inbox and, when mediated, the mediator's
-        session queue, bound under ``<cid>.<peer>.<role>`` for each peer role
-        of the invitation's local protocol; ``release`` frees it. An
-        invitation whose protocol reference the store does not resolve is
-        recorded against ``queue`` and refused before anything is allocated.
-        Every case accepts here: the mediator after its checks, ``create``
-        itself when unmediated.
+        ``role`` and ``ref`` are the invitation's role and local-protocol
+        reference, read once by the caller. The share is the endpoint inbox
+        and, when mediated, the mediator's session queue, bound under
+        ``<cid>.<peer>.<role>`` for each peer role of the referenced local
+        protocol; ``release`` frees it. An invitation whose reference the
+        store does not resolve is recorded against ``queue`` and refused
+        before anything is allocated. Every case accepts here: the mediator
+        after its checks, ``create`` itself when unmediated.
         """
-        cid, role, ref = invitation.cid, invitation.extra(X_ROLE), invitation.extra(X_PROTOCOL_REF)
-        try:
-            roles = self.store.local(ref).roles
-        except KeyError:
-            self.note_mediation_violation(queue, f"unknown local protocol {ref}", invitation)
-            return
+        monitor = node.monitor
+        # A monitor has just resolved ``ref`` for this session: its roles are
+        # those of the protocol the monitor compiled, without asking again.
+        known = monitor.machines.get(ref) if monitor is not None else None
+        if known is not None:
+            roles = known[0].roles
+        else:
+            try:
+                roles = self.store.local(ref).roles
+            except KeyError:
+                self.note_mediation_violation(queue, f"unknown local protocol {ref}", invitation)
+                return
+        cid = invitation.cid
+        principal = node.principal
+        broker = self.broker
         exchange = f"s.{cid}"
-        self.broker.declare_exchange(exchange)
-        inbox = inbox_queue(node.principal, cid)
-        self.broker.declare_queue(inbox)
+        broker.declare_exchange(exchange)
+        inbox = f"in.{principal}.{cid}"
+        broker.declare_queue(inbox)
         node.cids.add(cid)
         if self.case == NONE:
             target = inbox
         else:
-            target = f"mq.s.{node.principal}.{cid}"
-            self.broker.declare_queue(target)
-            self.broker.set_consumer(target, partial(self._on_session, node, target, cid, role))
+            target = f"mq.s.{principal}.{cid}"
+            broker.declare_queue(target)
+            broker.set_consumer(
+                target, partial(self._on_session, node, target, cid, role, inbox)
+            )
         for peer in roles:
             if peer != role:
-                self.broker.bind(exchange, f"{cid}.{peer}.{role}", target)
-        with node.cond:
-            node.invitations.append((invitation, role, roles))
+                broker.bind(exchange, f"{cid}.{peer}.{role}", target)
+        with node.lock:
+            node.invitations.append((invitation, role, roles, inbox))
             if node.waiting:
                 node.cond.notify_all()
 
@@ -336,18 +375,27 @@ class ConversationRuntime:
         nothing more.
         """
         broker = self.broker
-        broker.delete_queue(inbox_queue(node.principal, cid))
+        principal = node.principal
+        broker.delete_queue(f"in.{principal}.{cid}")
         if self.case != NONE:
-            broker.delete_queue(f"mq.s.{node.principal}.{cid}")
+            broker.delete_queue(f"mq.s.{principal}.{cid}")
         broker.delete_exchange(f"s.{cid}")
         if node.monitor is not None:
             node.monitor.end_session(cid, role)
         node.cids.discard(cid)
 
     def _on_session(
-        self, node: _Node, queue: str, cid: str, role: str, body: Body, headers: Headers
+        self,
+        node: _Node,
+        queue: str,
+        cid: str,
+        role: str,
+        inbox: str,
+        body: Body,
+        headers: Headers,
     ) -> None:
-        """Receiver-side mediation for one (principal, cid, role) binding.
+        """Receiver-side mediation for one (principal, cid, role) binding,
+        which hands what it passes to the principal's ``inbox``.
 
         Bytes are decoded once, here, and the message handed to the inbox as is.
         """
@@ -370,9 +418,7 @@ class ConversationRuntime:
             if not verdict.ok and node.monitor.mode == ENFORCE:
                 self.dropped.append(("deliver", verdict, message))
                 return
-        self.broker.push(
-            inbox_queue(node.principal, cid), message, {**headers, X_MEDIATED_IN: role}
-        )
+        self.broker.push(inbox, message, {**headers, X_MEDIATED_IN: role})
 
     # --- helpers ------------------------------------------------------------------
 
@@ -395,7 +441,7 @@ class ConversationRuntime:
         for joined_cid, endpoint in list(node.joined.items()):
             if cid in (None, joined_cid):
                 endpoint.stop()
-        with node.cond:
+        with node.lock:
             if cid is None:
                 pending = list(node.invitations)
                 node.invitations.clear()
@@ -403,11 +449,13 @@ class ConversationRuntime:
                 pending = [p for p in node.invitations if p[0].cid == cid]
                 for share in pending:
                     node.invitations.remove(share)
-        for invitation, role, _ in pending:
+        for invitation, role, _, _ in pending:
             self.release(node, invitation.cid, role)
 
 
 def inbox_queue(principal: str, cid: str) -> str:
+    """The name of a principal's inbox for conversation ``cid``; set-up and
+    release write the same name inline."""
     return f"in.{principal}.{cid}"
 
 
@@ -482,37 +530,39 @@ class Endpoint:
         creator_role = roles_of.get(self.principal)
         if creator_role is None:
             raise IncompleteConfig(f"creator {self.principal} has no invitation entry")
-        cid = uuid.uuid4().hex
+        cid = os.urandom(16).hex()  # 32 lowercase hex digits, as uuid4().hex
         runtime = self.runtime
+        unmediated = runtime.case == NONE
+        push = runtime.broker.push
         for entry in config.entries:
-            node = runtime.node(entry.principal)  # mediation must exist before routing
+            principal, role, ref = entry.principal, entry.role, entry.capability
+            node = runtime.node(principal)  # mediation must exist before routing
             invitation = ConversationMessage(
-                kind=INVITATION,
-                cid=cid,
-                sender=creator_role,
-                receiver=entry.role,
-                extras=(
-                    (X_ROLE, entry.role),
-                    (X_PRINCIPAL, entry.principal),
-                    (X_PROTOCOL_REF, entry.capability),
-                ),
+                INVITATION,
+                cid,
+                creator_role,
+                role,
+                "",
+                (),
+                ((X_PRINCIPAL, principal), (X_PROTOCOL_REF, ref), (X_ROLE, role)),
             )
-            if runtime.case == NONE:
-                inbox = inbox_queue(entry.principal, cid)
-                runtime.accept_invitation(node, invitation, inbox)
+            if unmediated:
+                inbox = inbox_queue(principal, cid)
+                runtime.accept_invitation(node, invitation, role, ref, inbox)
             else:
-                runtime.broker.push(self._outbound, invitation)
+                push(self._outbound, invitation)
         # Delivery is synchronous, so the creator's own invitation has been
         # accepted or refused by now. It takes that one, not an older one to
         # the same role from another session, which stays queued for ``join``.
-        with self.node.cond:
+        with self.node.lock:
             share = self._claim(creator_role, cid)
         if share is None:
             # The session cannot start: release what the others accepted.
             for entry in config.entries:
                 runtime.withdraw(runtime.node(entry.principal), cid)
+            refuser = "runtime" if unmediated else "mediator"
             raise TransportError(
-                f"the mediator of {self.principal} refused its invitation to {cid}"
+                f"the {refuser} of {self.principal} refused its invitation to {cid}"
             )
         self._bind(*share)
         return cid
@@ -525,46 +575,51 @@ class Endpoint:
             )
         if self.cid is not None:
             raise TransportError("endpoint already joined to a conversation")
-        deadline = time.monotonic() + (timeout if timeout is not None else _DEFAULT_TIMEOUT)
         node = self.node
-        with node.cond:
-            while True:
-                share = self._claim(role, None)
-                if share is not None:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise Timeout(f"no invitation for {self.principal}")
-                node.waiting += 1
-                try:
-                    node.cond.wait(remaining)
-                finally:
-                    node.waiting -= 1
+        with node.lock:
+            share = self._claim(role, None)
+            if share is None:
+                deadline = time.monotonic() + (
+                    timeout if timeout is not None else _DEFAULT_TIMEOUT
+                )
+                if node.cond is None:
+                    node.cond = threading.Condition(node.lock)
+                while share is None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise Timeout(f"no invitation for {self.principal}")
+                    node.waiting += 1
+                    try:
+                        node.cond.wait(remaining)
+                    finally:
+                        node.waiting -= 1
+                    share = self._claim(role, None)
         return self._bind(*share)
 
-    def _bind(self, invitation: ConversationMessage, role: str, roles: tuple) -> "Endpoint":
+    def _bind(
+        self, invitation: ConversationMessage, role: str, roles: tuple, inbox: str
+    ) -> "Endpoint":
         """Join the conversation of a claimed invitation."""
-        self.cid = invitation.cid
+        self.cid = cid = invitation.cid
         self.role = role
         self.roles = roles
-        self.node.joined[self.cid] = self
-        inbox = inbox_queue(self.principal, self.cid)
+        self.node.joined[cid] = self
         self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
 
     def _claim(self, role: str, cid: Optional[str]) -> Optional[tuple]:
         """Take the oldest pending invitation that offers ``role``, as queued:
-        (invitation, role, protocol's roles).
+        (invitation, role, protocol's roles, inbox).
 
         With ``cid`` given, only an invitation to that conversation is taken,
         and None is returned while there is none. Otherwise returns None
         when no invitation is pending, and raises RoleMismatch, leaving them
         queued, when the pending ones offer only other roles. Called with the
-        node's condition held.
+        node's lock held.
         """
         pending = self.node.invitations
         for share in pending:
-            if share[1] == role and cid in (None, share[0].cid):
+            if share[1] == role and (cid is None or share[0].cid == cid):
                 pending.remove(share)
                 return share
         if pending and cid is None:
@@ -687,7 +742,10 @@ class Endpoint:
             if callback is not None:
                 self._dispatch(callback, message)
                 return
-            self._buckets.setdefault(message.sender, deque()).append(message)
+            bucket = self._buckets.get(message.sender)
+            if bucket is None:
+                self._buckets[message.sender] = bucket = deque()
+            bucket.append(message)
             if self._waiting:
                 self._cond.notify_all()
 

@@ -239,9 +239,10 @@ class Monitor:
                     f"{protocol_ref!r} does not compile: {exc}"
                 ) from exc
             self.machines[protocol_ref] = (protocol, machine)
-        state = SessionState(protocol_ref, machine.start.copy())
-        self.sessions[key] = state
-        self._refresh_status(state)
+        run = machine.start.copy()
+        # completed already when the settled start is terminal (``Run.complete``)
+        status = ACTIVE if run.open else COMPLETED
+        self.sessions[key] = SessionState(protocol_ref, run, {}, status)
         return key
 
     def end_session(self, cid: str, role: str) -> None:
@@ -336,12 +337,6 @@ class Monitor:
         return MonitorVerdict(False, UNEXPECTED_LABEL, f"{label} is not expected here")
 
     # --- internals ----------------------------------------------------------
-
-    def _refresh_status(self, state: SessionState) -> None:
-        """Completed once every fired thread is terminal (``Run.complete``)."""
-        if state.status == VIOLATED:
-            return
-        state.status = COMPLETED if state.run.complete else ACTIVE
 
     def _record(self, message, role: str, verdict: MonitorVerdict) -> None:
         self.trace.append(

@@ -13,7 +13,9 @@ from parley.bench import (
     SCENARIOS,
     bench_report,
     bench_run,
+    count_work,
     messages_per_session,
+    pingpong_script,
     pingpong_source,
     wide_source,
 )
@@ -123,6 +125,27 @@ def test_report_without_baseline_leaves_overhead_blank():
     records = [BenchRecord("payload-size", 64, "Monitor", 1200.0, 0.0, 1)]
     line = bench_report(records).splitlines()[1]
     assert line.endswith(",")
+
+
+def test_count_work_counts_the_runtime_alone_and_repeats_exactly():
+    first = count_work("NoMonitor", pingpong_source(), pingpong_script(3))
+    assert first == count_work("NoMonitor", pingpong_source(), pingpong_script(3))
+    for part in (first.setup, first.per_message, first.stop):
+        assert part["endpoint.py"] > 0
+        assert "bench.py" not in part  # the harness's own loop is not counted
+        assert "monitor.py" not in part  # nothing is checked without a monitor
+    with pytest.raises(ValueError):
+        count_work("Turbo", pingpong_source())
+
+
+def test_monitor_work_per_message_does_not_grow_with_session_length():
+    # the deterministic companion of c7's (b): bytecodes per message, which
+    # no scheduler jitter moves, are the same at n=100 and at n=1000
+    per_message = {
+        n: sum(count_work("Monitor", pingpong_source(), pingpong_script(n)).per_message.values())
+        for n in (100, 1000)
+    }
+    assert per_message[1000] == pytest.approx(per_message[100], rel=0.01)
 
 
 def test_tracer_targets_resolve(monkeypatch):

@@ -159,6 +159,92 @@ def test_consumer_republish_runs_before_publish_returns():
     assert seen == [b"msg!"]
 
 
+def test_a_consumer_pushing_onto_its_own_queue_gets_each_push_at_once():
+    # a push made while the queue's consumer runs is delivered before that
+    # consumer returns, whether it comes straight or through an exchange
+    broker = Broker()
+    broker.declare_exchange("ex")
+    broker.declare_queue("q")
+    broker.bind("ex", "k", "q")
+    seen = []
+
+    def consumer(body, headers):
+        seen.append(("in", body))
+        if body == b"a":
+            broker.push("q", b"a1")
+            broker.publish("ex", "k", b"a2")
+        seen.append(("out", body))
+
+    broker.set_consumer("q", consumer)
+    broker.push("q", b"a")
+    broker.push("q", b"b")
+    assert seen == [
+        ("in", b"a"),
+        ("in", b"a1"),
+        ("out", b"a1"),
+        ("in", b"a2"),
+        ("out", b"a2"),
+        ("out", b"a"),
+        ("in", b"b"),
+        ("out", b"b"),
+    ]
+    assert broker.pending("q") == 0
+
+
+def test_a_backlog_drained_on_attach_keeps_the_order_of_arrival():
+    # pushes that arrive while the backlog drains queue up behind it
+    broker = Broker()
+    broker.declare_queue("q")
+    for body in (b"a", b"b", b"c"):
+        broker.push("q", body)
+    got = []
+
+    def consumer(body, headers):
+        got.append(body)
+        if body == b"a":
+            broker.push("q", b"x")
+        if body == b"b":
+            broker.push("q", b"y")
+
+    broker.set_consumer("q", consumer)
+    assert got == [b"a", b"b", b"c", b"x", b"y"]
+    assert broker.pending("q") == 0
+    broker.push("q", b"z")
+    assert got[-1] == b"z"
+
+
+def test_a_consumer_that_raises_loses_only_its_own_item():
+    broker = Broker()
+    broker.declare_queue("q")
+    got = []
+
+    def consumer(body, headers):
+        if body.startswith(b"bad"):
+            raise ValueError(body)
+        got.append(body)
+
+    # delivered as pushed: the pusher gets the error, later pushes arrive
+    broker.set_consumer("q", consumer)
+    broker.push("q", b"one")
+    with pytest.raises(ValueError):
+        broker.push("q", b"bad1")
+    broker.push("q", b"two")
+    assert got == [b"one", b"two"]
+    assert broker.pending("q") == 0
+    # drained from a backlog: what was behind the failed item stays queued
+    # and goes first when the next push drains the queue
+    broker.set_consumer("q", None)
+    for body in (b"three", b"bad2", b"four"):
+        broker.push("q", body)
+    with pytest.raises(ValueError):
+        broker.set_consumer("q", consumer)
+    assert got == [b"one", b"two", b"three"]
+    assert broker.pending("q") == 1
+    broker.push("q", b"five")
+    assert got == [b"one", b"two", b"three", b"four", b"five"]
+    assert broker.pending("q") == 0
+
+
 def test_duplicate_binding_delivers_once():
     broker = Broker()
     broker.declare_exchange("ex")

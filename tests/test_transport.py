@@ -8,6 +8,7 @@ only where blocking behaviour itself is under test.
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -665,6 +666,23 @@ def test_unstamped_invitation_allocates_nothing(daq_store, case):
 
 
 @pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+@pytest.mark.parametrize(
+    "extras", [((X_ROLE,),), (([X_ROLE], "U"),)], ids=["not-a-pair", "unhashable-key"]
+)
+def test_invitation_whose_extras_are_not_a_map_allocates_nothing(daq_store, case, extras):
+    # an object published around the mediators, with its sender's stamp,
+    # whose extras cannot be read as a map: recorded, nothing raised
+    runtime = ConversationRuntime(daq_store, case=case)
+    empty = baseline(runtime)
+    odd = ConversationMessage(INVITATION, "c-odd", "A", "U", extras=extras)
+    assert runtime.broker.publish("invite", "user", odd, {X_MEDIATED_OUT: "A"}) == 1
+    assert runtime.mediation_violations == [
+        ("mq.inv.user", "invitation extras are not a map", odd)
+    ]
+    assert held(runtime) == empty
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
 def test_session_setup_publishes_once_per_role(daq_store, daq_config, case, monkeypatch):
     # one invitation per role through the creator's mediator, nothing back
     runtime = ConversationRuntime(daq_store, case=case)
@@ -739,8 +757,10 @@ def test_unresolvable_protocol_ref_is_refused(daq_store, case):
     assert held(runtime) == empty
     # the creator's own invitation refused: create raises and releases all
     creator = runtime.endpoint("user")
-    with pytest.raises(TransportError, match="user refused its invitation"):
+    with pytest.raises(TransportError, match="user refused its invitation") as caught:
         creator.create("DataAquisition", config_with_capability("U", "Nope_U.scr"))
+    if case == NONE:  # no mediator exists to refuse it
+        assert "mediator" not in str(caught.value)
     assert creator.cid is None
     assert [reason for _, reason, _ in runtime.mediation_violations][1:] == [
         "unknown local protocol Nope_U.scr"
@@ -1461,11 +1481,85 @@ def test_a_pingpong_session_binds_one_key_per_role_and_wakes_nobody(monkeypatch)
     assert idle == []
 
 
+def test_a_monitored_setup_reads_each_invitation_field_once_and_builds_no_condition(
+    daq_store, daq_config, monkeypatch
+):
+    # one thread sets up a DataAquisition session under Monitor: nobody
+    # waits, so no condition is built; each invitee's mediator reads each
+    # field of its invitation at most once and resolves its protocol
+    # reference once, for the monitor and the peer keys alike
+    conditions = []
+    extras_read = Counter()  # (cid, invited role, key) -> reads
+    resolved = Counter()  # ref -> store lookups
+
+    class CountingCondition(threading.Condition):
+        def __init__(self, *args, **kwargs):
+            conditions.append(self)
+            super().__init__(*args, **kwargs)
+
+    real_extra = ConversationMessage.extra
+    real_local = ProtocolStore.local
+
+    def extra(self, key, default=None):
+        extras_read[self.cid, self.receiver, key] += 1
+        return real_extra(self, key, default)
+
+    def local(self, ref):
+        resolved[ref] += 1
+        return real_local(self, ref)
+
+    monkeypatch.setattr(threading, "Condition", CountingCondition)
+    monkeypatch.setattr(ConversationMessage, "extra", extra)
+    monkeypatch.setattr(ProtocolStore, "local", local)
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    assert conditions == []
+    assert extras_read and max(extras_read.values()) == 1
+    assert resolved == {local_ref("DataAquisition", role): 1 for role in DAQ_PRINCIPALS}
+    run_not_supported(u, a, i)
+    assert runtime.dropped == [] and runtime.mediation_violations == []
+
+
 def wait_until(test, seconds=5):
     deadline = time.monotonic() + seconds
     while not test():
         assert time.monotonic() < deadline
         time.sleep(0.001)
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_joins_blocked_before_their_invitations_each_take_one(daq_store, daq_config, case):
+    # more joining threads than cores wait on one principal's node before
+    # any invitation exists, switching as often as they can; the sessions
+    # created afterwards wake them, and each takes a different one
+    runtime = ConversationRuntime(daq_store, case=case)
+    joined, errors = [], []
+
+    def join():
+        try:
+            joined.append(runtime.endpoint("agg").join("A", timeout=10))
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=join) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        wait_until(lambda: runtime.node("agg").waiting == len(threads))
+        cids = {
+            runtime.endpoint("user").create("DataAquisition", daq_config)
+            for _ in threads
+        }
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(endpoint.cid for endpoint in joined) == sorted(cids)
+    assert runtime.mediation_violations == []
+    runtime.close()
 
 
 @pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
