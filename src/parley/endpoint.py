@@ -96,7 +96,7 @@ from functools import partial
 from typing import Dict, List, Optional, Set, Union
 
 from .broker import Broker, Headers
-from .monitor import COMPLETED, ENFORCE, Monitor, MonitorError
+from .monitor import COMPLETED, ENFORCE, UNKNOWN, Monitor, MonitorError
 from .store import ProtocolStore, local_ref
 from .wire import (
     IN_SESSION,
@@ -689,7 +689,9 @@ class Endpoint:
         """Leave the conversation and release this principal's share of it;
         idempotent. Pending receives unblock, and ``status`` goes on reporting
         the status the session had when it stopped."""
-        ended = self.status()
+        monitor = self.node.monitor
+        state = None if monitor is None else monitor.sessions.get((self.cid, self.role))
+        ended = UNKNOWN if state is None else state.status
         with self._lock:
             if self._stopped:
                 return
@@ -716,7 +718,7 @@ class Endpoint:
             return self._ended
         monitor = self.node.monitor
         if monitor is None or self.cid is None:
-            return "unknown"
+            return UNKNOWN
         return monitor.session_status((self.cid, self.role))
 
     # --- delivery ----------------------------------------------------------------

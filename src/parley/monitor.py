@@ -105,7 +105,8 @@ class LogicEngine:
     """Evaluates one assertion under an environment.
 
     Returns True, False, or an EvalError value; implementations must not
-    raise for evaluation-time problems.
+    raise for evaluation-time problems. When the assertion holds, ``env``
+    becomes the session's bindings, so an engine only reads it.
     """
 
     def eval(self, assertion: Assertion, env: Dict[str, object]):
@@ -302,19 +303,26 @@ class Monitor:
                 f"{message.label} carries {len(message.payload)} fields, "
                 f"{len(binders)} declared",
             )
-        # A message with no fields under no assertion binds nothing.
-        if binders or value.assertion is not None:
-            bound = {name: pair[1] for name, pair in zip(binders, message.payload)}
-            if value.assertion is not None:
-                result = self.engine.eval(value.assertion, {**state.env, **bound})
-                if result is not True:
-                    detail = (
-                        f"evaluation error: {result.detail}"
-                        if isinstance(result, EvalError)
-                        else f"{value.assertion.source_text} is false"
-                    )
-                    return MonitorVerdict(False, ASSERTION_FAILED, detail)
-            state.env.update(bound)
+        assertion = value.assertion
+        if assertion is not None:
+            # The environment the assertion sees becomes the session's
+            # bindings when it holds; a refusal leaves them as they were.
+            env = state.env.copy()
+            for name, pair in zip(binders, message.payload):
+                env[name] = pair[1]
+            result = self.engine.eval(assertion, env)
+            if result is not True:
+                detail = (
+                    f"evaluation error: {result.detail}"
+                    if isinstance(result, EvalError)
+                    else f"{assertion.source_text} is false"
+                )
+                return MonitorVerdict(False, ASSERTION_FAILED, detail)
+            state.env = env
+        elif binders:
+            env = state.env
+            for name, pair in zip(binders, message.payload):
+                env[name] = pair[1]
         run = state.run
         run.fire(tid, value.next_state)
         if state.status != VIOLATED:

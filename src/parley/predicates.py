@@ -7,16 +7,27 @@ byte length of a string or data value, integer and quoted string literals, and
 the keyword constants ``true``/``false``. Anything else is rejected at compile
 time.
 
-Evaluation is total: type errors, unbound variables, and division by zero
-produce an :class:`EvalError` value instead of raising, so a monitor can turn
-them into verdicts without exception handling on the hot path.
+``compile_predicate`` validates an assertion and compiles it once into a
+tree of closures, one per syntax node. Each closure's operator is picked and
+its literals captured at compile time. ``size()`` takes a fast path for an
+exact ``bytes`` value, and comparisons and arithmetic take one for exact
+``int`` or ``str`` operands; every other operand goes through the same
+shared checks (``_compare``, ``_require_int``, ``_require_bool``,
+``_size``), so the fast paths change no verdict and no error's detail.
+
+Evaluation is total: type errors, unbound variables, division by zero and
+the size of a string that does not encode as UTF-8 (one holding a lone
+surrogate) produce an :class:`EvalError` value instead of raising, so a
+monitor can turn them into verdicts without exception handling on the hot
+path.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Mapping, Union
+import operator
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Union
 
 BUILTIN_FUNCTIONS = frozenset({"size"})
 KEYWORD_CONSTANTS = {"true": True, "false": False}
@@ -35,47 +46,199 @@ class EvalError:
 
 EvalResult = Union[bool, EvalError]
 
-_ALLOWED_CMPOPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_CMP_FUNCS = {
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+}
+# Two operands of the same one of these exact types are ordered and compared
+# as Python does; any other pair goes through ``_compare``'s checks.
+_EXACT = frozenset({int, str})
 
 
-def _check_node(node: ast.AST, source: str) -> None:
-    if isinstance(node, ast.Expression):
-        _check_node(node.body, source)
-    elif isinstance(node, ast.BoolOp):
-        for value in node.values:
-            _check_node(value, source)
-    elif isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, (ast.Not, ast.USub)):
-            raise PredicateSyntaxError(f"unsupported operator in {source!r}")
-        _check_node(node.operand, source)
-    elif isinstance(node, ast.BinOp):
-        if not isinstance(node.op, _ALLOWED_BINOPS):
-            raise PredicateSyntaxError(f"unsupported operator in {source!r}")
-        _check_node(node.left, source)
-        _check_node(node.right, source)
-    elif isinstance(node, ast.Compare):
-        for op in node.ops:
-            if not isinstance(op, _ALLOWED_CMPOPS):
-                raise PredicateSyntaxError(f"unsupported comparison in {source!r}")
-        _check_node(node.left, source)
-        for cmp in node.comparators:
-            _check_node(cmp, source)
-    elif isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in BUILTIN_FUNCTIONS:
-            raise PredicateSyntaxError(f"only size(...) calls are allowed in {source!r}")
-        if len(node.args) != 1 or node.keywords:
-            raise PredicateSyntaxError(f"size takes exactly one argument in {source!r}")
-        _check_node(node.args[0], source)
-    elif isinstance(node, ast.Name):
-        pass
-    elif isinstance(node, ast.Constant):
+def _floordiv(left: int, right: int) -> int:
+    if right == 0:
+        raise _EvalFailure("division by zero")
+    return left // right
+
+
+_ARITH_FUNCS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: _floordiv,
+}
+
+
+def _compile(node: ast.AST, source: str):
+    """Validate ``node`` and return a closure computing its value from an
+    environment; the closure raises ``_EvalFailure`` where evaluation fails."""
+    if isinstance(node, ast.BoolOp):
+        return _compile_boolop(node, source)
+    if isinstance(node, ast.UnaryOp):
+        return _compile_unaryop(node, source)
+    if isinstance(node, ast.BinOp):
+        return _compile_binop(node, source)
+    if isinstance(node, ast.Compare):
+        return _compile_compare(node, source)
+    if isinstance(node, ast.Call):
+        return _compile_size(node, source)
+    if isinstance(node, ast.Name):
+        if node.id in KEYWORD_CONSTANTS:
+            return _constant(KEYWORD_CONSTANTS[node.id])
+        return _lookup(node.id)
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, str, bool)) or isinstance(node.value, float):
             raise PredicateSyntaxError(f"unsupported literal {node.value!r} in {source!r}")
-    else:
-        raise PredicateSyntaxError(
-            f"unsupported syntax ({type(node).__name__}) in {source!r}"
-        )
+        return _constant(node.value)
+    raise PredicateSyntaxError(
+        f"unsupported syntax ({type(node).__name__}) in {source!r}"
+    )
+
+
+def _constant(value):
+    return lambda env: value
+
+
+def _lookup(name: str):
+    def lookup(env):
+        try:
+            return env[name]
+        except KeyError:
+            raise _EvalFailure(f"unbound variable: {name}") from None
+
+    return lookup
+
+
+def _compile_boolop(node: ast.BoolOp, source: str):
+    # Short-circuit left to right; unevaluated operands never fail.
+    operands = [_compile(value, source) for value in node.values]
+    if isinstance(node.op, ast.And):
+
+        def conjunction(env):
+            for operand in operands:
+                value = operand(env)
+                if value is False:
+                    return False
+                if value is not True:
+                    _require_bool(value, "and/or")
+            return True
+
+        return conjunction
+
+    def disjunction(env):
+        for operand in operands:
+            value = operand(env)
+            if value is True:
+                return True
+            if value is not False:
+                _require_bool(value, "and/or")
+        return False
+
+    return disjunction
+
+
+def _compile_unaryop(node: ast.UnaryOp, source: str):
+    if not isinstance(node.op, (ast.Not, ast.USub)):
+        raise PredicateSyntaxError(f"unsupported operator in {source!r}")
+    operand = _compile(node.operand, source)
+    if isinstance(node.op, ast.Not):
+
+        def negation(env):
+            value = operand(env)
+            if value is True:
+                return False
+            if value is False:
+                return True
+            return not _require_bool(value, "not")
+
+        return negation
+
+    def minus(env):
+        value = operand(env)
+        if type(value) is not int:
+            _require_int(value, "unary minus")
+        return -value
+
+    return minus
+
+
+def _compile_binop(node: ast.BinOp, source: str):
+    func = _ARITH_FUNCS.get(type(node.op))
+    if func is None:
+        raise PredicateSyntaxError(f"unsupported operator in {source!r}")
+    left = _compile(node.left, source)
+    right = _compile(node.right, source)
+
+    def arithmetic(env):
+        a = left(env)
+        if type(a) is not int:
+            _require_int(a, "arithmetic")
+        b = right(env)
+        if type(b) is not int:
+            _require_int(b, "arithmetic")
+        return func(a, b)
+
+    return arithmetic
+
+
+def _compile_compare(node: ast.Compare, source: str):
+    for op in node.ops:
+        if type(op) not in _CMP_FUNCS:
+            raise PredicateSyntaxError(f"unsupported comparison in {source!r}")
+    first = _compile(node.left, source)
+    operands = [_compile(cmp, source) for cmp in node.comparators]
+    last = node.comparators[-1]
+    if len(operands) == 1 and isinstance(last, ast.Constant) and type(last.value) in _EXACT:
+        return _compare_to_literal(node.ops[0], first, last.value)
+    steps = [(_CMP_FUNCS[type(op)], op, operand) for op, operand in zip(node.ops, operands)]
+
+    def chain(env):
+        left = first(env)
+        for func, op, operand in steps:
+            right = operand(env)
+            if type(left) is type(right) and type(left) in _EXACT:
+                holds = func(left, right)
+            else:
+                holds = _compare(op, left, right)
+            if not holds:
+                return False
+            left = right
+        return True
+
+    return chain
+
+
+def _compare_to_literal(op: ast.cmpop, left, literal):
+    func = _CMP_FUNCS[type(op)]
+    exact = type(literal)
+
+    def compare(env):
+        value = left(env)
+        if type(value) is exact:
+            return func(value, literal)
+        return _compare(op, value, literal)
+
+    return compare
+
+
+def _compile_size(node: ast.Call, source: str):
+    if not isinstance(node.func, ast.Name) or node.func.id not in BUILTIN_FUNCTIONS:
+        raise PredicateSyntaxError(f"only size(...) calls are allowed in {source!r}")
+    if len(node.args) != 1 or node.keywords:
+        raise PredicateSyntaxError(f"size takes exactly one argument in {source!r}")
+    arg = _compile(node.args[0], source)
+
+    def size(env):
+        value = arg(env)
+        if type(value) is bytes:
+            return len(value)
+        return _size(value)
+
+    return size
 
 
 def _free_names(tree: ast.Expression) -> frozenset:
@@ -89,7 +252,6 @@ def _free_names(tree: ast.Expression) -> frozenset:
         if isinstance(child, ast.Name) and id(child) not in callees:
             names.add(child.id)
     names -= set(KEYWORD_CONSTANTS)
-    names -= BUILTIN_FUNCTIONS
     return frozenset(names)
 
 
@@ -97,16 +259,16 @@ def _free_names(tree: ast.Expression) -> frozenset:
 class CompiledPredicate:
     source: str
     free_vars: frozenset
-    _tree: ast.Expression
+    _evaluate: Callable[[Mapping], object] = field(repr=False)
 
     def eval(self, env: Mapping) -> EvalResult:
         try:
-            value = _eval_node(self._tree.body, env)
+            value = self._evaluate(env)
         except _EvalFailure as exc:
             return EvalError(exc.detail)
-        if not isinstance(value, bool):
-            return EvalError(f"assertion is not boolean: {self.source!r}")
-        return value
+        if value is True or value is False:
+            return value
+        return EvalError(f"assertion is not boolean: {self.source!r}")
 
 
 def compile_predicate(source: str) -> CompiledPredicate:
@@ -115,8 +277,7 @@ def compile_predicate(source: str) -> CompiledPredicate:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise PredicateSyntaxError(f"bad assertion {source!r}: {exc.msg}") from None
-    _check_node(tree, source)
-    return CompiledPredicate(source, _free_names(tree), tree)
+    return CompiledPredicate(source, _free_names(tree), _compile(tree.body, source))
 
 
 def free_variables(source: str) -> frozenset:
@@ -142,7 +303,13 @@ def _size(value) -> int:
     if isinstance(value, bytes):
         return len(value)
     if isinstance(value, str):
-        return len(value.encode("utf-8"))
+        try:
+            return len(value.encode("utf-8"))
+        except UnicodeEncodeError:
+            # only a lone surrogate does not encode
+            raise _EvalFailure(
+                "size() has no byte length for a string holding a lone surrogate"
+            ) from None
     raise _EvalFailure(f"size() needs a string or data value, got {_type_name(value)}")
 
 
@@ -168,55 +335,6 @@ def _require_bool(value, context: str) -> bool:
     if not isinstance(value, bool):
         raise _EvalFailure(f"{context} needs bool operands, got {_type_name(value)}")
     return value
-
-
-def _eval_node(node: ast.AST, env: Mapping):
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        if node.id in KEYWORD_CONSTANTS:
-            return KEYWORD_CONSTANTS[node.id]
-        try:
-            return env[node.id]
-        except KeyError:
-            raise _EvalFailure(f"unbound variable: {node.id}") from None
-    if isinstance(node, ast.Call):
-        return _size(_eval_node(node.args[0], env))
-    if isinstance(node, ast.BoolOp):
-        # Short-circuit left to right; unevaluated operands never fail.
-        is_and = isinstance(node.op, ast.And)
-        for value in node.values:
-            result = _require_bool(_eval_node(value, env), "and/or")
-            if is_and and not result:
-                return False
-            if not is_and and result:
-                return True
-        return is_and
-    if isinstance(node, ast.UnaryOp):
-        if isinstance(node.op, ast.Not):
-            return not _require_bool(_eval_node(node.operand, env), "not")
-        return -_require_int(_eval_node(node.operand, env), "unary minus")
-    if isinstance(node, ast.BinOp):
-        left = _require_int(_eval_node(node.left, env), "arithmetic")
-        right = _require_int(_eval_node(node.right, env), "arithmetic")
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if right == 0:
-            raise _EvalFailure("division by zero")
-        return left // right
-    if isinstance(node, ast.Compare):
-        left = _eval_node(node.left, env)
-        for op, comparator in zip(node.ops, node.comparators):
-            right = _eval_node(comparator, env)
-            if not _compare(op, left, right):
-                return False
-            left = right
-        return True
-    raise _EvalFailure(f"unsupported syntax at evaluation: {type(node).__name__}")
 
 
 def _compare(op: ast.cmpop, left, right) -> bool:

@@ -186,6 +186,16 @@ def test_validation_kinds(source, kind):
     assert err.value.kind == kind
 
 
+def test_size_is_a_binder_where_it_is_not_called():
+    # only a callee named size is the builtin; a bare size is a variable,
+    # bound like any other
+    with pytest.raises(ValidationError) as err:
+        parse_global("global protocol P(role A, role B) { @{size > 0} M(int:n) from A to B; }")
+    assert err.value.kind == "unbound-assertion"
+    g = parse_global("global protocol P(role A, role B) { @{size > 0} M(int:size) from A to B; }")
+    assert g.body.assertion.free_vars == frozenset({"size"})
+
+
 def test_assertion_sees_earlier_binders():
     g = parse_global(
         "global protocol P(role A, role B) {"

@@ -1602,3 +1602,51 @@ def test_receivers_blocked_on_two_peers_each_get_their_own(daq_store, daq_config
         waiter.join(timeout=5)
     assert got == {"U": ("Request", {"info": "x"}), "I": ("NotSupported", {})}
     assert runtime.dropped == [] and runtime.mediation_violations == []
+
+
+def _to_the_first_poll(u, a, i):
+    u.send("A", "Request", {"info": "x"})
+    a.receive("U")
+    a.send("I", "Request", {"info": "x"})
+    i.receive("A")
+    i.send("A", "Support")
+    a.receive("I")
+    a.send("I", "Poll")
+    i.receive("A")
+
+
+def test_a_published_lone_surrogate_fails_the_assertion_at_the_mediator(daq_store, daq_config):
+    # a string holding a lone surrogate has no UTF-8 byte length, so
+    # size(data) <= 512 is an evaluation error at A's mediator, not an
+    # exception raised into the publisher
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    _to_the_first_poll(u, a, i)
+    raw = ConversationMessage(
+        kind=IN_SESSION,
+        cid=cid,
+        sender="I",
+        receiver="A",
+        label="Raw",
+        payload=(("data", "\ud800"),),
+    )
+    body = encode_message(raw)
+    assert b'"type":"string","value":"\\ud800"' in body
+    runtime.broker.publish(f"s.{cid}", f"{cid}.I.A", body)
+    [(stage, verdict, _)] = runtime.dropped
+    assert (stage, verdict.kind) == ("deliver", "assertion-failed")
+    assert "lone surrogate" in verdict.detail
+    assert a.status() == "violated"
+    with pytest.raises(Timeout):
+        a.receive("I", timeout=0.05)
+
+
+def test_a_sent_lone_surrogate_fails_the_assertion_at_the_sender(daq_store, daq_config):
+    runtime, cid, u, a, i = start(daq_store, daq_config)
+    _to_the_first_poll(u, a, i)
+    i.send("A", "Raw", {"data": "\ud800"})
+    [(stage, verdict, _)] = runtime.dropped
+    assert (stage, verdict.kind) == ("send", "assertion-failed")
+    assert "lone surrogate" in verdict.detail
+    assert i.status() == "violated"
+    with pytest.raises(Timeout):
+        a.receive("I", timeout=0.05)
