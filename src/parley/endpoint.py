@@ -690,8 +690,8 @@ class Endpoint:
         idempotent. Pending receives unblock, and ``status`` goes on reporting
         the status the session had when it stopped."""
         monitor = self.node.monitor
-        state = None if monitor is None else monitor.sessions.get((self.cid, self.role))
-        ended = UNKNOWN if state is None else state.status
+        key = (self.cid, self.role)
+        ended = UNKNOWN if monitor is None else monitor.session_status(key)
         with self._lock:
             if self._stopped:
                 return

@@ -34,7 +34,8 @@ import os
 import subprocess
 from base64 import b64encode
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional
 
 from . import fsm as fsmmod
 from .predicates import CompiledPredicate, EvalError, compile_predicate
@@ -105,11 +106,11 @@ class LogicEngine:
     """Evaluates one assertion under an environment.
 
     Returns True, False, or an EvalError value; implementations must not
-    raise for evaluation-time problems. When the assertion holds, ``env``
-    becomes the session's bindings, so an engine only reads it.
+    raise for evaluation-time problems. ``env`` is a read-only view of the
+    bindings the assertion is checked under.
     """
 
-    def eval(self, assertion: Assertion, env: Dict[str, object]):
+    def eval(self, assertion: Assertion, env: Mapping[str, object]):
         raise NotImplementedError
 
 
@@ -119,7 +120,7 @@ class BuiltinLogicEngine(LogicEngine):
     def __init__(self):
         self._cache: Dict[str, CompiledPredicate] = {}
 
-    def eval(self, assertion: Assertion, env: Dict[str, object]):
+    def eval(self, assertion: Assertion, env: Mapping[str, object]):
         pred = self._cache.get(assertion.source_text)
         if pred is None:
             try:
@@ -143,7 +144,7 @@ class ExternalCommandEngine(LogicEngine):
         self.argv = list(argv)
         self.timeout = timeout
 
-    def eval(self, assertion: Assertion, env: Dict[str, object]):
+    def eval(self, assertion: Assertion, env: Mapping[str, object]):
         payload = {
             "assertion": assertion.source_text,
             "env": {name: _jsonable(value) for name, value in env.items()},
@@ -252,12 +253,12 @@ class Monitor:
         self.sessions.pop((cid, role), None)
 
     def session_status(self, key: tuple) -> str:
-        state = self.sessions.get(tuple(key))
+        state = self.sessions.get(key)
         return state.status if state is not None else UNKNOWN
 
     def enabled_triples(self, key: tuple) -> set:
         """The (label, sender, receiver) triples acceptable right now."""
-        state = self.sessions.get(tuple(key))
+        state = self.sessions.get(key)
         if state is None:
             return set()
         return {
@@ -305,12 +306,13 @@ class Monitor:
             )
         assertion = value.assertion
         if assertion is not None:
-            # The environment the assertion sees becomes the session's
-            # bindings when it holds; a refusal leaves them as they were.
+            # The bindings the assertion is checked under become the
+            # session's when it holds; a refusal leaves them as they were.
+            # The engine sees them read-only.
             env = state.env.copy()
             for name, pair in zip(binders, message.payload):
                 env[name] = pair[1]
-            result = self.engine.eval(assertion, env)
+            result = self.engine.eval(assertion, MappingProxyType(env))
             if result is not True:
                 detail = (
                     f"evaluation error: {result.detail}"

@@ -10,9 +10,9 @@ time.
 ``compile_predicate`` validates an assertion and compiles it once into a
 tree of closures, one per syntax node. Each closure's operator is picked and
 its literals captured at compile time. ``size()`` takes a fast path for an
-exact ``bytes`` value, and comparisons and arithmetic take one for exact
-``int`` or ``str`` operands; every other operand goes through the same
-shared checks (``_compare``, ``_require_int``, ``_require_bool``,
+exact ``bytes`` value, and a single comparison against an integer literal
+takes one for an exact ``int`` operand; every other operand goes through
+the shared checks (``_compare``, ``_require_int``, ``_require_bool``,
 ``_size``), so the fast paths change no verdict and no error's detail.
 
 Evaluation is total: type errors, unbound variables, division by zero and
@@ -54,9 +54,6 @@ _CMP_FUNCS = {
     ast.Eq: operator.eq,
     ast.NotEq: operator.ne,
 }
-# Two operands of the same one of these exact types are ordered and compared
-# as Python does; any other pair goes through ``_compare``'s checks.
-_EXACT = frozenset({int, str})
 
 
 def _floordiv(left: int, right: int) -> int:
@@ -158,10 +155,7 @@ def _compile_unaryop(node: ast.UnaryOp, source: str):
         return negation
 
     def minus(env):
-        value = operand(env)
-        if type(value) is not int:
-            _require_int(value, "unary minus")
-        return -value
+        return -_require_int(operand(env), "unary minus")
 
     return minus
 
@@ -174,13 +168,8 @@ def _compile_binop(node: ast.BinOp, source: str):
     right = _compile(node.right, source)
 
     def arithmetic(env):
-        a = left(env)
-        if type(a) is not int:
-            _require_int(a, "arithmetic")
-        b = right(env)
-        if type(b) is not int:
-            _require_int(b, "arithmetic")
-        return func(a, b)
+        a = _require_int(left(env), "arithmetic")
+        return func(a, _require_int(right(env), "arithmetic"))
 
     return arithmetic
 
@@ -192,19 +181,15 @@ def _compile_compare(node: ast.Compare, source: str):
     first = _compile(node.left, source)
     operands = [_compile(cmp, source) for cmp in node.comparators]
     last = node.comparators[-1]
-    if len(operands) == 1 and isinstance(last, ast.Constant) and type(last.value) in _EXACT:
-        return _compare_to_literal(node.ops[0], first, last.value)
-    steps = [(_CMP_FUNCS[type(op)], op, operand) for op, operand in zip(node.ops, operands)]
+    if len(operands) == 1 and isinstance(last, ast.Constant) and type(last.value) is int:
+        return _compare_to_int_literal(node.ops[0], first, last.value)
+    steps = list(zip(node.ops, operands))
 
     def chain(env):
         left = first(env)
-        for func, op, operand in steps:
+        for op, operand in steps:
             right = operand(env)
-            if type(left) is type(right) and type(left) in _EXACT:
-                holds = func(left, right)
-            else:
-                holds = _compare(op, left, right)
-            if not holds:
+            if not _compare(op, left, right):
                 return False
             left = right
         return True
@@ -212,13 +197,12 @@ def _compile_compare(node: ast.Compare, source: str):
     return chain
 
 
-def _compare_to_literal(op: ast.cmpop, left, literal):
+def _compare_to_int_literal(op: ast.cmpop, left, literal: int):
     func = _CMP_FUNCS[type(op)]
-    exact = type(literal)
 
     def compare(env):
         value = left(env)
-        if type(value) is exact:
+        if type(value) is int:
             return func(value, literal)
         return _compare(op, value, literal)
 

@@ -13,6 +13,7 @@ from parley.monitor import (
     ConflictingInvitation,
     ENFORCE,
     ExternalCommandEngine,
+    LogicEngine,
     Monitor,
     SUPPRESS,
     UnresolvableProtocol,
@@ -274,6 +275,25 @@ def test_external_engine_failure_is_an_evaluation_error(daq_store):
     verdict = monitor.check(msg("c1", "Raw", "I", "A", (("data", b"x"),)), "A")
     assert verdict.kind == "assertion-failed"
     assert "evaluation error" in verdict.detail
+
+
+class _Scribbler(LogicEngine):
+    """An engine that tries to rebind what it is given before it passes."""
+
+    def eval(self, assertion, env):
+        with pytest.raises(TypeError):
+            env["data"] = b"forged"
+        with pytest.raises(TypeError):
+            env["info"] = "forged"
+        return True
+
+
+def test_an_engine_cannot_change_the_session_bindings(daq_store):
+    monitor = Monitor(daq_store.local, engine=_Scribbler())
+    key = monitor.init_session("c1", "A", "DataAquisition_A.scr")
+    for label, sender, receiver, payload in SUPPORTED_RUN_A[:5]:
+        assert monitor.check(msg("c1", label, sender, receiver, payload), "A").ok
+    assert monitor.sessions[key].env == {"info": "wind", "data": b"x" * 100}
 
 
 def test_monitor_agrees_with_trace_language_over_the_grid():
