@@ -36,12 +36,10 @@ from .predicates import (
     PredicateSyntaxError,
     compile_predicate,
     evaluate,
-    free_variables,
 )
 from .printer import serialize
 from .projection import ProjectionReport, ProjectionWarning, project, project_all
 from .protocol import (
-    Assertion,
     Choice,
     Continue,
     End,

@@ -177,7 +177,6 @@ def _store_for(scenario: Scenario, params: Sequence[int]) -> ProtocolStore:
             continue
         seen.add(name)
         protocol = parse_global(scenario.source(param))
-        store.register_global(protocol)
         store.register_projections(protocol)
     return store
 
@@ -407,7 +406,6 @@ def count_work(case: str, protocol_source: str, script: Sequence[tuple] = ()) ->
         raise ValueError(f"unknown case {case!r}")
     protocol = parse_global(protocol_source)
     store = ProtocolStore()
-    store.register_global(protocol)
     store.register_projections(protocol)
     roles = protocol.roles
     config = make_invitation_config(protocol.name, {role: role for role in roles})

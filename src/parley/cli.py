@@ -82,8 +82,6 @@ def cmd_fsm(args) -> int:
     try:
         protocol = parse_local(_read(args.file))
         machine = compile_fsm(protocol)
-    except (ParseError, ValidationError, OSError) as exc:
-        return _fail(str(exc))
     except Exception as exc:
         return _fail(str(exc))
     if args.dot:
@@ -191,7 +189,6 @@ def cmd_run(args) -> int:
     except (ParseError, ValidationError, TransportError, OSError, ValueError) as exc:
         return _fail(str(exc))
     store = ProtocolStore()
-    store.register_global(protocol)
     store.register_projections(protocol)
     runtime = ConversationRuntime(store, case=args.case, monitor_mode=args.mode)
     entries = {entry.role: entry for entry in config.entries}

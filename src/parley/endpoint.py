@@ -59,19 +59,20 @@ the conversation: the inbox ``in.<principal>.<cid>``, in the mediated cases
 the mediator queue ``mq.s.<principal>.<cid>`` bound to ``s.<cid>`` under its
 r-1 peer keys for a protocol of r roles (in the unmediated case the inbox is
 bound there instead), the monitor session for
-``(cid, role)`` and the cid in the node's ``cids``. The share is released
-when the endpoint that joined it stops: both queues and their bindings are
-deleted, the monitor session and the cid are dropped, and ``s.<cid>`` is
-deleted once nothing is bound to it. ``ConversationRuntime.withdraw`` stops
-the endpoint joined to a conversation and releases the invitation to it never
-claimed; ``close()`` does so for every conversation.
+``(cid, role)`` and the node's entry for it, in ``pending`` until an endpoint
+joins it and in ``joined`` from then on. The share is released when the
+endpoint that joined it stops: both queues and their bindings are deleted,
+the monitor session and the entry are dropped, and ``s.<cid>`` is deleted
+once nothing is bound to it. ``ConversationRuntime.withdraw`` stops the
+endpoint joined to a conversation, or releases the share when no endpoint
+joined it; ``close()`` does so for every conversation.
 Completion alone releases nothing, since ``receive`` and ``status`` still
 read the completed session until the endpoint stops.
 
 Locks and hand-off. Delivery is synchronous, and the broker hands an item to
 a queue's consumer directly when nothing is queued ahead of it (``broker``),
 so a message crosses every hop as a chain of calls in the sender's thread.
-Each node queues its accepted invitations under a plain lock, which ``join``
+Each node keeps its pending shares under a plain lock, which ``join``
 takes to claim one; the condition on that lock is built only when a ``join``
 first has to wait, and notified only while one waits. The inbox consumer
 files each message under its sender's role, or hands it to a callback
@@ -93,7 +94,7 @@ import threading
 import time
 from collections import deque
 from functools import partial
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Union
 
 from .broker import Broker, Headers
 from .monitor import COMPLETED, ENFORCE, UNKNOWN, Monitor, MonitorError
@@ -152,16 +153,17 @@ class _Node:
     def __init__(self, principal: str, monitor: Optional[Monitor]):
         self.principal = principal
         self.monitor = monitor
-        # (invitation, role, protocol's roles, inbox) per accepted invitation
-        self.invitations: deque = deque()
-        # Accepting an invitation and claiming one take the plain lock. The
-        # condition on it is built only when a ``join`` first has to wait,
-        # and notified only while ``waiting`` says a join waits.
+        # Each share of a conversation is in one of the two maps. A share no
+        # endpoint has joined is pending, as cid -> (role, protocol's roles,
+        # inbox) in the order accepted, so a claim scans pending shares only.
+        self.pending: Dict[str, tuple] = {}
+        self.joined: Dict[str, "Endpoint"] = {}  # cid -> the endpoint that joined it
+        # Accepting, claiming and withdrawing a pending share take the plain
+        # lock. The condition on it is built only when a ``join`` first has
+        # to wait, and notified only while ``waiting`` says a join waits.
         self.lock = threading.Lock()
         self.cond: Optional[threading.Condition] = None
         self.waiting = 0
-        self.cids: Set[str] = set()  # conversations this principal holds a share of
-        self.joined: Dict[str, "Endpoint"] = {}  # cid -> the endpoint that joined it
 
 
 class ConversationRuntime:
@@ -274,7 +276,7 @@ class ConversationRuntime:
             if not verdict.ok and node.monitor.mode == ENFORCE:
                 self.dropped.append(("send", verdict, message))
                 return
-        if message.cid not in node.cids:
+        if message.cid not in node.joined and message.cid not in node.pending:
             self.note_mediation_violation(
                 queue, f"unknown conversation {message.cid}", message
             )
@@ -295,7 +297,7 @@ class ConversationRuntime:
                 queue, "invitation without its sender's stamp", message
             )
             return
-        if message.cid in node.cids:
+        if message.cid in node.joined or message.cid in node.pending:
             self.note_mediation_violation(
                 queue, f"already in conversation {message.cid}", message
             )
@@ -349,7 +351,6 @@ class ConversationRuntime:
         broker.declare_exchange(exchange)
         inbox = f"in.{principal}.{cid}"
         broker.declare_queue(inbox)
-        node.cids.add(cid)
         if self.case == NONE:
             target = inbox
         else:
@@ -362,7 +363,7 @@ class ConversationRuntime:
             if peer != role:
                 broker.bind(exchange, f"{cid}.{peer}.{role}", target)
         with node.lock:
-            node.invitations.append((invitation, role, roles, inbox))
+            node.pending[cid] = (role, roles, inbox)
             if node.waiting:
                 node.cond.notify_all()
 
@@ -370,9 +371,9 @@ class ConversationRuntime:
         """Free the principal's share of conversation ``cid``, taken in ``role``.
 
         Deletes the inbox and the mediator's session queue with their bindings,
-        ends the monitor session, drops the cid, and deletes the session
-        exchange once nothing is bound to it. Releasing a share twice does
-        nothing more.
+        ends the monitor session, deletes the session exchange once nothing is
+        bound to it, and drops the endpoint that joined the share, if any.
+        Releasing a share twice does nothing more.
         """
         broker = self.broker
         principal = node.principal
@@ -382,7 +383,7 @@ class ConversationRuntime:
         broker.delete_exchange(f"s.{cid}")
         if node.monitor is not None:
             node.monitor.end_session(cid, role)
-        node.cids.discard(cid)
+        node.joined.pop(cid, None)
 
     def _on_session(
         self,
@@ -436,21 +437,16 @@ class ConversationRuntime:
 
     def withdraw(self, node: _Node, cid: Optional[str] = None) -> None:
         """Release the principal's share of conversation ``cid``, or of every
-        conversation when None: stop the endpoint joined to it and release
-        the invitation to it never claimed."""
-        for joined_cid, endpoint in list(node.joined.items()):
-            if cid in (None, joined_cid):
+        conversation when None: stop the endpoint joined to it, or release
+        the share when no endpoint joined it."""
+        for held in [*node.joined, *node.pending] if cid is None else (cid,):
+            with node.lock:  # a pending share taken here is claimed by no join
+                share = node.pending.pop(held, None)
+            endpoint = node.joined.get(held)
+            if share is not None:
+                self.release(node, held, share[0])
+            elif endpoint is not None:
                 endpoint.stop()
-        with node.lock:
-            if cid is None:
-                pending = list(node.invitations)
-                node.invitations.clear()
-            else:
-                pending = [p for p in node.invitations if p[0].cid == cid]
-                for share in pending:
-                    node.invitations.remove(share)
-        for invitation, role, _, _ in pending:
-            self.release(node, invitation.cid, role)
 
 
 def inbox_queue(principal: str, cid: str) -> str:
@@ -552,10 +548,13 @@ class Endpoint:
             else:
                 push(self._outbound, invitation)
         # Delivery is synchronous, so the creator's own invitation has been
-        # accepted or refused by now. It takes that one, not an older one to
-        # the same role from another session, which stays queued for ``join``.
-        with self.node.lock:
-            share = self._claim(creator_role, cid)
+        # accepted or refused by now. It takes that share, not an older one to
+        # the same role from another session, which stays pending for ``join``.
+        node = self.node
+        with node.lock:
+            share = node.pending.pop(cid, None)
+            if share is not None:
+                node.joined[cid] = self
         if share is None:
             # The session cannot start: release what the others accepted.
             for entry in config.entries:
@@ -564,7 +563,7 @@ class Endpoint:
             raise TransportError(
                 f"the {refuser} of {self.principal} refused its invitation to {cid}"
             )
-        self._bind(*share)
+        self._bind(cid, share)
         return cid
 
     def join(self, role: str, principal: Optional[str] = None, timeout: Optional[float] = None) -> "Endpoint":
@@ -577,14 +576,14 @@ class Endpoint:
             raise TransportError("endpoint already joined to a conversation")
         node = self.node
         with node.lock:
-            share = self._claim(role, None)
-            if share is None:
+            claimed = self._claim(role)
+            if claimed is None:
                 deadline = time.monotonic() + (
                     timeout if timeout is not None else _DEFAULT_TIMEOUT
                 )
                 if node.cond is None:
                     node.cond = threading.Condition(node.lock)
-                while share is None:
+                while claimed is None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise Timeout(f"no invitation for {self.principal}")
@@ -593,37 +592,34 @@ class Endpoint:
                         node.cond.wait(remaining)
                     finally:
                         node.waiting -= 1
-                    share = self._claim(role, None)
-        return self._bind(*share)
+                    claimed = self._claim(role)
+        return self._bind(*claimed)
 
-    def _bind(
-        self, invitation: ConversationMessage, role: str, roles: tuple, inbox: str
-    ) -> "Endpoint":
-        """Join the conversation of a claimed invitation."""
-        self.cid = cid = invitation.cid
-        self.role = role
-        self.roles = roles
-        self.node.joined[cid] = self
+    def _bind(self, cid: str, share: tuple) -> "Endpoint":
+        """Join conversation ``cid`` through the share this endpoint claimed."""
+        self.cid = cid
+        self.role, self.roles, inbox = share
         self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
 
-    def _claim(self, role: str, cid: Optional[str]) -> Optional[tuple]:
-        """Take the oldest pending invitation that offers ``role``, as queued:
-        (invitation, role, protocol's roles, inbox).
+    def _claim(self, role: str) -> Optional[tuple]:
+        """Move the oldest pending share that offers ``role`` to this
+        endpoint: returns (cid, share).
 
-        With ``cid`` given, only an invitation to that conversation is taken,
-        and None is returned while there is none. Otherwise returns None
-        when no invitation is pending, and raises RoleMismatch, leaving them
-        queued, when the pending ones offer only other roles. Called with the
-        node's lock held.
+        Returns None when no share is pending, and raises RoleMismatch,
+        leaving them pending, when the pending ones offer only other roles.
+        Called with the node's lock held.
         """
-        pending = self.node.invitations
-        for share in pending:
-            if share[1] == role and (cid is None or share[0].cid == cid):
-                pending.remove(share)
-                return share
-        if pending and cid is None:
-            raise RoleMismatch(f"invitation offers role {pending[0][1]}, not {role}")
+        node = self.node
+        pending = node.pending
+        for cid, share in pending.items():
+            if share[0] == role:
+                del pending[cid]
+                node.joined[cid] = self
+                return cid, share
+        if pending:
+            offered = next(iter(pending.values()))[0]
+            raise RoleMismatch(f"invitation offers role {offered}, not {role}")
         return None
 
     # --- messaging -----------------------------------------------------------
@@ -702,7 +698,6 @@ class Endpoint:
             if self._waiting:
                 self._cond.notify_all()
         if self.cid is not None:
-            self.node.joined.pop(self.cid, None)
             self.runtime.release(self.node, self.cid, self.role)
         if self._tasks is not None:
             self._tasks.put(None)

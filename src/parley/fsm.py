@@ -51,8 +51,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+from .predicates import CompiledPredicate
 from .protocol import (
-    Assertion,
     Choice,
     Continue,
     End,
@@ -99,7 +99,7 @@ class TransitionKey:
 @dataclass(frozen=True)
 class TransitionValue:
     next_state: int
-    assertion: Optional[Assertion]
+    assertion: Optional[CompiledPredicate]
     var_binders: tuple  # payload field names, in order
 
 

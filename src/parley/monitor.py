@@ -21,10 +21,12 @@ a re-registered view, is compiled afresh. Runs only read the machine, so
 all sessions of a reference share it. A reference that does not compile is
 not remembered, and each invitation naming it fails on its own.
 
-Assertions are delegated to a pluggable logic engine. The builtin engine
-evaluates the pyexpr-like subset in-process; ExternalCommandEngine shells out
-to any program speaking a one-line true/false/error protocol on stdio, so
-other predicate languages can be plugged in without touching the monitor.
+Assertions are delegated to a pluggable logic engine. Each assertion
+reaches the monitor already compiled, as the ``CompiledPredicate`` the parser
+made of it, so the builtin engine only evaluates it; ExternalCommandEngine
+shells out to any program speaking a one-line true/false/error protocol on
+stdio, so other predicate languages can be plugged in without touching the
+monitor.
 """
 
 from __future__ import annotations
@@ -38,9 +40,13 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional
 
 from . import fsm as fsmmod
-from .predicates import CompiledPredicate, EvalError, compile_predicate
-from .predicates import PredicateSyntaxError
-from .protocol import Assertion, LocalProtocol
+from .predicates import CompiledPredicate, EvalError
+
+# Never called here, since the parser compiles each assertion once. The name
+# stays for perfbench/tracing.py, which wraps it to show that sessions
+# compile nothing (its ``predicates.compile.calls`` reads 0).
+from .predicates import compile_predicate  # noqa: F401
+from .protocol import LocalProtocol
 
 MODE_ENV_VAR = "MPST_MONITOR_MODE"
 ENFORCE = "enforce"
@@ -110,25 +116,15 @@ class LogicEngine:
     bindings the assertion is checked under.
     """
 
-    def eval(self, assertion: Assertion, env: Mapping[str, object]):
+    def eval(self, assertion: CompiledPredicate, env: Mapping[str, object]):
         raise NotImplementedError
 
 
 class BuiltinLogicEngine(LogicEngine):
     """In-process evaluator for the pyexpr-like assertion language."""
 
-    def __init__(self):
-        self._cache: Dict[str, CompiledPredicate] = {}
-
-    def eval(self, assertion: Assertion, env: Mapping[str, object]):
-        pred = self._cache.get(assertion.source_text)
-        if pred is None:
-            try:
-                pred = compile_predicate(assertion.source_text)
-            except PredicateSyntaxError as exc:
-                return EvalError(str(exc))
-            self._cache[assertion.source_text] = pred
-        return pred.eval(env)
+    def eval(self, assertion: CompiledPredicate, env: Mapping[str, object]):
+        return assertion.eval(env)
 
 
 class ExternalCommandEngine(LogicEngine):
@@ -144,7 +140,7 @@ class ExternalCommandEngine(LogicEngine):
         self.argv = list(argv)
         self.timeout = timeout
 
-    def eval(self, assertion: Assertion, env: Mapping[str, object]):
+    def eval(self, assertion: CompiledPredicate, env: Mapping[str, object]):
         payload = {
             "assertion": assertion.source_text,
             "env": {name: _jsonable(value) for name, value in env.items()},

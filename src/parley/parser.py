@@ -12,7 +12,7 @@ Statements inside a block:
   be omitted entirely for empty payloads, and a bare sort ``data`` is
   shorthand for ``data:data``.
 - ``@{ expr }`` on the line before a message attaches a payload assertion to
-  that message.
+  that message, compiled here once (``predicates.compile_predicate``).
 - ``choice at R { ... } or { ... }`` and ``rec X { ... }`` must be the last
   statement of their block (the tree gives them no continuation).
 - ``X;`` with a bare identifier continues the recursion named X, and must
@@ -32,7 +32,6 @@ from typing import Optional
 from .protocol import (
     END,
     SORTS,
-    Assertion,
     Choice,
     Continue,
     GlobalProtocol,
@@ -47,7 +46,7 @@ from .protocol import (
     validate_global,
     validate_local,
 )
-from .predicates import PredicateSyntaxError
+from .predicates import CompiledPredicate, PredicateSyntaxError, compile_predicate
 
 RESERVED = frozenset(
     {"global", "local", "protocol", "role", "at", "from", "to",
@@ -269,7 +268,7 @@ class _Parser:
         if tok.kind == "assertion":
             self.next()
             try:
-                assertion = Assertion.from_source(tok.value)
+                assertion = compile_predicate(tok.value)
             except PredicateSyntaxError as exc:
                 raise ParseError(tok.line, tok.column, ("assertion expression",), str(exc))
             return self.parse_message(is_global, assertion)
@@ -325,7 +324,7 @@ class _Parser:
         cont = self.parse_statements(is_global)
         return Parallel(tuple(branches), cont)
 
-    def parse_message(self, is_global: bool, assertion: Optional[Assertion]):
+    def parse_message(self, is_global: bool, assertion: Optional[CompiledPredicate]):
         sig = self.parse_signature()
         if is_global:
             self.expect_keyword("from")

@@ -8,12 +8,17 @@ the keyword constants ``true``/``false``. Anything else is rejected at compile
 time.
 
 ``compile_predicate`` validates an assertion and compiles it once into a
-tree of closures, one per syntax node. Each closure's operator is picked and
-its literals captured at compile time. ``size()`` takes a fast path for an
-exact ``bytes`` value, and a single comparison against an integer literal
-takes one for an exact ``int`` operand; every other operand goes through
-the shared checks (``_compare``, ``_require_int``, ``_require_bool``,
-``_size``), so the fast paths change no verdict and no error's detail.
+tree of closures, one per syntax node. The parser calls it for each
+``@{...}``, and the :class:`CompiledPredicate` it returns is the assertion
+itself, from the protocol tree through projection and the FSM to the
+monitor's check; nothing compiles it again.
+
+Each closure's operator is picked and its literals captured at compile
+time. ``size()`` takes a fast path for an exact ``bytes`` value, and a
+single comparison against an integer literal takes one for an exact ``int``
+operand; every other operand goes through the shared checks (``_compare``,
+``_require_int``, ``_require_bool``, ``_size``), so the fast paths change no
+verdict and no error's detail.
 
 Evaluation is total: type errors, unbound variables, division by zero and
 the size of a string that does not encode as UTF-8 (one holding a lone
@@ -241,9 +246,16 @@ def _free_names(tree: ast.Expression) -> frozenset:
 
 @dataclass(frozen=True)
 class CompiledPredicate:
-    source: str
+    """A payload assertion: its source, its free variables and its closures.
+
+    Equality and hashing go by the source text alone, so equal assertions
+    compiled apart still merge where projection and the FSM compiler merge
+    equal branches and transitions.
+    """
+
+    source_text: str
     free_vars: frozenset
-    _evaluate: Callable[[Mapping], object] = field(repr=False)
+    _evaluate: Callable[[Mapping], object] = field(repr=False, compare=False)
 
     def eval(self, env: Mapping) -> EvalResult:
         try:
@@ -252,7 +264,7 @@ class CompiledPredicate:
             return EvalError(exc.detail)
         if value is True or value is False:
             return value
-        return EvalError(f"assertion is not boolean: {self.source!r}")
+        return EvalError(f"assertion is not boolean: {self.source_text!r}")
 
 
 def compile_predicate(source: str) -> CompiledPredicate:
@@ -262,10 +274,6 @@ def compile_predicate(source: str) -> CompiledPredicate:
     except SyntaxError as exc:
         raise PredicateSyntaxError(f"bad assertion {source!r}: {exc.msg}") from None
     return CompiledPredicate(source, _free_names(tree), _compile(tree.body, source))
-
-
-def free_variables(source: str) -> frozenset:
-    return compile_predicate(source).free_vars
 
 
 def evaluate(source: str, env: Mapping) -> EvalResult:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import predicates
+from .predicates import CompiledPredicate
 
 SORTS = ("string", "int", "bool", "data")
 
@@ -59,19 +59,6 @@ class MessageSignature:
 
 
 @dataclass(frozen=True)
-class Assertion:
-    """A payload predicate attached to a message."""
-
-    source_text: str
-    free_vars: frozenset
-    language_tag: str = "pyexpr-like"
-
-    @classmethod
-    def from_source(cls, source_text: str) -> "Assertion":
-        return cls(source_text, predicates.free_variables(source_text))
-
-
-@dataclass(frozen=True)
 class End:
     pass
 
@@ -87,7 +74,7 @@ class Interaction:
     src: str
     dst: str
     cont: "GlobalNode" = END
-    assertion: Optional[Assertion] = None
+    assertion: Optional[CompiledPredicate] = None
 
 
 @dataclass(frozen=True)
@@ -97,7 +84,7 @@ class Send:
     sig: MessageSignature
     dst: str
     cont: "LocalNode" = END
-    assertion: Optional[Assertion] = None
+    assertion: Optional[CompiledPredicate] = None
 
 
 @dataclass(frozen=True)
@@ -107,7 +94,7 @@ class Receive:
     sig: MessageSignature
     src: str
     cont: "LocalNode" = END
-    assertion: Optional[Assertion] = None
+    assertion: Optional[CompiledPredicate] = None
 
 
 @dataclass(frozen=True)

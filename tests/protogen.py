@@ -15,8 +15,8 @@ Three generators live here:
 import itertools
 import random
 
+from parley.predicates import compile_predicate
 from parley.protocol import (
-    Assertion,
     Choice,
     Continue,
     END,
@@ -60,9 +60,9 @@ def _gen_sig(rng: random.Random, counter):
         first = fields[0]
         if first.sort == "int":
             text = rng.choice((f"{first.name} >= 0", f"{first.name} < 1000"))
-            assertion = Assertion.from_source(text)
+            assertion = compile_predicate(text)
         elif first.sort in ("string", "data"):
-            assertion = Assertion.from_source(f"size({first.name}) <= 64")
+            assertion = compile_predicate(f"size({first.name}) <= 64")
     return MessageSignature(label, tuple(fields)), assertion
 
 

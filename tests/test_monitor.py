@@ -6,6 +6,7 @@ import pytest
 
 import protogen
 from parley import fsm as fsmmod
+from parley import monitor as monitor_mod, predicates
 from parley.bench import wide_source
 from parley.fsm import compile as compile_fsm, product_oracle, trace_language
 from parley.monitor import (
@@ -134,6 +135,31 @@ def test_assertion_boundary(session):
     assert not bad.ok
     assert bad.kind == "assertion-failed"
     assert "size(data) <= 512" in bad.detail
+
+
+def test_checking_an_assertion_compiles_nothing(daq_store, monkeypatch):
+    # the parser compiled size(data) <= 512 once; both monitors that check
+    # it, the sender's and the receiver's, evaluate what it made
+    def compile_refused(source):
+        raise AssertionError(f"{source!r} compiled during a session")
+
+    monkeypatch.setattr(predicates, "compile_predicate", compile_refused)
+    monkeypatch.setattr(monitor_mod, "compile_predicate", compile_refused)
+    formatted = ("Formatted", "I", "U", (("data", b"x"),))
+    poll = ("Poll", "A", "I", ())
+    for role, run in (
+        ("A", SUPPORTED_RUN_A[:5] + [poll]),
+        ("I", SUPPORTED_RUN_A[1:5] + [formatted, poll]),
+    ):
+        monitor = Monitor(daq_store.local)
+        monitor.init_session("c1", role, f"DataAquisition_{role}.scr")
+        for label, sender, receiver, payload in run:
+            assert monitor.check(msg("c1", label, sender, receiver, payload), role).ok
+        too_big = monitor.check(msg("c1", "Raw", "I", "A", (("data", b"x" * 513),)), role)
+        assert (too_big.kind, too_big.detail) == (
+            "assertion-failed",
+            "size(data) <= 512 is false",
+        )
 
 
 def test_assertion_sees_earlier_bindings(daq_store):

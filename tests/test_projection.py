@@ -1,5 +1,6 @@
 import pytest
 
+from parley.fsm import compile as compile_fsm
 from parley.parser import parse_global
 from parley.projection import NON_DIRECTED_CHOICE, project, project_all
 from parley.protocol import (
@@ -72,6 +73,32 @@ def test_equal_branches_are_merged():
     assert local_c.body == Receive(
         local_c.body.sig, "A", END
     )  # one receive, no choice left
+
+
+def test_branches_with_equal_assertions_merge():
+    # each @{} is compiled on its own, yet the two Puts are equal: an
+    # assertion compares by its source text, not by its closures
+    g = parse_global(
+        """
+        global protocol P(role A, role B, role C) {
+            choice at A {
+                Go from A to C;
+                @{n > 0}
+                Put(int:n) from B to C;
+            } or {
+                Stay from A to C;
+                @{n > 0}
+                Put(int:n) from B to C;
+            }
+        }
+        """
+    )
+    first, second = (branch.cont.assertion for branch in g.body.branches)
+    assert first is not second
+    report = project(g, "B")
+    assert report.warnings == []
+    assert report.protocol.body == Send(report.protocol.body.sig, "C", END, first)
+    assert compile_fsm(report.protocol).state_count() == 2
 
 
 def test_invisible_loop_collapses():

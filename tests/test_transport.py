@@ -194,7 +194,7 @@ def test_join_takes_the_invitation_for_its_role(daq_store, case):
     as_a = runtime.endpoint("agg").join("A", timeout=0.1)
     assert (as_i.cid, as_i.role) == (second, "I")
     assert (as_a.cid, as_a.role) == (first, "A")
-    assert not runtime.node("agg").invitations
+    assert not runtime.node("agg").pending
     assert runtime.mediation_violations == []
 
 
@@ -215,7 +215,7 @@ def test_create_joins_the_session_it_created(daq_store, case):
     assert agg.receive("U", timeout=1) == ("Request", {"info": "x"})
     later = runtime.endpoint("user").join("U", timeout=0.1)
     assert later.cid == theirs
-    assert not runtime.node("user").invitations
+    assert not runtime.node("user").pending
     assert runtime.mediation_violations == []
 
 
@@ -612,8 +612,8 @@ def test_duplicate_extras_key_is_unencodable(daq_store, case):
     assert queue_name == "mq.out.user"
     assert reason.startswith("unencodable: ")
     assert message is two_targets
-    assert not runtime.node("agg").invitations
-    assert not runtime.node("instr").invitations
+    assert not runtime.node("agg").pending
+    assert not runtime.node("instr").pending
     assert "s.c-two" not in runtime.broker._exchanges
 
 
@@ -660,8 +660,7 @@ def test_unstamped_invitation_allocates_nothing(daq_store, case):
     ]
     if node.monitor is not None:
         assert node.monitor.sessions == {}
-    assert node.cids == set()
-    assert not node.invitations
+    assert (node.joined, node.pending) == ({}, {})
     assert (len(broker._queues), len(broker._exchanges)) == (queues, exchanges)
 
 
@@ -730,7 +729,7 @@ def test_create_refused_by_its_own_mediator_raises_at_once(daq_store):
     assert str(caught.value).endswith(message.cid)
     assert user.cid is None
     # the shares the other invitees accepted are released with the refusal
-    assert message.cid not in runtime.node("agg").cids
+    assert message.cid not in shares(runtime.node("agg"))
     assert held(runtime) == empty
     runtime.close()
     assert held(runtime) == empty
@@ -749,7 +748,7 @@ def test_unresolvable_protocol_ref_is_refused(daq_store, case):
     assert queue_name == ("mq.inv.instr" if case == FORWARDER else inbox_queue("instr", cid))
     assert reason == "unknown local protocol Nope_I.scr"
     assert message.cid == cid
-    assert cid not in runtime.node("instr").cids
+    assert cid not in shares(runtime.node("instr"))
     assert inbox_queue("instr", cid) not in runtime.broker._queues
     with pytest.raises(Timeout):
         runtime.endpoint("instr").join("I", timeout=0.05)
@@ -926,10 +925,14 @@ def held(runtime):
         "sessions": sum(
             len(node.monitor.sessions) for node in runtime._nodes.values() if node.monitor
         ),
-        "cids": sum(len(node.cids) for node in runtime._nodes.values()),
         "joined": sum(len(node.joined) for node in runtime._nodes.values()),
-        "invitations": sum(len(node.invitations) for node in runtime._nodes.values()),
+        "pending": sum(len(node.pending) for node in runtime._nodes.values()),
     }
+
+
+def shares(node):
+    """The conversations a principal holds a share of, joined or pending."""
+    return node.joined.keys() | node.pending.keys()
 
 
 def baseline(runtime):
@@ -967,8 +970,8 @@ def test_stop_releases_only_its_own_share(daq_store, daq_config, case):
     assert before["bindings"] - after["bindings"] == 2  # one key per peer role
     assert inbox_queue("instr", cid) not in runtime.broker._queues
     assert f"mq.s.instr.{cid}" not in runtime.broker._queues
-    assert cid not in runtime.node("instr").cids
-    assert cid in runtime.node("agg").cids
+    assert cid not in shares(runtime.node("instr"))
+    assert cid in shares(runtime.node("agg"))
     if case == MONITOR:
         assert (cid, "I") not in runtime.monitor_for("instr").sessions
         assert (cid, "A") in runtime.monitor_for("agg").sessions
@@ -1427,7 +1430,7 @@ def test_stop_inside_a_callback_lets_the_callback_finish(daq_store, daq_config, 
     a._dispatcher.join(timeout=2)
     assert not a._dispatcher.is_alive()
     assert a.callback_errors == []
-    assert cid not in runtime.node("agg").cids
+    assert cid not in shares(runtime.node("agg"))
     assert inbox_queue("agg", cid) not in runtime.broker._queues
 
 
@@ -1560,6 +1563,54 @@ def test_joins_blocked_before_their_invitations_each_take_one(daq_store, daq_con
     assert sorted(endpoint.cid for endpoint in joined) == sorted(cids)
     assert runtime.mediation_violations == []
     runtime.close()
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+def test_joins_and_stops_at_once_on_one_node_lose_no_share(daq_store, case):
+    # more threads than cores, switching as often as they can, each creating
+    # sessions whose A and I shares, all held by agg and instr, are claimed
+    # while other threads' endpoints stop theirs: each share is claimed once,
+    # and every one is released
+    runtime = ConversationRuntime(daq_store, case=case, record_trace=False)
+    users = [f"user{n}" for n in range(4)]
+    for user in users:
+        runtime.node(user)
+    empty = baseline(runtime)
+    claimed, errors = [], []
+    ready = threading.Barrier(len(users))
+
+    def churn(user):
+        config = make_invitation_config(
+            "DataAquisition", {"U": user, "A": "agg", "I": "instr"}
+        )
+        try:
+            ready.wait(timeout=5)
+            for _ in range(300):
+                u = runtime.endpoint(user)
+                u.create("DataAquisition", config)
+                a = runtime.endpoint("agg").join("A", timeout=5)
+                i = runtime.endpoint("instr").join("I", timeout=5)
+                claimed.extend([("A", a.cid), ("I", i.cid)])
+                for endpoint in (u, a, i):
+                    endpoint.stop()
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=churn, args=(user,)) for user in users]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(set(claimed)) == len(claimed) == 2 * 300 * len(users)
+    assert held(runtime) == empty
+    assert runtime.dropped == [] and runtime.mediation_violations == []
 
 
 @pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
