@@ -215,3 +215,32 @@ def test_bad_assertion_syntax_is_a_parse_error():
         parse_global(
             "global protocol P(role A, role B) { @{x ==} M(int:x) from A to B; }"
         )
+
+
+_HEADER = "global protocol P(role A, role B) {"
+
+
+@pytest.mark.parametrize(
+    "source,line,column,found",
+    [
+        # a tab counts as one column
+        (_HEADER + "\n\tM from A to B;\n\t\tN from A B;\n}\n", 3, 12, "B"),
+        # the carriage return of a CRLF line end moves no line
+        (_HEADER + "\r\n    M from A to B;\r\n    N from A B;\r\n}\r\n", 3, 14, "B"),
+        # the end of input sits where a last comment with no newline starts
+        (_HEADER + "\n    M from A to B;\n  // no newline after this", 3, 3, "end of input"),
+        # a quoted string in an assertion that spans a line break counts it
+        (_HEADER + '\n    @{x != "a\\\nb"} M(string:x) from A to B;\n    N from A B;\n}\n',
+         4, 14, "B"),
+        (_HEADER + "\n    @", 2, 6, "end of input"),
+        (_HEADER + "\n    1M from A to B;\n}\n", 2, 5, "'1'"),
+        # only space, tab, CR and LF are blanks
+        (_HEADER + "\n    M from A to B;\u00a0\n}\n", 2, 19, "'\\xa0'"),
+    ],
+    ids=["tab", "crlf", "comment-at-end", "assertion-string-newline", "at-at-end",
+         "digit-first", "no-break-space"],
+)
+def test_parse_error_positions(source, line, column, found):
+    with pytest.raises(ParseError) as err:
+        parse_global(source)
+    assert (err.value.line, err.value.column, err.value.found) == (line, column, found)
