@@ -21,7 +21,8 @@ Scenarios:
 
 ``count_work`` counts work instead of timing it: the bytecodes one warm
 session set-up, one message and one session's stop execute, split by the
-source file they run in. The counts do not depend on the machine's speed or
+source file they run in. ``count_build`` does the same for building the
+protocol store a runtime starts from. The counts do not depend on the machine's speed or
 load, so they show where a cut lands and stay comparable across runs.
 """
 
@@ -359,8 +360,9 @@ class WorkCount:
     stop: Dict[str, int]  # every role's ``stop``
 
 
-def _count(counts: Counter, call, *args) -> None:
-    """Run ``call(*args)``, adding the bytecodes it executes to ``counts``.
+def _count(counts: Counter, call, *args):
+    """Run ``call(*args)``, adding the bytecodes it executes to ``counts``,
+    and return its result.
 
     Only frames ``call`` opens are traced, so the caller's own bytecodes are
     not counted.
@@ -378,7 +380,7 @@ def _count(counts: Counter, call, *args) -> None:
 
     sys.settrace(enter)
     try:
-        call(*args)
+        return call(*args)
     finally:
         sys.settrace(None)
 
@@ -388,6 +390,15 @@ def _by_file(counts: Counter) -> Dict[str, int]:
     for path, n in counts.items():
         out[os.path.basename(path)] += n
     return dict(out)
+
+
+def count_build(protocol_source: str) -> Dict[str, int]:
+    """Count the bytecodes of building a store from ``protocol_source``:
+    ``parse_global`` and then ``register_projections``, by source file."""
+    counts: Counter = Counter()
+    protocol = _count(counts, parse_global, protocol_source)
+    _count(counts, ProtocolStore().register_projections, protocol)
+    return _by_file(counts)
 
 
 def count_work(case: str, protocol_source: str, script: Sequence[tuple] = ()) -> WorkCount:

@@ -21,12 +21,19 @@ Statements inside a block:
   it are its continuation.
 - ``//`` starts a line comment.
 
+Space, tab, CR and LF are the only blanks. A name starts with a letter or
+``_`` and goes on with letters, digits or ``_`` (``str.isalpha``/``isalnum``).
+
+The lexer is one compiled pattern, matched once per token. Tokens are
+``(kind, value, offset)`` tuples; a ``ParseError`` computes its line and
+column from the offset, so positions cost nothing until an error is raised.
+
 ``parse_global`` and ``parse_local`` validate the result before returning it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Optional
 
 from .protocol import (
@@ -53,8 +60,6 @@ RESERVED = frozenset(
      "choice", "or", "rec", "parallel", "and"}
 )
 
-_PUNCT = {"{", "}", "(", ")", ",", ":", ";"}
-
 
 class ParseError(Exception):
     """Syntax error with position and the token kinds that were expected."""
@@ -69,143 +74,126 @@ class ParseError(Exception):
         self.found = found
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident', 'punct', 'assertion', 'eof'
-    value: str
-    line: int
-    column: int
+# One match per token: the blanks and comments before it, then the token.
+# Only space, tab, CR and LF are blanks. A comment that no newline ends is
+# where the input ends, and the end of input is placed at its start. A name
+# that starts with an ASCII letter or ``_`` is an ``ident`` at once; any other
+# run of word characters (``word``) is one only if it starts with a letter.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*\n)*"
+    r"(?:(?P<punct>[{}(),:;])|(?P<ident>[A-Za-z_]\w*)|(?P<word>\w+)|(?P<at>@)"
+    r"|(?P<eof>(?://[^\n]*)?\Z)|(?P<other>.))"
+)
 
 
-def _tokenize(source: str):
+def _error(source: str, offset: int, expected: tuple, found: str) -> ParseError:
+    """A ParseError at ``offset``, with its line and column counted from 1."""
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(line, offset - source.rfind("\n", 0, offset), expected, found)
+
+
+def _tokenize(source: str) -> list:
+    """Tokens as ``(kind, value, offset)`` tuples, kinds ``punct``, ``ident``,
+    ``assertion`` and ``eof``; two ``eof`` tokens end the list, so the parser
+    may look one token past the last without a bounds check."""
     tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-        elif ch == "@":
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            if i >= n or source[i] != "{":
-                raise ParseError(line, col, ("{",), source[i] if i < n else "end of input")
-            i += 1
-            col += 1
-            text, i, line, col = _scan_assertion(source, i, line, col, start_line, start_col)
-            tokens.append(_Token("assertion", text.strip(), start_line, start_col))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(_Token("ident", source[start:i], line, start_col))
+    append = tokens.append
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(source, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        if kind == "punct" or kind == "ident":
+            append((kind, m[kind], m.start(kind)))
+        elif kind == "eof":
+            eof = ("eof", "", m.start(kind))
+            append(eof)
+            append(eof)
+            return tokens
+        elif kind == "word":
+            value = m[kind]
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise _error(source, m.start(kind), ("statement",), repr(value[0]))
+            append(("ident", value, m.start(kind)))
+        elif kind == "at":
+            if source.startswith("{", pos):
+                start = m.start(kind)
+                close = _scan_assertion(source, pos + 1, start)
+                append(("assertion", source[pos + 1:close].strip(), start))
+                pos = close + 1
+            else:
+                found = source[pos] if pos < len(source) else "end of input"
+                raise _error(source, pos, ("{",), found)
         else:
-            raise ParseError(line, col, ("statement",), repr(ch))
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+            raise _error(source, m.start(kind), ("statement",), repr(m[kind]))
 
 
-def _scan_assertion(source, i, line, col, start_line, start_col):
-    """Consume up to the brace matching ``@{``, skipping quoted strings."""
+def _scan_assertion(source: str, i: int, start: int) -> int:
+    """The offset of the brace matching the ``@{`` at ``start``, from ``i``
+    just past it; braces inside quoted strings do not count."""
     n = len(source)
     depth = 1
-    out = []
     while i < n:
         ch = source[i]
         if ch in "'\"":
-            quote = ch
-            out.append(ch)
             i += 1
-            col += 1
-            while i < n and source[i] != quote:
-                if source[i] == "\\" and i + 1 < n:
-                    out.append(source[i])
+            while i < n and source[i] != ch:
+                if source[i] == "\\":
                     i += 1
-                    col += 1
-                if source[i] == "\n":
-                    line += 1
-                    col = 0
-                out.append(source[i])
                 i += 1
-                col += 1
-            if i < n:
-                out.append(quote)
-                i += 1
-                col += 1
-            continue
-        if ch == "{":
+        elif ch == "{":
             depth += 1
         elif ch == "}":
             depth -= 1
             if depth == 0:
-                return "".join(out), i + 1, line, col + 1
-        if ch == "\n":
-            line += 1
-            col = 0
-        out.append(ch)
+                return i
         i += 1
-        col += 1
-    raise ParseError(start_line, start_col, ("}",), "end of input")
+    raise _error(source, start, ("}",), "end of input")
 
 
 class _Parser:
-    def __init__(self, tokens):
+    """A cursor over the token list: every look is one index into it."""
+
+    def __init__(self, source: str, tokens: list):
+        self.source = source
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
     def fail(self, *expected) -> ParseError:
-        tok = self.peek()
-        found = tok.value if tok.kind != "eof" else "end of input"
-        return ParseError(tok.line, tok.column, expected, found)
+        kind, value, offset = self.tokens[self.pos]
+        return _error(self.source, offset, expected, value if kind != "eof" else "end of input")
 
-    def expect_punct(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            raise self.fail(value)
-        return self.next()
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value != word:
-            raise self.fail(word)
-        return self.next()
+    def at_punct(self, value: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok[1] == value and tok[0] == "punct"
 
     def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == word
+        tok = self.tokens[self.pos]
+        return tok[1] == word and tok[0] == "ident"
+
+    def expect_punct(self, value: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok[1] != value or tok[0] != "punct":
+            raise self.fail(value)
+        self.pos += 1
+
+    def expect_keyword(self, word: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok[1] != word or tok[0] != "ident":
+            raise self.fail(word)
+        self.pos += 1
 
     def expect_name(self, what: str = "identifier") -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
+        tok = self.tokens[self.pos]
+        if tok[0] != "ident" or tok[1] in RESERVED:
             raise self.fail(what)
-        if tok.value in RESERVED:
-            raise self.fail(what)
-        return self.next().value
+        self.pos += 1
+        return tok[1]
+
+    def expect_end(self) -> None:
+        if self.tokens[self.pos][0] != "eof":
+            raise self.fail("end of input")
 
     # Headers ------------------------------------------------------------
 
@@ -215,9 +203,7 @@ class _Parser:
         name = self.expect_name("protocol name")
         roles = self.parse_role_decls()
         body = self.parse_block(is_global=True)
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.fail("end of input")
+        self.expect_end()
         return GlobalProtocol(name, roles, body)
 
     def parse_local(self) -> LocalProtocol:
@@ -228,9 +214,7 @@ class _Parser:
         self_role = self.expect_name("role name")
         roles = self.parse_role_decls()
         body = self.parse_block(is_global=False)
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.fail("end of input")
+        self.expect_end()
         return LocalProtocol(name, self_role, roles, body)
 
     def parse_role_decls(self) -> tuple:
@@ -239,11 +223,9 @@ class _Parser:
         while True:
             self.expect_keyword("role")
             roles.append(self.expect_name("role name"))
-            tok = self.peek()
-            if tok.kind == "punct" and tok.value == ",":
-                self.next()
-                continue
-            break
+            if not self.at_punct(","):
+                break
+            self.pos += 1
         self.expect_punct(")")
         return tuple(roles)
 
@@ -255,71 +237,68 @@ class _Parser:
         self.expect_punct("}")
         return node
 
-    def at_block_end(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == "}"
-
     def parse_statements(self, is_global: bool):
         """Parse statements up to the closing brace of the current block."""
-        if self.at_block_end():
+        kind, value, offset = self.tokens[self.pos]
+        if kind == "punct" and value == "}":
             return END
-        tok = self.peek()
 
-        if tok.kind == "assertion":
-            self.next()
+        if kind == "assertion":
+            self.pos += 1
             try:
-                assertion = compile_predicate(tok.value)
+                assertion = compile_predicate(value)
             except PredicateSyntaxError as exc:
-                raise ParseError(tok.line, tok.column, ("assertion expression",), str(exc))
+                raise _error(self.source, offset, ("assertion expression",), str(exc))
             return self.parse_message(is_global, assertion)
 
-        if self.at_keyword("choice"):
+        if kind != "ident":
+            raise self.fail("statement")
+
+        if value == "choice":
             node = self.parse_choice(is_global)
-            if not self.at_block_end():
+            if not self.at_punct("}"):
                 raise self.fail("} (a choice ends its block)")
             return node
 
-        if self.at_keyword("rec"):
+        if value == "rec":
             node = self.parse_rec(is_global)
-            if not self.at_block_end():
+            if not self.at_punct("}"):
                 raise self.fail("} (a rec ends its block)")
             return node
 
-        if self.at_keyword("parallel"):
+        if value == "parallel":
             return self.parse_parallel(is_global)
 
-        if tok.kind == "ident" and tok.value not in RESERVED:
-            after = self.peek(1)
-            if after.kind == "punct" and after.value == ";":
-                var = self.expect_name()
-                self.expect_punct(";")
-                if not self.at_block_end():
-                    raise self.fail("} (a continue ends its block)")
-                return Continue(var)
-            return self.parse_message(is_global, None)
-
-        raise self.fail("statement")
+        if value in RESERVED:
+            raise self.fail("statement")
+        after = self.tokens[self.pos + 1]
+        if after[1] == ";" and after[0] == "punct":
+            self.pos += 2
+            if not self.at_punct("}"):
+                raise self.fail("} (a continue ends its block)")
+            return Continue(value)
+        return self.parse_message(is_global, None)
 
     def parse_choice(self, is_global: bool) -> Choice:
-        self.expect_keyword("choice")
+        self.pos += 1  # choice
         self.expect_keyword("at")
         at = self.expect_name("role name")
         branches = [self.parse_block(is_global)]
         while self.at_keyword("or"):
-            self.next()
+            self.pos += 1
             branches.append(self.parse_block(is_global))
         return Choice(at, tuple(branches))
 
     def parse_rec(self, is_global: bool) -> Rec:
-        self.expect_keyword("rec")
+        self.pos += 1  # rec
         var = self.expect_name("recursion label")
         return Rec(var, self.parse_block(is_global))
 
     def parse_parallel(self, is_global: bool) -> Parallel:
-        self.expect_keyword("parallel")
+        self.pos += 1  # parallel
         branches = [self.parse_block(is_global)]
         while self.at_keyword("and"):
-            self.next()
+            self.pos += 1
             branches.append(self.parse_block(is_global))
         cont = self.parse_statements(is_global)
         return Parallel(tuple(branches), cont)
@@ -335,12 +314,12 @@ class _Parser:
             cont = self.parse_statements(is_global)
             return Interaction(sig, src, dst, cont, assertion)
         if self.at_keyword("to"):
-            self.next()
+            self.pos += 1
             dst = self.expect_name("role name")
             self.expect_punct(";")
             return Send(sig, dst, self.parse_statements(is_global), assertion)
         if self.at_keyword("from"):
-            self.next()
+            self.pos += 1
             src = self.expect_name("role name")
             self.expect_punct(";")
             return Receive(sig, src, self.parse_statements(is_global), assertion)
@@ -348,56 +327,51 @@ class _Parser:
 
     def parse_signature(self) -> MessageSignature:
         label = self.expect_name("message label")
-        tok = self.peek()
-        if not (tok.kind == "punct" and tok.value == "("):
+        if not self.at_punct("("):
             return MessageSignature(label)
-        self.next()
+        self.pos += 1
         fields = []
-        if not (self.peek().kind == "punct" and self.peek().value == ")"):
+        if not self.at_punct(")"):
             while True:
                 fields.append(self.parse_payload_field())
-                tok = self.peek()
-                if tok.kind == "punct" and tok.value == ",":
-                    self.next()
-                    continue
-                break
+                if not self.at_punct(","):
+                    break
+                self.pos += 1
         self.expect_punct(")")
         return MessageSignature(label, tuple(fields))
 
     def parse_payload_field(self) -> PayloadField:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value not in SORTS:
+        kind, sort, _ = self.tokens[self.pos]
+        if kind != "ident" or sort not in SORTS:
             raise self.fail(*(f"payload sort ({s})" for s in SORTS))
-        sort = self.next().value
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == ":":
-            self.next()
-            name = self.expect_name("payload name")
-            return PayloadField(name, sort)
+        self.pos += 1
+        if self.at_punct(":"):
+            self.pos += 1
+            return PayloadField(self.expect_name("payload name"), sort)
         return PayloadField(sort, sort)
 
 
 def parse_global(source: str) -> GlobalProtocol:
     """Parse and validate a global protocol."""
-    protocol = _Parser(_tokenize(source)).parse_global()
+    protocol = _Parser(source, _tokenize(source)).parse_global()
     validate_global(protocol)
     return protocol
 
 
 def parse_local(source: str) -> LocalProtocol:
     """Parse and validate a local protocol."""
-    protocol = _Parser(_tokenize(source)).parse_local()
+    protocol = _Parser(source, _tokenize(source)).parse_local()
     validate_local(protocol)
     return protocol
 
 
 def parse_protocol(source: str):
     """Parse either kind, deciding by the leading keyword."""
-    tokens = _tokenize(source)
-    if tokens and tokens[0].kind == "ident" and tokens[0].value == "local":
-        protocol = _Parser(tokens).parse_local()
+    parser = _Parser(source, _tokenize(source))
+    if parser.at_keyword("local"):
+        protocol = parser.parse_local()
         validate_local(protocol)
         return protocol
-    protocol = _Parser(tokens).parse_global()
+    protocol = parser.parse_global()
     validate_global(protocol)
     return protocol

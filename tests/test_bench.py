@@ -13,6 +13,7 @@ from parley.bench import (
     SCENARIOS,
     bench_report,
     bench_run,
+    count_build,
     count_work,
     messages_per_session,
     pingpong_script,
@@ -168,6 +169,57 @@ def test_a_raw_message_checks_its_assertion_in_a_third_of_the_tree_walks_work():
     ]
     work = count_work("Monitor", DAQ_GLOBAL_SRC, script)
     assert work.per_message["predicates.py"] * len(script) <= 544 / 3
+
+
+def _wide_script(k: int) -> list:
+    return [m for i in range(1, k + 1) for m in (("S", "C", f"OK{i}"), ("C", "S", f"ACK{i}"))]
+
+
+def _payload_script(size: int) -> list:
+    blob = {"data": bytes(size)}
+    return [("S", "C", "OK", blob), ("C", "S", "ACK", blob), ("S", "C", "KO")]
+
+
+def _per_message(case: str, source: str, script) -> float:
+    return sum(count_work(case, source, script).per_message.values())
+
+
+@pytest.mark.parametrize(
+    "source,script",
+    [
+        (pingpong_source(), pingpong_script(100)),
+        (wide_source(1), _wide_script(1)),
+        (pingpong_source(with_payload=True), _payload_script(64)),
+    ],
+    ids=["session-length", "protocol-size", "payload-size"],
+)
+def test_checking_costs_more_work_than_forwarding_and_forwarding_more_than_none(source, script):
+    # the deterministic companion of c7's (a), on the first cell of each scenario
+    monitor, forwarder, none = (_per_message(case, source, script) for case in CASES)
+    assert monitor >= forwarder >= none
+
+
+def test_checking_work_per_message_does_not_grow_with_parallel_branches():
+    # the deterministic companion of c7's (c): Monitor minus Forwarder per
+    # message was 764 bytecodes at k=1 and 668 at k=6 (CPython 3.11)
+    checking = {
+        k: _per_message("Monitor", wide_source(k), _wide_script(k))
+        - _per_message("Forwarder", wide_source(k), _wide_script(k))
+        for k in (1, 6)
+    }
+    assert checking[6] <= checking[1]
+
+
+def test_count_build_repeats_exactly_and_stays_under_28000_for_daq():
+    # Building DataAquisition (parse_global, then register_projections) cost
+    # 47,900 bytecodes with the character-stepping lexer and 20,287 with the
+    # one-pattern lexer (CPython 3.11). The bound keeps headroom for other
+    # interpreter versions.
+    first = count_build(DAQ_GLOBAL_SRC)
+    assert first == count_build(DAQ_GLOBAL_SRC)
+    assert first["parser.py"] > 0 and first["projection.py"] > 0
+    assert "bench.py" not in first
+    assert sum(first.values()) <= 28_000
 
 
 def test_tracer_targets_resolve(monkeypatch):

@@ -1,6 +1,13 @@
-import pytest
+from dataclasses import dataclass
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from parley import parser as parser_mod
 from parley.parser import ParseError, parse_global, parse_local, parse_protocol
+from parley.printer import serialize
+from parley.projection import project
 from parley.protocol import (
     Choice,
     Continue,
@@ -14,7 +21,109 @@ from parley.protocol import (
     ValidationError,
 )
 
+import protogen
 from conftest import DAQ_GLOBAL_SRC, DAQ_LOCAL_A_SRC
+
+
+# The character-stepping lexer the one-pattern lexer replaced, kept as the
+# oracle the differential tests below hold it to.
+_PUNCT = {"{", "}", "(", ")", ",", ":", ";"}
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'ident', 'punct', 'assertion', 'eof'
+    value: str
+    line: int
+    column: int
+
+
+def _tokenize(source: str):
+    tokens = []
+    line = 1
+    col = 1
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+            col += 1
+        elif source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+        elif ch in _PUNCT:
+            tokens.append(_Token("punct", ch, line, col))
+            i += 1
+            col += 1
+        elif ch == "@":
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            if i >= n or source[i] != "{":
+                raise ParseError(line, col, ("{",), source[i] if i < n else "end of input")
+            i += 1
+            col += 1
+            text, i, line, col = _scan_assertion(source, i, line, col, start_line, start_col)
+            tokens.append(_Token("assertion", text.strip(), start_line, start_col))
+        elif ch.isalpha() or ch == "_":
+            start = i
+            start_col = col
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+                col += 1
+            tokens.append(_Token("ident", source[start:i], line, start_col))
+        else:
+            raise ParseError(line, col, ("statement",), repr(ch))
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+def _scan_assertion(source, i, line, col, start_line, start_col):
+    """Consume up to the brace matching ``@{``, skipping quoted strings."""
+    n = len(source)
+    depth = 1
+    out = []
+    while i < n:
+        ch = source[i]
+        if ch in "'\"":
+            quote = ch
+            out.append(ch)
+            i += 1
+            col += 1
+            while i < n and source[i] != quote:
+                if source[i] == "\\" and i + 1 < n:
+                    out.append(source[i])
+                    i += 1
+                    col += 1
+                if source[i] == "\n":
+                    line += 1
+                    col = 0
+                out.append(source[i])
+                i += 1
+                col += 1
+            if i < n:
+                out.append(quote)
+                i += 1
+                col += 1
+            continue
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return "".join(out), i + 1, line, col + 1
+        if ch == "\n":
+            line += 1
+            col = 0
+        out.append(ch)
+        i += 1
+        col += 1
+    raise ParseError(start_line, start_col, ("}",), "end of input")
 
 
 def test_parse_global_header(daq_global):
@@ -244,3 +353,92 @@ def test_parse_error_positions(source, line, column, found):
     with pytest.raises(ParseError) as err:
         parse_global(source)
     assert (err.value.line, err.value.column, err.value.found) == (line, column, found)
+
+
+def _error_fields(err: ParseError) -> tuple:
+    return ("ParseError", err.line, err.column, err.expected, err.found)
+
+
+def _position(source: str, offset: int) -> tuple:
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def _oracle_tokens(source: str):
+    try:
+        return [(t.kind, t.value, t.line, t.column) for t in _tokenize(source)]
+    except ParseError as err:
+        return _error_fields(err)
+
+
+def _tokens(source: str):
+    try:
+        tokens = parser_mod._tokenize(source)
+    except ParseError as err:
+        return _error_fields(err)
+    # two eof tokens end the list, where the oracle has one
+    assert tokens[-1] == tokens[-2] and tokens[-1][0] == "eof"
+    return [(kind, value, *_position(source, offset)) for kind, value, offset in tokens[:-1]]
+
+
+def _oracle_tuples(source: str) -> list:
+    """The oracle's tokens in the parser's ``(kind, value, offset)`` form."""
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    tokens = [(t.kind, t.value, line_starts[t.line - 1] + t.column - 1) for t in _tokenize(source)]
+    return tokens + tokens[-1:]
+
+
+def _parse_outcome(source: str):
+    try:
+        return parse_protocol(source)
+    except ParseError as err:
+        return _error_fields(err)
+    except ValidationError as err:
+        return ("ValidationError", err.kind, str(err))
+
+
+def _oracle_parse_outcome(source: str):
+    with mock.patch.object(parser_mod, "_tokenize", _oracle_tuples):
+        return _parse_outcome(source)
+
+
+_FRAGMENTS = (
+    "{", "}", "(", ")", ",", ":", ";",
+    "global", "local", "protocol", "role", "at", "from", "to", "choice", "or",
+    "rec", "parallel", "and", "A", "B", "M", "x", "int", "data", "_x1", "size",
+    " ", "  ", "\t", "\r", "\n", "\r\n", "//", "// c ", "/",
+    "@", "@{", '@{x == "}"}', '@{x == "\\"}"}', "@{size(data) <= 512}",
+    "@{x != 'a\\\nb'}",
+    '"', "'", "\\", "<=", "0", "7", "12",
+    "ß", "²", "\u00a0", "\x0b", "\u2028",
+)
+_VALID = [serialize(protogen.random_global(seed)) for seed in range(20)]
+
+
+@st.composite
+def _sources(draw):
+    fragments = draw(st.lists(st.sampled_from(_FRAGMENTS), max_size=40))
+    if draw(st.booleans()):
+        return "".join(fragments)
+    # a valid protocol with the fragments spliced in at one place, so that
+    # errors also come from deep inside a parse
+    source = draw(st.sampled_from(_VALID))
+    at = draw(st.integers(min_value=0, max_value=len(source)))
+    cut = draw(st.integers(min_value=0, max_value=3))
+    return source[:at] + "".join(fragments) + source[at + cut:]
+
+
+@settings(max_examples=400)
+@given(source=_sources())
+def test_lexer_agrees_with_the_character_stepping_oracle(source):
+    assert _tokens(source) == _oracle_tokens(source)
+    assert _parse_outcome(source) == _oracle_parse_outcome(source)
+
+
+def test_parse_protocol_agrees_with_the_oracle_on_generated_protocols():
+    for seed in range(200):
+        protocol = protogen.random_global(seed)
+        sources = [serialize(protocol)]
+        sources += [serialize(project(protocol, role).protocol) for role in protocol.roles]
+        for source in sources:
+            assert _tokens(source) == _oracle_tokens(source)
+            assert _parse_outcome(source) == _oracle_parse_outcome(source)
