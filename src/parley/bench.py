@@ -22,8 +22,9 @@ Scenarios:
 ``count_work`` counts work instead of timing it: the bytecodes one warm
 session set-up, one message and one session's stop execute, split by the
 source file they run in. ``count_build`` does the same for building the
-protocol store a runtime starts from. The counts do not depend on the machine's speed or
-load, so they show where a cut lands and stay comparable across runs.
+protocol store a runtime starts from. The counts do not depend on the
+machine's speed or load, so they show where a cut lands and stay comparable
+across runs.
 """
 
 from __future__ import annotations

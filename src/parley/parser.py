@@ -155,9 +155,9 @@ def _scan_assertion(source: str, i: int, start: int) -> int:
 class _Parser:
     """A cursor over the token list: every look is one index into it."""
 
-    def __init__(self, source: str, tokens: list):
+    def __init__(self, source: str):
         self.source = source
-        self.tokens = tokens
+        self.tokens = _tokenize(source)
         self.pos = 0
 
     def fail(self, *expected) -> ParseError:
@@ -353,21 +353,21 @@ class _Parser:
 
 def parse_global(source: str) -> GlobalProtocol:
     """Parse and validate a global protocol."""
-    protocol = _Parser(source, _tokenize(source)).parse_global()
+    protocol = _Parser(source).parse_global()
     validate_global(protocol)
     return protocol
 
 
 def parse_local(source: str) -> LocalProtocol:
     """Parse and validate a local protocol."""
-    protocol = _Parser(source, _tokenize(source)).parse_local()
+    protocol = _Parser(source).parse_local()
     validate_local(protocol)
     return protocol
 
 
 def parse_protocol(source: str):
     """Parse either kind, deciding by the leading keyword."""
-    parser = _Parser(source, _tokenize(source))
+    parser = _Parser(source)
     if parser.at_keyword("local"):
         protocol = parser.parse_local()
         validate_local(protocol)
