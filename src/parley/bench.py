@@ -217,11 +217,12 @@ def bench_run(
         (param, case): [] for param in chosen for case in cases
     }
     # The collector is paused while a window is timed and runs between
-    # windows instead; repetitions are interleaved round-robin across the
-    # cases so machine drift lands on every case equally rather than
-    # biasing whichever case's block it happens to hit. Both matter for
-    # the overhead ratios: a collection pause or a slow patch inside one
-    # case's block shows up as a phantom overhead shift.
+    # windows instead. Every cell is warmed first; then each repetition
+    # times every (parameter, case) cell once, round-robin, so machine
+    # drift lands on every cell of the call equally rather than biasing
+    # whichever block it happens to hit. Both matter for the overhead
+    # ratios and for comparing them across parameters: a collection pause
+    # or a slow patch inside one block shows up as a phantom overhead shift.
     #
     # The heap that existed before the sweep is collected once and then
     # frozen, so each between-window collection covers only the last
@@ -236,37 +237,30 @@ def bench_run(
         gc.collect()
         gc.freeze()
     try:
-        for param in chosen:
-            for case in cases:
-                for _ in range(warmup):
-                    _run_once(scenario, param, case, store, clock)
-            gc.collect()
-            for _ in range(repetitions):
-                for case in cases:
-                    samples[(param, case)].append(
-                        _run_once(scenario, param, case, store, clock)
-                    )
-                    gc.collect()
+        for param, case in samples:
+            for _ in range(warmup):
+                _run_once(scenario, param, case, store, clock)
+        gc.collect()
+        for _ in range(repetitions):
+            for (param, case), cell in samples.items():
+                cell.append(_run_once(scenario, param, case, store, clock))
+                gc.collect()
     finally:
         if freeze:
             gc.unfreeze()
         if was_enabled:
             gc.enable()
-    records = []
-    for param in chosen:
-        for case in cases:
-            cell = samples[(param, case)]
-            records.append(
-                BenchRecord(
-                    scenario=scenario.name,
-                    parameter=param,
-                    case=case,
-                    mean_ns=statistics.mean(cell),
-                    stddev_ns=statistics.stdev(cell) if len(cell) > 1 else 0.0,
-                    repetitions=repetitions,
-                )
-            )
-    return records
+    return [
+        BenchRecord(
+            scenario=scenario.name,
+            parameter=param,
+            case=case,
+            mean_ns=statistics.mean(cell),
+            stddev_ns=statistics.stdev(cell) if len(cell) > 1 else 0.0,
+            repetitions=repetitions,
+        )
+        for (param, case), cell in samples.items()
+    ]
 
 
 def _forwarder_means(records: Sequence[BenchRecord]) -> Dict[Tuple[str, int], float]:

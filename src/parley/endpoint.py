@@ -475,6 +475,10 @@ class Endpoint:
         self.cid: Optional[str] = None
         self.role: Optional[str] = None
         self.roles: tuple = ()
+        # The roles this endpoint may address: its conversation's roles but
+        # its own, from ``_bind`` until ``stop``. Messaging tests this set
+        # alone and asks the checks below for the error only on a miss.
+        self._peers: frozenset = frozenset()
         self.callback_errors: List[BaseException] = []
         self._outbound = outbound_queue(self.principal)
         # Delivery and ``receive`` take the plain lock. The condition on it
@@ -599,6 +603,7 @@ class Endpoint:
         """Join conversation ``cid`` through the share this endpoint claimed."""
         self.cid = cid
         self.role, self.roles, inbox = share
+        self._peers = frozenset(self.roles) - {self.role}
         self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
 
@@ -625,8 +630,9 @@ class Endpoint:
     # --- messaging -----------------------------------------------------------
 
     def send(self, to_role: str, label: str, payload: Optional[Dict[str, object]] = None) -> None:
-        self._require_joined()
-        self._check_peer(to_role)
+        if to_role not in self._peers:
+            self._require_joined()
+            self._check_peer(to_role)
         message = ConversationMessage(
             IN_SESSION, self.cid, self.role, to_role, label, payload_from_dict(payload)
         )
@@ -640,9 +646,10 @@ class Endpoint:
 
     def receive(self, from_role: str, timeout: Optional[float] = None):
         """Next message from ``from_role`` as (label, payload dict); blocks."""
-        self._require_joined()
-        self._check_peer(from_role)
-        deadline = time.monotonic() + (timeout if timeout is not None else _DEFAULT_TIMEOUT)
+        if from_role not in self._peers:
+            self._require_joined()
+            self._check_peer(from_role)
+        deadline = None
         with self._lock:
             while True:
                 bucket = self._buckets.get(from_role)
@@ -653,6 +660,10 @@ class Endpoint:
                     raise SessionEnded(f"conversation {self.cid} was stopped")
                 if self.status() == COMPLETED:
                     raise SessionEnded(f"conversation {self.cid} has completed")
+                if deadline is None:
+                    deadline = time.monotonic() + (
+                        timeout if timeout is not None else _DEFAULT_TIMEOUT
+                    )
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise Timeout(f"nothing from {from_role}")
@@ -666,8 +677,9 @@ class Endpoint:
 
     def receive_async(self, from_role: str, callback) -> None:
         """Register a one-shot callback for the next message from ``from_role``."""
-        self._require_joined()
-        self._check_peer(from_role)
+        if from_role not in self._peers:
+            self._require_joined()
+            self._check_peer(from_role)
         with self._lock:
             if from_role in self._callbacks:
                 raise DuplicateRegistration(f"a callback already waits on {from_role}")
@@ -692,6 +704,7 @@ class Endpoint:
             if self._stopped:
                 return
             self._stopped = True
+            self._peers = frozenset()
             self._ended = ended
             self._callbacks.clear()
             self._buckets.clear()

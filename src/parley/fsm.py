@@ -19,8 +19,9 @@ trying them all.
 A compiled machine is never written after :func:`compile` returns, so one
 machine can serve any number of runs. Besides the per-thread tables it
 carries a dispatch index (triple to owning thread, that thread's chain of
-``(parent, spawn_state)`` ancestors, and a ``state -> TransitionValue``
-table) and its settled initial configuration.
+``(parent, spawn_state)`` ancestors, and a table from source state to the
+hit ``(thread id, TransitionValue, quiet)``) and its settled initial
+configuration.
 
 A :class:`Run` is one execution: a cursor per thread, the set of threads
 that have fired, and counters. It is the only interpreter of the nested
@@ -43,6 +44,17 @@ to date on every cursor move, because a terminal state may still have
 outgoing transitions. The start configuration is settled by the same steps:
 :func:`compile` builds one settled :class:`Run` per machine, and every run
 after it starts as a copy, so no session settles its start again.
+
+Many steps change nothing but one cursor, and :func:`compile` marks the
+ones it can tell in the dispatch index as *quiet*: the root thread's
+transitions whose target spawns no join and lies on the same side of
+``terminal`` as their source.
+The marking is exact. The root is always fired and has no parent, so such a
+move adds no thread to ``fired`` and commits no parent's join; staying on
+one side of ``terminal`` leaves ``open`` as it was; and a target with no join
+gives ``_enter`` nothing to settle. :meth:`Run.fire_quiet` therefore writes
+the cursor and clears the root's commitment, and nothing else, which is what
+:meth:`Run.fire` would do. Every other move takes the general path.
 """
 
 from __future__ import annotations
@@ -128,7 +140,8 @@ class NestedFsm:
     self_role: str
     threads: List[FsmThread]
     terminal: frozenset
-    # (label, sender, receiver) -> (thread id, its chain, {state: TransitionValue})
+    # (label, sender, receiver) -> (thread id, its chain,
+    #                               {state: (thread id, TransitionValue, quiet)})
     dispatch: Dict[tuple, tuple]
     # the settled run every new run copies; set by compile()
     start: Optional[Run] = field(default=None, compare=False, repr=False)
@@ -286,18 +299,30 @@ class _Compiler:
         return state
 
     def check_cross_thread(self) -> Dict[tuple, tuple]:
-        """The dispatch index; refuses a triple that two threads share."""
+        """The dispatch index; refuses a triple that two threads share.
+
+        Each entry's hit ``(thread id, TransitionValue, quiet)`` is built
+        here, once, so a step hands it back as it is.
+        """
         dispatch: Dict[tuple, tuple] = {}
+        terminal = self.terminal
         for thread in self.threads:
+            tid = thread.thread_id
             for key, value in thread.transitions.items():
                 triple = (key.label, key.sender, key.receiver)
-                owner = dispatch.setdefault(triple, (thread.thread_id, thread.chain, {}))
-                if owner[0] != thread.thread_id:
+                owner = dispatch.setdefault(triple, (tid, thread.chain, {}))
+                if owner[0] != tid:
                     raise NondeterminismError(
-                        f"{triple} appears in threads {owner[0]} and {thread.thread_id}; "
+                        f"{triple} appears in threads {owner[0]} and {tid}; "
                         "messages could not be routed to a unique thread"
                     )
-                owner[2][key.state] = value
+                target = value.next_state
+                quiet = (
+                    thread.parent is None
+                    and target not in thread.joins
+                    and (key.state in terminal) == (target in terminal)
+                )
+                owner[2][key.state] = (tid, value, quiet)
         return dispatch
 
     def check_progress(self) -> None:
@@ -562,7 +587,8 @@ class Run:
         return self.open == 0
 
     def transition(self, triple: tuple):
-        """The (thread id, TransitionValue) that ``triple`` fires now, or None."""
+        """The (thread id, TransitionValue, quiet) that ``triple`` fires now,
+        or None. A quiet hit may be fired with :meth:`fire_quiet`."""
         entry = self.fsm.dispatch.get(triple)
         if entry is None:
             return None
@@ -571,10 +597,10 @@ class Run:
         for parent, spawn_state in chain:  # each ancestor must sit on its spawn state
             if cursors[parent] != spawn_state:
                 return None
-        value = table.get(cursors[tid])
-        if value is None or self.started[tid]:
+        hit = table.get(cursors[tid])
+        if hit is None or self.started[tid]:
             return None
-        return tid, value
+        return hit
 
     def enabled(self) -> list:
         """The (thread id, TransitionKey) pairs that can fire now."""
@@ -604,6 +630,14 @@ class Run:
             self._move(parent, join.next_state)
             self._enter(parent)
             parent = threads[parent].parent
+
+    def fire_quiet(self, tid: int, next_state: int) -> None:
+        """:meth:`fire` for a hit that :meth:`transition` calls quiet: the
+        root thread, already fired, moving to a state that spawns no join on
+        the same side of ``terminal``. Such a move changes no counter and
+        settles nothing, so only the cursor and its commitment are written."""
+        self.cursors[tid] = next_state
+        self.started[tid] = False
 
     def _move(self, tid: int, state: int) -> None:
         """Set an active thread's cursor, keeping both counters."""

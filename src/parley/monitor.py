@@ -8,10 +8,19 @@ later assertions can refer to earlier fields.
 
 A session is an ``fsm.Run`` of its nested FSM (cursors, fired threads and
 counters), copied from the machine's settled start and stepped only by the
-run's ``transition``, ``fire`` and ``enabled``, the same code that
-enumerates the machine's trace language.
+run's ``transition``, ``fire``, ``fire_quiet`` and ``enabled``, the same
+code that enumerates the machine's trace language.
 The monitor adds payload arity, bindings, assertions, verdicts and session
 status on top; it has no copy of the thread semantics.
+
+A hit that ``transition`` calls quiet (``fsm`` says which: a move of the
+root thread into a state that spawns no join, on the same side of the
+terminal states) is fired with ``fire_quiet``, which writes one cursor.
+Such a move leaves the run's count of open threads as it was, so the
+session status, which follows that count until a refusal, needs no update.
+When the hit also binds nothing, asserts nothing and the message carries
+no payload, there is nothing else to check, and ``check`` accepts at once.
+Other quiet hits still go through arity, bindings and the assertion first.
 
 Each monitor compiles a protocol reference once. ``Monitor.machines`` maps
 the reference to the ``LocalProtocol`` it was compiled from and the
@@ -284,14 +293,22 @@ class Monitor:
         if hit is None:
             verdict = self._miss(state, triple)
         else:
-            verdict = self._fire(state, message, *hit)
+            tid, value, quiet = hit
+            if quiet and not message.payload and value.assertion is None and not value.var_binders:
+                # Nothing to bind or assert, and a quiet move leaves ``open``,
+                # hence the status, as it was.
+                state.run.fire_quiet(tid, value.next_state)
+                if self.record_trace:
+                    self._record(message, role, ACCEPT)
+                return ACCEPT
+            verdict = self._fire(state, message, tid, value, quiet)
         if not verdict.ok:
             state.status = VIOLATED
         if self.record_trace:
             self._record(message, role, verdict)
         return verdict
 
-    def _fire(self, state: SessionState, message, tid: int, value) -> MonitorVerdict:
+    def _fire(self, state: SessionState, message, tid: int, value, quiet: bool) -> MonitorVerdict:
         binders = value.var_binders
         if len(message.payload) != len(binders):
             return MonitorVerdict(
@@ -322,9 +339,12 @@ class Monitor:
             for name, pair in zip(binders, message.payload):
                 env[name] = pair[1]
         run = state.run
-        run.fire(tid, value.next_state)
-        if state.status != VIOLATED:
-            state.status = ACTIVE if run.open else COMPLETED
+        if quiet:
+            run.fire_quiet(tid, value.next_state)
+        else:
+            run.fire(tid, value.next_state)
+            if state.status != VIOLATED:
+                state.status = ACTIVE if run.open else COMPLETED
         return ACCEPT
 
     def _miss(self, state: SessionState, triple) -> MonitorVerdict:

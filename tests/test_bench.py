@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import parley.bench as bench_mod
 from parley.bench import (
     BenchRecord,
     CASES,
@@ -66,6 +67,21 @@ def test_bench_run_is_deterministic_under_fake_clock():
         assert record.repetitions == 3
         assert record.mean_ns == 1000.0  # one tick per timed window
         assert record.stddev_ns == 0.0
+
+
+def test_bench_run_warms_every_cell_then_times_every_cell_per_repetition(monkeypatch):
+    calls = []
+
+    def run_once(scenario, param, case, store, clock):
+        calls.append((param, case))
+        return 1
+
+    monkeypatch.setattr(bench_mod, "_run_once", run_once)
+    cases = ("Monitor", "Forwarder")
+    bench_run("session-length", params=(100, 200), cases=cases, repetitions=3, warmup=2)
+    cells = [(param, case) for param in (100, 200) for case in cases]
+    warm = [cell for cell in cells for _ in range(2)]
+    assert calls == warm + cells * 3
 
 
 def test_bench_run_real_clock_smoke():
@@ -208,6 +224,28 @@ def test_checking_work_per_message_does_not_grow_with_parallel_branches():
         for k in (1, 6)
     }
     assert checking[6] <= checking[1]
+
+
+def test_a_pingpong_message_is_checked_in_at_most_300_opcodes():
+    # count_work on pingpong_script(100), CPython 3.11.7, as set-up / per
+    # message / stop. Before quiet moves and the peer set:
+    #   Monitor 2543 / 1157.3 / 546, Forwarder 2251 / 670.1 / 474,
+    #   NoMonitor 1177 / 491.1 / 386, so checking cost 487.2 per message;
+    # after: Monitor 2565 / 857.6 / 556, Forwarder 2273 / 611.1 / 484,
+    #   NoMonitor 1199 / 432.1 / 396, and checking costs 246.5.
+    before = {
+        "Monitor": (2543, 546),
+        "Forwarder": (2251, 474),
+        "NoMonitor": (1177, 386),
+    }
+    work = {case: count_work(case, pingpong_source(), pingpong_script(100)) for case in CASES}
+    per_message = {case: sum(w.per_message.values()) for case, w in work.items()}
+    assert per_message["Monitor"] - per_message["Forwarder"] <= 300
+    assert per_message["Forwarder"] <= 671
+    assert per_message["NoMonitor"] <= 492
+    for case, (setup, stop) in before.items():
+        assert sum(work[case].setup.values()) <= setup + 25, case
+        assert sum(work[case].stop.values()) <= stop + 25, case
 
 
 def test_count_build_repeats_exactly_and_stays_under_28000_for_daq():

@@ -1,5 +1,9 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
+from parley.bench import pingpong_source, wide_source
 from parley.fsm import (
     CompileError,
     EmptyRecursionError,
@@ -13,7 +17,7 @@ from parley.fsm import (
     to_dot,
     trace_language,
 )
-from parley.parser import parse_local
+from parley.parser import parse_global, parse_local
 from parley.projection import project, project_all
 from parley.protocol import (
     Continue,
@@ -27,6 +31,7 @@ from parley.protocol import (
 )
 
 import protogen
+from conftest import DAQ_GLOBAL_SRC
 
 
 def _local(body_src: str, roles="(role M, role P, role Q)") -> str:
@@ -355,3 +360,61 @@ def test_incremental_settle_agrees_with_full_scan():
                         following.append((moved, trace + (key,)))
             frontier = following
     assert machines > 3000 and steps > 30000
+
+
+# --- quiet moves against the general fire ---------------------------------------
+
+
+def _quiet_machines():
+    churn = importlib.import_module("workloads").CHURN_SOURCE
+    sources = [DAQ_GLOBAL_SRC, pingpong_source(), churn]
+    sources += [wide_source(k) for k in (1, 2, 3)]
+    globals_ = [parse_global(source) for source in sources]
+    globals_ += [protogen.random_global(seed) for seed in range(200)]
+    for protocol in globals_:
+        for role, report in sorted(project_all(protocol).items()):
+            try:
+                yield f"{protocol.name}@{role}", compile_fsm(report.protocol)
+            except CompileError:
+                continue
+
+
+def _snapshot(run):
+    return (list(run.cursors), set(run.fired), list(run.pending), list(run.started), run.open)
+
+
+def test_quiet_moves_are_exactly_the_root_moves_that_change_one_cursor(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    machines = quiet_steps = loud_root_steps = 0
+    for name, fsm in _quiet_machines():
+        machines += 1
+        frontier, seen = [fsm.start.copy()], set()
+        for _ in range(6):
+            following = []
+            for run in frontier:
+                for tid, key in run.enabled():
+                    value = fsm.threads[tid].transitions[key]
+                    hit = run.transition((key.label, key.sender, key.receiver))
+                    assert hit is not None and hit[:2] == (tid, value), (name, key)
+                    general = run.copy()
+                    general.fire(tid, value.next_state)
+                    short = run.copy()
+                    short.fire_quiet(tid, value.next_state)
+                    if hit[2]:
+                        quiet_steps += 1
+                        reference = run.copy()
+                        reference._move(tid, value.next_state)
+                        reference._enter(tid)
+                        assert _snapshot(short) == _snapshot(reference), (name, key)
+                        assert _snapshot(short) == _snapshot(general), (name, key)
+                    elif tid == 0:
+                        # a root step left on the general path does more than
+                        # set its cursor to the target and clear its commitment
+                        loud_root_steps += 1
+                        assert _snapshot(short) != _snapshot(general), (name, key)
+                    config = (tuple(general.cursors), frozenset(general.fired))
+                    if config not in seen:
+                        seen.add(config)
+                        following.append(general)
+            frontier = following
+    assert machines > 600 and quiet_steps > 1000 and loud_root_steps > 1000

@@ -184,6 +184,50 @@ def test_assertion_sees_earlier_bindings(daq_store):
     assert denied.kind == "assertion-failed"
 
 
+def test_quiet_moves_still_check_arity_bindings_and_assertions():
+    g = parse_global(
+        "global protocol Gate(role S, role C) {"
+        " Limit(int:cap) from C to S;"
+        " @{cap > 0} Go from S to C;"
+        " Data(data:chunk) from S to C;"
+        " Done from S to C; }"
+    )
+    store = ProtocolStore()
+    store.register_projections(g)
+    monitor = Monitor(store.local)
+    machine = compile_fsm(store.local("Gate_C.scr"))
+    quiet = {
+        triple[0]: hit[2]
+        for triple, (_, _, table) in machine.dispatch.items()
+        for hit in table.values()
+    }
+    assert quiet == {"Limit": True, "Go": True, "Data": True, "Done": False}
+
+    monitor.init_session("g1", "C", "Gate_C.scr")
+    assert monitor.check(msg("g1", "Limit", "C", "S", (("cap", 0),)), "C").ok
+    assert monitor.sessions[("g1", "C")].env == {"cap": 0}
+    assert monitor.check(msg("g1", "Go", "S", "C"), "C").kind == "assertion-failed"
+    assert monitor.session_status(("g1", "C")) == VIOLATED
+
+    monitor.init_session("g2", "C", "Gate_C.scr")
+    assert monitor.check(msg("g2", "Limit", "C", "S", (("cap", 1),)), "C").ok
+    assert monitor.check(msg("g2", "Go", "S", "C"), "C").ok
+    assert monitor.check(msg("g2", "Data", "S", "C"), "C").kind == "payload-arity"
+
+    monitor.init_session("g3", "C", "Gate_C.scr")
+    steps = [
+        ("Limit", "C", "S", (("cap", 1),)),
+        ("Go", "S", "C", ()),
+        ("Data", "S", "C", (("chunk", b"x"),)),
+        ("Done", "S", "C", ()),
+    ]
+    for label, sender, receiver, payload in steps:
+        assert monitor.session_status(("g3", "C")) == "active"
+        assert monitor.check(msg("g3", label, sender, receiver, payload), "C").ok
+    assert monitor.sessions[("g3", "C")].env == {"cap": 1, "chunk": b"x"}
+    assert monitor.session_status(("g3", "C")) == COMPLETED
+
+
 def test_payload_arity(session):
     verdict = session.check(
         msg("c1", "Request", "U", "A", (("info", "x"), ("extra", 1))), "A"

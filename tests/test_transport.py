@@ -238,6 +238,28 @@ def test_unjoined_and_unknown_peer_errors(daq_store, daq_config):
     with pytest.raises(UnknownPeerRole):
         lone.receive("Q", timeout=0.1)
 
+    # Each messaging call on four endpoints, with each error's exact type and text.
+    stopped = runtime.endpoint("agg").join("A")
+    stopped.stop()
+    unjoined = runtime.endpoint("instr")
+    calls = (
+        lambda endpoint, role: endpoint.send(role, "Request", {"info": "x"}),
+        lambda endpoint, role: endpoint.receive(role, timeout=0.1),
+        lambda endpoint, role: endpoint.receive_async(role, lambda label, payload: None),
+    )
+    cases = (
+        (unjoined, "A", NotJoined, "endpoint has not joined a conversation"),
+        (stopped, "U", NotJoined, "endpoint was stopped"),
+        (lone, "U", UnknownPeerRole, "U is this endpoint's own role"),
+        (lone, "Q", UnknownPeerRole, "Q is not a role of this conversation"),
+    )
+    for endpoint, role, error, text in cases:
+        for call in calls:
+            with pytest.raises(error) as caught:
+                call(endpoint, role)
+            assert type(caught.value) is error and str(caught.value) == text
+    assert lone._callbacks == {}  # no refused registration was kept
+
 
 def test_receive_timeout(daq_store, daq_config):
     runtime, cid, u, a, i = start(daq_store, daq_config)
