@@ -15,13 +15,12 @@ import argparse
 import base64
 import json
 import sys
-import threading
-import time
+from collections import deque
 from pathlib import Path
 from typing import Dict, List
 
 from . import bench as benchmod
-from .endpoint import _DEFAULT_TIMEOUT, ConversationRuntime
+from .endpoint import ConversationRuntime
 from .fsm import compile as compile_fsm
 from .fsm import to_dot
 from .parser import ParseError, parse_global, parse_local, parse_protocol
@@ -144,41 +143,41 @@ def _parse_script(text: str) -> Dict[str, List[tuple]]:
     return plans
 
 
-# How often a waiting recv looks whether its peer's script has ended.
-_RECV_POLL = 0.05
+def _run_plans(endpoints, plans: Dict[str, List[tuple]], failures: List[str]) -> None:
+    """Run every role's commands in turns in this thread.
 
-
-def _receive(endpoint, peer: str, ended: Dict[str, threading.Event]):
-    """``endpoint.receive(peer)``, except that it gives up once ``peer``'s
-    script has ended with nothing from it queued: delivery is synchronous,
-    so nothing more can arrive. A role with no script has ended. It waits
-    no longer in all than ``receive`` does by default."""
-    deadline = time.monotonic() + _DEFAULT_TIMEOUT
-    while True:
-        done = peer not in ended or ended[peer].is_set()
-        try:
-            return endpoint.receive(peer, timeout=0 if done else _RECV_POLL)
-        except Timeout:
-            if done or time.monotonic() >= deadline:
-                raise
-
-
-def _run_plan(
-    endpoint, plan: List[tuple], failures: List[str], role: str, ended: Dict[str, threading.Event]
-) -> None:
-    try:
-        for command in plan:
-            if command[0] == "send":
-                endpoint.send(command[1], command[2], command[3])
-            elif command[0] == "recv":
-                label, _ = _receive(endpoint, command[1], ended)
-                print(f"{role} <- {command[1]}: {label}")
-            else:
-                endpoint.stop()
-    except TransportError as exc:
-        failures.append(f"{role}: {exc}")
-    finally:
-        ended[role].set()
+    Delivery is synchronous, so a turn runs one role's commands until a
+    ``recv`` finds nothing queued, and the next role takes over. Once a round
+    runs no command, nothing more can arrive, and each waiting ``recv`` fails
+    with its own Timeout.
+    """
+    waiting = {role: deque(plan) for role, plan in plans.items()}
+    stalled = False
+    while any(waiting.values()):
+        ran = False
+        for role, plan in waiting.items():
+            endpoint = endpoints[role]
+            try:
+                while plan:
+                    command = plan[0]
+                    if command[0] == "send":
+                        endpoint.send(command[1], command[2], command[3])
+                    elif command[0] == "recv":
+                        try:
+                            label, _ = endpoint.receive(command[1], timeout=0)
+                        except Timeout:
+                            if stalled:
+                                raise
+                            break
+                        print(f"{role} <- {command[1]}: {label}")
+                    else:
+                        endpoint.stop()
+                    plan.popleft()
+                    ran = True
+            except TransportError as exc:
+                failures.append(f"{role}: {exc}")
+                plan.clear()
+        stalled = not ran
 
 
 def cmd_run(args) -> int:
@@ -214,17 +213,7 @@ def cmd_run(args) -> int:
         except TransportError as exc:
             failures.append(f"{role}: {exc}")
     if not failures:
-        ended = {role: threading.Event() for role in plans}
-        threads = [
-            threading.Thread(
-                target=_run_plan, args=(endpoints[role], plan, failures, role, ended)
-            )
-            for role, plan in plans.items()
-        ]
-        for worker in threads:
-            worker.start()
-        for worker in threads:
-            worker.join()
+        _run_plans(endpoints, plans, failures)
     # Each refusing verdict once, as its monitor's trace entry, whether or
     # not enforcement dropped the message.
     violations = list(runtime.mediation_violations)

@@ -477,7 +477,7 @@ class Endpoint:
         self.roles: tuple = ()
         # The roles this endpoint may address: its conversation's roles but
         # its own, from ``_bind`` until ``stop``. Messaging tests this set
-        # alone and asks the checks below for the error only on a miss.
+        # alone and asks ``_refuse_peer`` for the error only on a miss.
         self._peers: frozenset = frozenset()
         self.callback_errors: List[BaseException] = []
         self._outbound = outbound_queue(self.principal)
@@ -490,8 +490,7 @@ class Endpoint:
         self._waiting = 0
         self._buckets: Dict[str, deque] = {}
         self._callbacks: Dict[str, object] = {}
-        self._stopped = False
-        self._ended: Optional[str] = None  # the status when it stopped
+        self._ended: Optional[str] = None  # set by stop: the status when it stopped
         self._tasks: Optional[queuemod.Queue] = None
         self._dispatcher: Optional[threading.Thread] = None
 
@@ -631,8 +630,7 @@ class Endpoint:
 
     def send(self, to_role: str, label: str, payload: Optional[Dict[str, object]] = None) -> None:
         if to_role not in self._peers:
-            self._require_joined()
-            self._check_peer(to_role)
+            self._refuse_peer(to_role)
         message = ConversationMessage(
             IN_SESSION, self.cid, self.role, to_role, label, payload_from_dict(payload)
         )
@@ -647,8 +645,7 @@ class Endpoint:
     def receive(self, from_role: str, timeout: Optional[float] = None):
         """Next message from ``from_role`` as (label, payload dict); blocks."""
         if from_role not in self._peers:
-            self._require_joined()
-            self._check_peer(from_role)
+            self._refuse_peer(from_role)
         deadline = None
         with self._lock:
             while True:
@@ -656,7 +653,7 @@ class Endpoint:
                 if bucket:
                     message = bucket.popleft()
                     return message.label, message.payload_dict()
-                if self._stopped:
+                if self._ended is not None:
                     raise SessionEnded(f"conversation {self.cid} was stopped")
                 if self.status() == COMPLETED:
                     raise SessionEnded(f"conversation {self.cid} has completed")
@@ -678,8 +675,7 @@ class Endpoint:
     def receive_async(self, from_role: str, callback) -> None:
         """Register a one-shot callback for the next message from ``from_role``."""
         if from_role not in self._peers:
-            self._require_joined()
-            self._check_peer(from_role)
+            self._refuse_peer(from_role)
         with self._lock:
             if from_role in self._callbacks:
                 raise DuplicateRegistration(f"a callback already waits on {from_role}")
@@ -701,9 +697,8 @@ class Endpoint:
         key = (self.cid, self.role)
         ended = UNKNOWN if monitor is None else monitor.session_status(key)
         with self._lock:
-            if self._stopped:
+            if self._ended is not None:
                 return
-            self._stopped = True
             self._peers = frozenset()
             self._ended = ended
             self._callbacks.clear()
@@ -746,7 +741,7 @@ class Endpoint:
                 )
                 return
         with self._lock:
-            if self._stopped:
+            if self._ended is not None:
                 return
             callback = self._callbacks.pop(message.sender, None)
             if callback is not None:
@@ -781,14 +776,12 @@ class Endpoint:
 
     # --- checks ---------------------------------------------------------------------
 
-    def _require_joined(self) -> None:
-        if self._stopped:
+    def _refuse_peer(self, role: str) -> None:
+        """Raise the error for a role outside the peer set."""
+        if self._ended is not None:
             raise NotJoined("endpoint was stopped")
         if self.cid is None:
             raise NotJoined("endpoint has not joined a conversation")
-
-    def _check_peer(self, role: str) -> None:
         if role == self.role:
             raise UnknownPeerRole(f"{role} is this endpoint's own role")
-        if role not in self.roles:
-            raise UnknownPeerRole(f"{role} is not a role of this conversation")
+        raise UnknownPeerRole(f"{role} is not a role of this conversation")

@@ -25,10 +25,13 @@ configuration.
 
 A :class:`Run` is one execution: a cursor per thread, the set of threads
 that have fired, and counters. It is the only interpreter of the nested
-semantics: the monitor checks each message with it and
-:func:`trace_language` enumerates a nested machine's traces with it, so
-checking those traces against :func:`product_oracle` checks the code the
-runtime runs. The oracle and the flat-machine enumerator share none of it.
+semantics, and :meth:`Run.step` is the one way a hit that
+:meth:`Run.transition` returned is taken: the monitor accepts each message
+with it, and :func:`trace_language` enumerates a nested machine's traces by
+asking ``transition`` for each triple of the dispatch index and stepping
+with ``step``. Checking those traces against :func:`product_oracle` therefore
+checks the path the runtime accepts on, quiet moves included. The oracle and
+the flat-machine enumerator share none of it.
 
 A step does work bounded by the nesting depth, not by the number of
 threads; only entering a spawn state visits that join's children, once.
@@ -52,9 +55,10 @@ transitions whose target spawns no join and lies on the same side of
 The marking is exact. The root is always fired and has no parent, so such a
 move adds no thread to ``fired`` and commits no parent's join; staying on
 one side of ``terminal`` leaves ``open`` as it was; and a target with no join
-gives ``_enter`` nothing to settle. :meth:`Run.fire_quiet` therefore writes
-the cursor and clears the root's commitment, and nothing else, which is what
-:meth:`Run.fire` would do. Every other move takes the general path.
+gives ``_enter`` nothing to settle. :meth:`Run.step` therefore takes a
+quiet hit by writing the cursor and clearing the root's commitment, and
+nothing else, which is what :meth:`Run.fire` would do. Every other hit takes
+the general path, ``fire``.
 """
 
 from __future__ import annotations
@@ -528,13 +532,14 @@ def _nested_traces(fsm: NestedFsm, depth: int) -> set:
     for _ in range(depth):
         nxt = []
         for run, prefix in frontier:
-            for tid, key in run.enabled():
-                trace = prefix + ((key.label, key.sender, key.receiver),)
-                if trace in traces:
+            for triple in fsm.dispatch:
+                hit = run.transition(triple)
+                trace = prefix + (triple,)
+                if hit is None or trace in traces:
                     continue
                 traces.add(trace)
                 moved = run.copy()
-                moved.fire(tid, fsm.threads[tid].transitions[key].next_state)
+                moved.step(hit)
                 nxt.append((moved, trace))
         frontier = nxt
     return traces
@@ -587,8 +592,8 @@ class Run:
         return self.open == 0
 
     def transition(self, triple: tuple):
-        """The (thread id, TransitionValue, quiet) that ``triple`` fires now,
-        or None. A quiet hit may be fired with :meth:`fire_quiet`."""
+        """The hit (thread id, TransitionValue, quiet) that ``triple`` fires
+        now, or None; :meth:`step` takes it."""
         entry = self.fsm.dispatch.get(triple)
         if entry is None:
             return None
@@ -631,13 +636,18 @@ class Run:
             self._enter(parent)
             parent = threads[parent].parent
 
-    def fire_quiet(self, tid: int, next_state: int) -> None:
-        """:meth:`fire` for a hit that :meth:`transition` calls quiet: the
+    def step(self, hit: tuple) -> None:
+        """Take a hit that :meth:`transition` returned. A quiet one is the
         root thread, already fired, moving to a state that spawns no join on
-        the same side of ``terminal``. Such a move changes no counter and
-        settles nothing, so only the cursor and its commitment are written."""
-        self.cursors[tid] = next_state
-        self.started[tid] = False
+        the same side of ``terminal``; it changes no counter and settles
+        nothing, so only the cursor and its commitment are written. Any other
+        hit is fired with :meth:`fire`."""
+        tid, value, quiet = hit
+        if quiet:
+            self.cursors[tid] = value.next_state
+            self.started[tid] = False
+        else:
+            self.fire(tid, value.next_state)
 
     def _move(self, tid: int, state: int) -> None:
         """Set an active thread's cursor, keeping both counters."""

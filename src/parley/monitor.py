@@ -8,19 +8,13 @@ later assertions can refer to earlier fields.
 
 A session is an ``fsm.Run`` of its nested FSM (cursors, fired threads and
 counters), copied from the machine's settled start and stepped only by the
-run's ``transition``, ``fire``, ``fire_quiet`` and ``enabled``, the same
-code that enumerates the machine's trace language.
-The monitor adds payload arity, bindings, assertions, verdicts and session
-status on top; it has no copy of the thread semantics.
-
-A hit that ``transition`` calls quiet (``fsm`` says which: a move of the
-root thread into a state that spawns no join, on the same side of the
-terminal states) is fired with ``fire_quiet``, which writes one cursor.
-Such a move leaves the run's count of open threads as it was, so the
-session status, which follows that count until a refusal, needs no update.
-When the hit also binds nothing, asserts nothing and the message carries
-no payload, there is nothing else to check, and ``check`` accepts at once.
-Other quiet hits still go through arity, bindings and the assertion first.
+run's ``transition``, ``step`` and ``enabled``, the same code that
+enumerates the machine's trace language. Its status is read off the run: it
+is completed while the run is, unless a refusal has marked it violated.
+The monitor adds payload arity, bindings, assertions and verdicts on top; it
+has no copy of the thread semantics. A hit that binds nothing, asserts
+nothing and meets a message with no payload leaves nothing to check, and
+``check`` hands it to ``step`` at once.
 
 Each monitor compiles a protocol reference once. ``Monitor.machines`` maps
 the reference to the ``LocalProtocol`` it was compiled from and the
@@ -102,7 +96,7 @@ class SessionState:
     protocol_ref: str
     run: fsmmod.Run
     env: Dict[str, object] = field(default_factory=dict)
-    status: str = ACTIVE
+    violated: bool = False  # a refusal was seen; the status stays violated
 
 
 @dataclass(frozen=True)
@@ -184,7 +178,7 @@ def _jsonable(value):
 
 def default_mode() -> str:
     # Invalid values surface in the Monitor constructor instead of being
-    # silently coerced; a typo must not quietly change enforcement.
+    # silently coerced; a typo must not change enforcement unnoticed.
     return os.environ.get(MODE_ENV_VAR, ENFORCE)
 
 
@@ -246,10 +240,7 @@ class Monitor:
                     f"{protocol_ref!r} does not compile: {exc}"
                 ) from exc
             self.machines[protocol_ref] = (protocol, machine)
-        run = machine.start.copy()
-        # completed already when the settled start is terminal (``Run.complete``)
-        status = ACTIVE if run.open else COMPLETED
-        self.sessions[key] = SessionState(protocol_ref, run, {}, status)
+        self.sessions[key] = SessionState(protocol_ref, machine.start.copy())
         return key
 
     def end_session(self, cid: str, role: str) -> None:
@@ -259,7 +250,11 @@ class Monitor:
 
     def session_status(self, key: tuple) -> str:
         state = self.sessions.get(key)
-        return state.status if state is not None else UNKNOWN
+        if state is None:
+            return UNKNOWN
+        if state.violated:
+            return VIOLATED
+        return ACTIVE if state.run.open else COMPLETED
 
     def enabled_triples(self, key: tuple) -> set:
         """The (label, sender, receiver) triples acceptable right now."""
@@ -293,22 +288,21 @@ class Monitor:
         if hit is None:
             verdict = self._miss(state, triple)
         else:
-            tid, value, quiet = hit
-            if quiet and not message.payload and value.assertion is None and not value.var_binders:
-                # Nothing to bind or assert, and a quiet move leaves ``open``,
-                # hence the status, as it was.
-                state.run.fire_quiet(tid, value.next_state)
+            value = hit[1]
+            if not message.payload and value.assertion is None and not value.var_binders:
+                state.run.step(hit)  # nothing to bind or assert
                 if self.record_trace:
                     self._record(message, role, ACCEPT)
                 return ACCEPT
-            verdict = self._fire(state, message, tid, value, quiet)
+            verdict = self._fire(state, message, hit)
         if not verdict.ok:
-            state.status = VIOLATED
+            state.violated = True
         if self.record_trace:
             self._record(message, role, verdict)
         return verdict
 
-    def _fire(self, state: SessionState, message, tid: int, value, quiet: bool) -> MonitorVerdict:
+    def _fire(self, state: SessionState, message, hit: tuple) -> MonitorVerdict:
+        value = hit[1]
         binders = value.var_binders
         if len(message.payload) != len(binders):
             return MonitorVerdict(
@@ -338,18 +332,12 @@ class Monitor:
             env = state.env
             for name, pair in zip(binders, message.payload):
                 env[name] = pair[1]
-        run = state.run
-        if quiet:
-            run.fire_quiet(tid, value.next_state)
-        else:
-            run.fire(tid, value.next_state)
-            if state.status != VIOLATED:
-                state.status = ACTIVE if run.open else COMPLETED
+        state.run.step(hit)
         return ACCEPT
 
     def _miss(self, state: SessionState, triple) -> MonitorVerdict:
         label = triple[0]
-        if state.status == COMPLETED:
+        if not state.run.open and not state.violated:  # completed
             return MonitorVerdict(
                 False, AFTER_COMPLETION, f"{label} arrived after completion"
             )

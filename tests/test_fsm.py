@@ -392,6 +392,9 @@ def test_quiet_moves_are_exactly_the_root_moves_that_change_one_cursor(monkeypat
         for _ in range(6):
             following = []
             for run in frontier:
+                # enabled() names exactly the triples transition() accepts
+                named = {(key.label, key.sender, key.receiver) for _, key in run.enabled()}
+                assert named == {t for t in fsm.dispatch if run.transition(t)}, name
                 for tid, key in run.enabled():
                     value = fsm.threads[tid].transitions[key]
                     hit = run.transition((key.label, key.sender, key.receiver))
@@ -399,7 +402,7 @@ def test_quiet_moves_are_exactly_the_root_moves_that_change_one_cursor(monkeypat
                     general = run.copy()
                     general.fire(tid, value.next_state)
                     short = run.copy()
-                    short.fire_quiet(tid, value.next_state)
+                    short.step((tid, value, True))
                     if hit[2]:
                         quiet_steps += 1
                         reference = run.copy()
