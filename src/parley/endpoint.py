@@ -40,9 +40,9 @@ reference once, initializes the monitor session from them and accepts the
 invitation: it allocates the principal's share, binds it under one key per
 peer role of the referenced local protocol, and queues the invitation with
 its role, the protocol's roles and its inbox, where ``join`` claims it. The
-reference is resolved once per invitee: with a monitor, the protocol the
-monitor compiled gives the roles. Nothing is sent back. An invitation without
-its sender's stamp, or with a reference the store does not resolve or the
+roles always come from the store, which a monitor's resolver has asked once
+already for the session. Nothing is sent back. An invitation without its
+sender's stamp, or with a reference the store does not resolve or the
 monitor cannot initialize, is recorded in ``mediation_violations`` before
 anything is allocated for it, so a pending invitation is always an accepted
 one. In the unmediated case ``create`` accepts each invitation itself, on the
@@ -332,18 +332,11 @@ class ConversationRuntime:
         before anything is allocated. Every case accepts here: the mediator
         after its checks, ``create`` itself when unmediated.
         """
-        monitor = node.monitor
-        # A monitor has just resolved ``ref`` for this session: its roles are
-        # those of the protocol the monitor compiled, without asking again.
-        known = monitor.machines.get(ref) if monitor is not None else None
-        if known is not None:
-            roles = known[0].roles
-        else:
-            try:
-                roles = self.store.local(ref).roles
-            except KeyError:
-                self.note_mediation_violation(queue, f"unknown local protocol {ref}", invitation)
-                return
+        try:
+            roles = self.store.local(ref).roles
+        except KeyError:
+            self.note_mediation_violation(queue, f"unknown local protocol {ref}", invitation)
+            return
         cid = invitation.cid
         principal = node.principal
         broker = self.broker

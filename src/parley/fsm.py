@@ -20,18 +20,24 @@ A compiled machine is never written after :func:`compile` returns, so one
 machine can serve any number of runs. Besides the per-thread tables it
 carries a dispatch index (triple to owning thread, that thread's chain of
 ``(parent, spawn_state)`` ancestors, and a table from source state to the
-hit ``(thread id, TransitionValue, quiet)``) and its settled initial
+hit ``(thread id, TransitionValue, quiet)``), a label index (label to the
+triples of the dispatch index that carry it) and its settled initial
 configuration.
 
 A :class:`Run` is one execution: a cursor per thread, the set of threads
 that have fired, and counters. It is the only interpreter of the nested
-semantics, and :meth:`Run.step` is the one way a hit that
-:meth:`Run.transition` returned is taken: the monitor accepts each message
-with it, and :func:`trace_language` enumerates a nested machine's traces by
-asking ``transition`` for each triple of the dispatch index and stepping
-with ``step``. Checking those traces against :func:`product_oracle` therefore
-checks the path the runtime accepts on, quiet moves included. The oracle and
-the flat-machine enumerator share none of it.
+semantics. :meth:`Run.transition` is the one place its enabling rule is
+written: :meth:`Run.enabled` is derived from it, as the triples of the
+dispatch index that it accepts, and :meth:`Run.step` is the one way a hit it
+returned is taken. The monitor accepts each message with ``transition`` and
+``step`` and refuses with ``transition``, and :func:`trace_language`
+enumerates a nested machine's traces by stepping over ``enabled``. Checking
+those traces against :func:`product_oracle` therefore checks the path the
+runtime accepts on, quiet moves included. The oracle and the flat-machine
+enumerator share none of it, and only the flat enumerator groups transitions
+by state. :func:`active_threads` scans every thread; no runtime code calls
+it, and the tests keep it as the full-scan reference that the dispatch path
+is checked against.
 
 A step does work bounded by the nesting depth, not by the number of
 threads; only entering a spawn state visits that join's children, once.
@@ -134,7 +140,6 @@ class FsmThread:
     states: Set[int] = field(default_factory=set)
     transitions: Dict[TransitionKey, TransitionValue] = field(default_factory=dict)
     joins: Dict[int, Join] = field(default_factory=dict)
-    by_state: Dict[int, tuple] = field(default_factory=dict)  # state -> keys
     chain: tuple = ()  # (parent, spawn_state) pairs from this thread to the root
 
 
@@ -147,6 +152,8 @@ class NestedFsm:
     # (label, sender, receiver) -> (thread id, its chain,
     #                               {state: (thread id, TransitionValue, quiet)})
     dispatch: Dict[tuple, tuple]
+    # label -> the triples of ``dispatch`` that carry it
+    by_label: Dict[str, tuple]
     # the settled run every new run copies; set by compile()
     start: Optional[Run] = field(default=None, compare=False, repr=False)
 
@@ -190,14 +197,16 @@ class _Compiler:
         self.compile_node(self.protocol.body, root, root.initial, {})
         dispatch = self.check_cross_thread()
         self.check_progress()
-        for thread in self.threads:
-            _index_by_state(thread)
+        by_label: Dict[str, tuple] = {}
+        for triple in dispatch:
+            by_label[triple[0]] = by_label.get(triple[0], ()) + (triple,)
         return NestedFsm(
             self.protocol.name,
             self.protocol.self_role,
             self.threads,
             frozenset(self.terminal),
             dispatch,
+            by_label,
         )
 
     # rec_env maps a recursion label to (thread id, entry state, spawn count
@@ -343,13 +352,6 @@ class _Compiler:
                     )
 
 
-def _index_by_state(thread: FsmThread) -> None:
-    by_state: Dict[int, list] = {}
-    for key in thread.transitions:
-        by_state.setdefault(key.state, []).append(key)
-    thread.by_state = {s: tuple(ks) for s, ks in by_state.items()}
-
-
 def compile(protocol: LocalProtocol) -> NestedFsm:  # noqa: A001 - mirrors re.compile
     """Compile a local protocol; raises CompileError subclasses on failure."""
     fsm = _Compiler(protocol).run()
@@ -490,7 +492,6 @@ def product_oracle(protocol: LocalProtocol, limit: int = 100_000) -> FsmThread:
                     )
                 continue
             thread.transitions[key] = value
-    _index_by_state(thread)
     return thread
 
 
@@ -512,16 +513,19 @@ def trace_language(machine, depth: int) -> set:
 
 
 def _thread_traces(thread: FsmThread, depth: int) -> set:
+    by_state: Dict[int, list] = {}
+    for key, value in thread.transitions.items():
+        by_state.setdefault(key.state, []).append((key, value.next_state))
     traces = {()}
     frontier = [(thread.initial, ())]
     for _ in range(depth):
         nxt = []
         for state, prefix in frontier:
-            for key in thread.by_state.get(state, ()):
+            for key, target in by_state.get(state, ()):
                 trace = prefix + ((key.label, key.sender, key.receiver),)
                 if trace not in traces:
                     traces.add(trace)
-                    nxt.append((thread.transitions[key].next_state, trace))
+                    nxt.append((target, trace))
         frontier = nxt
     return traces
 
@@ -532,10 +536,9 @@ def _nested_traces(fsm: NestedFsm, depth: int) -> set:
     for _ in range(depth):
         nxt = []
         for run, prefix in frontier:
-            for triple in fsm.dispatch:
-                hit = run.transition(triple)
+            for triple, hit in run.enabled().items():
                 trace = prefix + (triple,)
-                if hit is None or trace in traces:
+                if trace in traces:
                     continue
                 traces.add(trace)
                 moved = run.copy()
@@ -607,14 +610,11 @@ class Run:
             return None
         return hit
 
-    def enabled(self) -> list:
-        """The (thread id, TransitionKey) pairs that can fire now."""
-        out = []
-        cursors, threads = self.cursors, self.fsm.threads
-        for tid in active_threads(self.fsm, cursors):
-            if not self.started[tid]:
-                out.extend((tid, key) for key in threads[tid].by_state.get(cursors[tid], ()))
-        return out
+    def enabled(self) -> dict:
+        """Each triple of the dispatch index that :meth:`transition` accepts
+        now, mapped to its hit."""
+        transition = self.transition
+        return {t: hit for t in self.fsm.dispatch if (hit := transition(t)) is not None}
 
     def fire(self, tid: int, next_state: int) -> None:
         """Move active thread ``tid`` to ``next_state`` and settle the joins

@@ -7,14 +7,18 @@ session untouched; payload bindings accumulate across the whole session so
 later assertions can refer to earlier fields.
 
 A session is an ``fsm.Run`` of its nested FSM (cursors, fired threads and
-counters), copied from the machine's settled start and stepped only by the
-run's ``transition``, ``step`` and ``enabled``, the same code that
+counters), copied from the machine's settled start and read and stepped only
+through the run's ``transition``, ``step`` and ``enabled``, the same code that
 enumerates the machine's trace language. Its status is read off the run: it
 is completed while the run is, unless a refusal has marked it violated.
 The monitor adds payload arity, bindings, assertions and verdicts on top; it
 has no copy of the thread semantics. A hit that binds nothing, asserts
 nothing and meets a message with no payload leaves nothing to check, and
-``check`` hands it to ``step`` at once.
+``check`` hands it to ``step`` at once. A refusal asks ``transition`` only
+about the triples that carry the refused label, from the machine's label
+index, to tell a wrong peer from an unexpected label; an unknown label asks
+nothing. So a refusal's work, like a hit's, does not grow with the number
+of threads.
 
 Each monitor compiles a protocol reference once. ``Monitor.machines`` maps
 the reference to the ``LocalProtocol`` it was compiled from and the
@@ -261,10 +265,7 @@ class Monitor:
         state = self.sessions.get(key)
         if state is None:
             return set()
-        return {
-            (tkey.label, tkey.sender, tkey.receiver)
-            for _, tkey in state.run.enabled()
-        }
+        return set(state.run.enabled())
 
     # --- checking ----------------------------------------------------------
 
@@ -336,13 +337,12 @@ class Monitor:
         return ACCEPT
 
     def _miss(self, state: SessionState, triple) -> MonitorVerdict:
-        label = triple[0]
-        if not state.run.open and not state.violated:  # completed
+        label, run = triple[0], state.run
+        if not run.open and not state.violated:  # completed
             return MonitorVerdict(
                 False, AFTER_COMPLETION, f"{label} arrived after completion"
             )
-        enabled = state.run.enabled()
-        if any(tkey.label == label for _, tkey in enabled):
+        if any(run.transition(other) for other in run.fsm.by_label.get(label, ())):
             return MonitorVerdict(
                 False,
                 WRONG_PEER,

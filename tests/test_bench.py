@@ -3,6 +3,7 @@
 import gc
 import importlib
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,10 @@ from parley.bench import (
     wide_source,
 )
 from parley.fsm import compile as compile_fsm
+from parley.monitor import Monitor
 from parley.parser import parse_global
 from parley.projection import project
+from parley.wire import IN_SESSION, ConversationMessage
 
 from conftest import DAQ_GLOBAL_SRC
 
@@ -252,6 +255,33 @@ def test_a_pingpong_message_is_checked_in_at_most_300_opcodes():
     for case, (setup, stop) in before.items():
         assert sum(work[case].setup.values()) <= setup + 25, case
         assert sum(work[case].stop.values()) <= stop + 25, case
+
+
+def test_a_refusal_is_checked_in_the_same_work_at_every_width():
+    # the exact companion of test_refusal_touches_threads_by_depth_not_width:
+    # the opcodes of one refusing Monitor.check at S. Scanning every thread,
+    # an unknown label cost 405 at k=1 and 5799 at k=32, a wrong peer 398 and
+    # 5110; asking transition about the label's triples costs 132 and 195 at
+    # every k (CPython 3.11)
+    def refusal(k, triple):
+        local = project(parse_global(wide_source(k)), "S").protocol
+        monitor = Monitor(lambda ref: local, record_trace=False)
+        monitor.init_session("w", "S", local.name)
+        label, sender, receiver = triple
+        message = ConversationMessage(
+            kind=IN_SESSION, cid="w", sender=sender, receiver=receiver, label=label
+        )
+        counts = Counter()
+        verdict = bench_mod._count(counts, monitor.check, message, "S")
+        return verdict.kind, sum(counts.values())
+
+    for triple, kind in (
+        (("NOPE", "S", "C"), "unexpected-label"),
+        (("OK1", "C", "S"), "wrong-peer"),
+    ):
+        work = {k: refusal(k, triple) for k in (1, 2, 4, 8, 16, 32)}
+        assert set(work.values()) == {work[1]}, (triple, work)
+        assert work[1][0] == kind and work[1][1] <= 250, (triple, work)
 
 
 def test_count_build_repeats_exactly_and_stays_under_28000_for_daq():

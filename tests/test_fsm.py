@@ -345,19 +345,19 @@ def test_incremental_settle_agrees_with_full_scan():
         for _ in range(6):
             following = []
             for run, trace in frontier:
-                for tid, key in run.enabled():
-                    target = fsm.threads[tid].transitions[key].next_state
+                for triple, (tid, value, _) in run.enabled().items():
+                    target = value.next_state
                     expected = list(run.cursors)
                     expected[tid] = target
                     settle(fsm, expected)
                     moved = run.copy()
                     moved.fire(tid, target)
                     steps += 1
-                    _assert_matches_full_scan(moved, expected, (name, trace + (key,)))
+                    _assert_matches_full_scan(moved, expected, (name, trace + (triple,)))
                     config = (tuple(moved.cursors), frozenset(moved.fired))
                     if config not in seen:
                         seen.add(config)
-                        following.append((moved, trace + (key,)))
+                        following.append((moved, trace + (triple,)))
             frontier = following
     assert machines > 3000 and steps > 30000
 
@@ -392,29 +392,35 @@ def test_quiet_moves_are_exactly_the_root_moves_that_change_one_cursor(monkeypat
         for _ in range(6):
             following = []
             for run in frontier:
-                # enabled() names exactly the triples transition() accepts
-                named = {(key.label, key.sender, key.receiver) for _, key in run.enabled()}
-                assert named == {t for t in fsm.dispatch if run.transition(t)}, name
-                for tid, key in run.enabled():
-                    value = fsm.threads[tid].transitions[key]
-                    hit = run.transition((key.label, key.sender, key.receiver))
-                    assert hit is not None and hit[:2] == (tid, value), (name, key)
+                # the dispatch path names exactly the moves that a scan of
+                # the active, uncommitted threads' transitions finds
+                cursors = run.cursors
+                scanned = {
+                    (key.label, key.sender, key.receiver): (tid, value)
+                    for tid in active_threads(fsm, cursors)
+                    if not run.started[tid]
+                    for key, value in fsm.threads[tid].transitions.items()
+                    if key.state == cursors[tid]
+                }
+                enabled = run.enabled()
+                assert {t: hit[:2] for t, hit in enabled.items()} == scanned, name
+                for triple, (tid, value, quiet) in enabled.items():
                     general = run.copy()
                     general.fire(tid, value.next_state)
                     short = run.copy()
                     short.step((tid, value, True))
-                    if hit[2]:
+                    if quiet:
                         quiet_steps += 1
                         reference = run.copy()
                         reference._move(tid, value.next_state)
                         reference._enter(tid)
-                        assert _snapshot(short) == _snapshot(reference), (name, key)
-                        assert _snapshot(short) == _snapshot(general), (name, key)
+                        assert _snapshot(short) == _snapshot(reference), (name, triple)
+                        assert _snapshot(short) == _snapshot(general), (name, triple)
                     elif tid == 0:
                         # a root step left on the general path does more than
                         # set its cursor to the target and clear its commitment
                         loud_root_steps += 1
-                        assert _snapshot(short) != _snapshot(general), (name, key)
+                        assert _snapshot(short) != _snapshot(general), (name, triple)
                     config = (tuple(general.cursors), frozenset(general.fired))
                     if config not in seen:
                         seen.add(config)

@@ -524,6 +524,28 @@ def test_check_touches_threads_by_depth_not_width(role):
         assert monitor.session_status(key) == COMPLETED
 
 
+@pytest.mark.parametrize("role", ["S", "C"])
+def test_refusal_touches_threads_by_depth_not_width(role):
+    # a refused message reads the cursors, counters and flags of the threads
+    # that carry its label, and of their ancestors, only: an unknown label
+    # reads none, a known label between the wrong peers its thread and the root
+    for k in (1, 2, 4, 8, 16, 32):
+        local = project(parse_global(wide_source(k)), role).protocol
+        monitor = Monitor(lambda ref, local=local: local, record_trace=False)
+        for cid, triple, kind in (
+            ("nope", ("NOPE", "S", "C"), "unexpected-label"),
+            ("peer", ("OK1", "C", "S"), "wrong-peer"),
+        ):
+            key = monitor.init_session(cid, role, local.name)
+            run = monitor.sessions[key].run
+            touched = set()
+            for name in ("cursors", "pending", "started"):
+                setattr(run, name, _Touches(getattr(run, name), touched))
+            verdict = monitor.check(msg(cid, *triple), role)
+            assert verdict.kind == kind, (k, triple)
+            assert len(touched) <= 2, (k, triple, touched)
+
+
 def _snapshot(run):
     return list(run.cursors), set(run.fired), list(run.pending), list(run.started), run.open
 

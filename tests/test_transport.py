@@ -464,6 +464,38 @@ def test_injected_exchange_message_is_checked_then_audited(daq_store, daq_config
         a.receive("U", timeout=0.05)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=(TypeError, AssertionError),
+    reason="hops after the sender's mediator take a message object as it is; "
+    "only the sender's mediator asks is_plain",
+)
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_an_object_published_after_the_sender_mediator_is_judged_like_bytes(
+    daq_store, daq_config, case
+):
+    # an object whose payload is no tuple of pairs, published on the session
+    # exchange with the sender's stamp: Monitor's check raised TypeError into
+    # the publisher, and the Forwarder delivered it to a receive that raised
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    monitor = runtime.monitor_for("agg")
+
+    def session():
+        if monitor is None:
+            return None
+        state = monitor.sessions[cid, "A"]
+        return list(state.run.cursors), dict(state.env), state.violated
+
+    before = session()
+    odd = ConversationMessage(IN_SESSION, cid, "U", "A", "Request", 5)
+    runtime.broker.publish(f"s.{cid}", f"{cid}.U.A", odd, {X_MEDIATED_OUT: "U"})
+    assert [message for _, _, message in runtime.mediation_violations] == [odd]
+    with pytest.raises(Timeout):
+        a.receive("U", timeout=0.05)
+    assert session() == before
+    run_not_supported(u, a, i)
+
+
 def test_body_stamps_without_headers_are_refused(daq_store, daq_config):
     # the stamps travel as broker headers; correct ones in the body's extras
     # do not stand in for them
@@ -1512,7 +1544,7 @@ def test_a_monitored_setup_reads_each_invitation_field_once_and_builds_no_condit
     # one thread sets up a DataAquisition session under Monitor: nobody
     # waits, so no condition is built; each invitee's mediator reads each
     # field of its invitation at most once and resolves its protocol
-    # reference once, for the monitor and the peer keys alike
+    # reference twice, once for the monitor and once for the peer keys
     conditions = []
     extras_read = Counter()  # (cid, invited role, key) -> reads
     resolved = Counter()  # ref -> store lookups
@@ -1539,7 +1571,7 @@ def test_a_monitored_setup_reads_each_invitation_field_once_and_builds_no_condit
     runtime, cid, u, a, i = start(daq_store, daq_config)
     assert conditions == []
     assert extras_read and max(extras_read.values()) == 1
-    assert resolved == {local_ref("DataAquisition", role): 1 for role in DAQ_PRINCIPALS}
+    assert resolved == {local_ref("DataAquisition", role): 2 for role in DAQ_PRINCIPALS}
     run_not_supported(u, a, i)
     assert runtime.dropped == [] and runtime.mediation_violations == []
 
