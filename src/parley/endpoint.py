@@ -32,6 +32,23 @@ sender's mediator learns from the count ``publish`` returns: its receiver has
 stopped, the receiver's mediator refused the invitation, or the key names no
 peer of the receiver, as a message addressed to its own sender's role does.
 
+The sender's mediator does not judge again what its own endpoints built
+plain. Each node holds a header map, ``own``, that only its endpoints are
+given. ``send`` pushes a message with it when the label, the peer's role
+and the endpoint's cid and role (checked once, when it joins) are exact
+``str`` and ``wire.plain_payload`` admits the payload; ``create`` pushes an
+invitation with it when its roles, principal and protocol reference are
+exact ``str``, as its cid always is. ``_on_out`` skips ``is_plain`` only for
+a push whose headers are that map itself: the test is identity, since every
+empty map is equal to it. Any other push onto ``mq.out.<principal>`` is
+judged as before. The map goes no further: the mediator stamps a new map of
+its own, so ``own`` is never published, forwarded or queued for anyone
+else. The threat model is the audit tags' own: a forger holds the broker
+and may push or publish any body with any headers, but does not hold the
+runtime's nodes or endpoints, so the broker's interface gives it no way to
+name a node's ``own``. A flag on the message would not do, as a forger can
+build a message with ``object.__new__`` and set any slot.
+
 Invitations follow the same shape: ``create`` pushes one invitation per
 configured role onto the creator's outbound queue, and its mediator stamps it
 and publishes it onto the shared ``invite`` exchange keyed by principal name.
@@ -94,6 +111,7 @@ import threading
 import time
 from collections import deque
 from functools import partial
+from types import MappingProxyType
 from typing import Dict, List, Optional, Union
 
 from .broker import Broker, Headers
@@ -123,6 +141,7 @@ from .wire import (
     is_plain,
     load_invitation_config,
     payload_from_dict,
+    plain_payload,
 )
 
 MONITOR = "monitor"
@@ -153,6 +172,11 @@ class _Node:
     def __init__(self, principal: str, monitor: Optional[Monitor]):
         self.principal = principal
         self.monitor = monitor
+        # The headers this node's endpoints push a message with when they
+        # know it is plain. Only they hold this map and it goes no further
+        # than the node's mediator, so ``_on_out`` tells their pushes from
+        # any other by identity alone.
+        self.own: Headers = MappingProxyType({})
         # Each share of a conversation is in one of the two maps. A share no
         # endpoint has joined is pending, as cid -> (role, protocol's roles,
         # inbox) in the order accepted, so a claim scans pending shares only.
@@ -246,10 +270,13 @@ class ConversationRuntime:
 
         A plain message object is forwarded as itself and one that is not is
         encoded here; bytes pushed onto the queue are forwarded unchanged.
+        A message pushed with the node's ``own`` headers was built plain by
+        one of its endpoints and is not judged again.
         """
         if isinstance(body, ConversationMessage):
             message = data = body
-            if not is_plain(body):
+            # Identity, not equality: every empty map equals ``own``.
+            if headers is not node.own and not is_plain(body):
                 # Encoded before the check, so a message that cannot travel
                 # never advances the sender's FSM.
                 try:
@@ -472,6 +499,7 @@ class Endpoint:
         # its own, from ``_bind`` until ``stop``. Messaging tests this set
         # alone and asks ``_refuse_peer`` for the error only on a miss.
         self._peers: frozenset = frozenset()
+        self._exact = False  # whether cid and role are exact str, from ``_bind``
         self.callback_errors: List[BaseException] = []
         self._outbound = outbound_queue(self.principal)
         # Delivery and ``receive`` take the plain lock. The condition on it
@@ -526,6 +554,7 @@ class Endpoint:
         runtime = self.runtime
         unmediated = runtime.case == NONE
         push = runtime.broker.push
+        own = self.node.own
         for entry in config.entries:
             principal, role, ref = entry.principal, entry.role, entry.capability
             node = runtime.node(principal)  # mediation must exist before routing
@@ -541,6 +570,13 @@ class Endpoint:
             if unmediated:
                 inbox = inbox_queue(principal, cid)
                 runtime.accept_invitation(node, invitation, role, ref, inbox)
+            elif (
+                type(creator_role) is str
+                and type(role) is str
+                and type(principal) is str
+                and type(ref) is str
+            ):
+                push(self._outbound, invitation, own)  # plain: cid is hex digits
             else:
                 push(self._outbound, invitation)
         # Delivery is synchronous, so the creator's own invitation has been
@@ -596,6 +632,10 @@ class Endpoint:
         self.cid = cid
         self.role, self.roles, inbox = share
         self._peers = frozenset(self.roles) - {self.role}
+        # A share accepted from an invitation that is not plain may name its
+        # conversation or role with a str subclass; sends then go through
+        # ``is_plain``.
+        self._exact = type(cid) is str and type(self.role) is str
         self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
 
@@ -624,14 +664,23 @@ class Endpoint:
     def send(self, to_role: str, label: str, payload: Optional[Dict[str, object]] = None) -> None:
         if to_role not in self._peers:
             self._refuse_peer(to_role)
-        message = ConversationMessage(
-            IN_SESSION, self.cid, self.role, to_role, label, payload_from_dict(payload)
-        )
+        # The message is plain, as ``is_plain`` would find, exactly when its
+        # label, peer and payload are: its other fields are fixed here or
+        # were checked by ``_bind``.
+        plain = self._exact and type(label) is str and type(to_role) is str
+        if payload:
+            payload = payload_from_dict(payload)
+            plain = plain and plain_payload(payload)
+        else:
+            payload = ()
+        message = ConversationMessage(IN_SESSION, self.cid, self.role, to_role, label, payload)
         runtime = self.runtime
         if runtime.case == NONE:
             key = f"{self.cid}.{self.role}.{to_role}"
-            body = message if is_plain(message) else encode_message(message)
+            body = message if plain else encode_message(message)
             runtime.broker.publish(f"s.{self.cid}", key, body)
+        elif plain:
+            runtime.broker.push(self._outbound, message, self.node.own)
         else:
             runtime.broker.push(self._outbound, message)
 

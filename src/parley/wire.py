@@ -24,7 +24,16 @@ A message that ``is_plain`` admits, exactly one that encodes and decodes
 back equal type for type, crosses the broker as the object itself, which is
 immutable all through, so sender and receiver may share it; the runtime
 encodes only a message that is not plain, so a receiver always gets what
-decoding the bytes would give.
+decoding the bytes would give. ``plain_payload`` is the payload half of that
+rule, written once: ``is_plain`` calls it, and so does a sender that built
+the rest of its message from fields it knows to be exact ``str``.
+
+``ConversationMessage`` is a frozen slots dataclass whose ``__init__`` is
+written out to build a message in one pass: it sorts the extras, then sets
+each of the seven slots through the slot's own descriptor setter, bound once
+at module level. Equality, hashing, ``repr``, ``dataclasses.replace``,
+pickling and ``FrozenInstanceError`` on assignment stay the dataclass's own,
+and fields are read through the slot descriptors.
 """
 
 from __future__ import annotations
@@ -87,7 +96,7 @@ class DuplicateRegistration(TransportError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConversationMessage:
     kind: str
     cid: str
@@ -97,11 +106,17 @@ class ConversationMessage:
     payload: tuple = ()  # ((name, value), ...) with str/int/bool/bytes values
     extras: tuple = ()  # ((key, value), ...) with str values
 
-    def __post_init__(self):
+    def __init__(self, kind, cid, sender, receiver, label="", payload=(), extras=()):
         # extras is a map; key order must not affect equality or the wire form
-        extras = self.extras
         if type(extras) is not tuple or len(extras) > 1:
-            object.__setattr__(self, "extras", tuple(sorted(extras)))
+            extras = tuple(sorted(extras))
+        _set_kind(self, kind)
+        _set_cid(self, cid)
+        _set_sender(self, sender)
+        _set_receiver(self, receiver)
+        _set_label(self, label)
+        _set_payload(self, payload)
+        _set_extras(self, extras)
 
     def extra(self, key: str, default: Optional[str] = None) -> Optional[str]:
         for k, v in self.extras:
@@ -111,6 +126,17 @@ class ConversationMessage:
 
     def payload_dict(self) -> Dict[str, object]:
         return dict(self.payload)
+
+
+# Each slot's own setter, which the frozen class's __setattr__ does not stand
+# in front of: one C call per field, with no lookup of the slot by name.
+_set_kind = ConversationMessage.kind.__set__
+_set_cid = ConversationMessage.cid.__set__
+_set_sender = ConversationMessage.sender.__set__
+_set_receiver = ConversationMessage.receiver.__set__
+_set_label = ConversationMessage.label.__set__
+_set_payload = ConversationMessage.payload.__set__
+_set_extras = ConversationMessage.extras.__set__
 
 
 def payload_from_dict(values: Optional[Dict[str, object]]) -> tuple:
@@ -251,12 +277,34 @@ _PLAIN_VALUES = frozenset((str, int, bool, bytes))
 _PLAIN_INT_BITS = 2000
 
 
+def plain_payload(payload) -> bool:
+    """Whether ``payload`` travels as itself: a tuple of (name, value) pairs
+    with distinct ``str`` names and ``str``, ``bool``, ``bytes`` or ``int``
+    values, every type exact and no int over 2000 bits. This is the payload
+    rule of ``is_plain``, for a caller that knows the rest of its message is
+    plain."""
+    if type(payload) is not tuple:
+        return False
+    if not payload:
+        return True
+    names = set()
+    for entry in payload:
+        if type(entry) is not tuple or len(entry) != 2:
+            return False
+        name, value = entry
+        if type(name) is not str or name in names or type(value) not in _PLAIN_VALUES:
+            return False
+        if type(value) is int and value.bit_length() > _PLAIN_INT_BITS:
+            return False
+        names.add(name)
+    return True
+
+
 def is_plain(message) -> bool:
     """Whether ``encode_message(message)`` succeeds and ``decode_message``
     gives back an equal message type for type, so that it may travel as
     itself: an exact ``ConversationMessage`` of a known kind, with ``str``
-    head fields, a tuple of (name, value) pairs with distinct ``str`` names
-    and ``str``, ``bool``, ``bytes`` or ``int`` values, and (key, value)
+    head fields, a payload that ``plain_payload`` admits, and (key, value)
     extras of ``str`` in key order, no key twice. Every type is exact, as a
     subclass decodes as its base. An int over 2000 bits is not plain; the
     encoder decides whether it travels.
@@ -269,19 +317,9 @@ def is_plain(message) -> bool:
         and type(message.sender) is str
         and type(message.receiver) is str
         and type(message.label) is str
-        and type(message.payload) is tuple
+        and plain_payload(message.payload)
     ):
         return False
-    names = set()
-    for entry in message.payload:
-        if type(entry) is not tuple or len(entry) != 2:
-            return False
-        name, value = entry
-        if type(name) is not str or name in names or type(value) not in _PLAIN_VALUES:
-            return False
-        if type(value) is int and value.bit_length() > _PLAIN_INT_BITS:
-            return False
-        names.add(name)
     extras = message.extras
     if type(extras) is not tuple:
         return False

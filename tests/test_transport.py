@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import parley.endpoint as endpoint_mod
 from parley.bench import pingpong_source
+from parley.broker import NO_HEADERS
 from parley.endpoint import (
     ConversationRuntime,
     FORWARDER,
@@ -23,6 +25,7 @@ from parley.endpoint import (
     NONE,
     inbox_queue,
     make_invitation_config,
+    outbound_queue,
 )
 from parley.parser import parse_global, parse_local
 from parley.store import ProtocolStore, local_ref
@@ -1299,6 +1302,171 @@ def test_receiver_gets_what_decoding_the_bytes_gives(daq_global, case, fields):
     assert got == {queue: want for queue in receivers}
     [crossed] = [body for queue, body, _ in taken if queue == receivers[-1]]
     assert type(crossed) is (ConversationMessage if is_plain(message) else bytes)
+
+
+# --- the trusted path: what a node's endpoints built plain -------------------
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])
+@settings(max_examples=60, deadline=None)
+@given(fields=handoff_fields)
+def test_what_send_delivers_is_what_decoding_its_bytes_gives(daq_global, case, fields):
+    # send trusts a message only when it knows it plain; a Text label or a
+    # Text or Number payload value makes it not plain, and the receiver
+    # still gets, type for type, what decoding the message's bytes gives
+    label, payload, _ = fields  # send takes no extras
+    if case == MONITOR:  # the monitor admits U's Request to A, with one field
+        label = Text("Request") if type(label) is Text else "Request"
+        payload = [("info", value) for _, value in payload[:1]] or [("info", "x")]
+    store = ProtocolStore()
+    store.register_global(daq_global)
+    store.register_projections(daq_global)
+    runtime = ConversationRuntime(store, case=case)
+    u = runtime.endpoint("user")
+    cid = u.create("DataAquisition", make_invitation_config("DataAquisition", DAQ_PRINCIPALS))
+    a = runtime.endpoint("agg").join("A")
+    u.send("A", label, dict(payload))
+    assert runtime.dropped == [] and runtime.mediation_violations == []
+    sent = ConversationMessage(IN_SESSION, cid, "U", "A", label, tuple(payload))
+    want = decode_message(encode_message(sent))
+    got_label, got_payload = a.receive("U", timeout=0.01)
+    assert (type(got_label), got_label) == (type(want.label), want.label)
+    assert [(type(v), v) for v in got_payload.values()] == [(type(v), v) for _, v in want.payload]
+    assert list(got_payload) == [name for name, _ in want.payload]
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_a_nodes_own_headers_go_no_further_than_its_mediator(daq_store, daq_config, case):
+    # over a PingPong and a DataAquisition session, a node's own map is the
+    # headers of every push its endpoints make onto its outbound queue, and
+    # of nothing else: not on s.<cid>, on invite, on a mediator's session
+    # queue or on an inbox
+    pingpong = parse_global(pingpong_source())
+    daq_store.register_global(pingpong)
+    daq_store.register_projections(pingpong)
+    runtime = ConversationRuntime(daq_store, case=case)
+    broker = runtime.broker
+    pushes, publishes = [], []  # (queue or exchange, headers)
+    real_publish, real_push = broker.publish, broker.push
+
+    def publish(exchange, key, body, headers=None):
+        publishes.append((exchange, headers))
+        return real_publish(exchange, key, body, headers)
+
+    def push(queue, body, headers=None):
+        pushes.append((queue, headers))
+        real_push(queue, body, headers)
+
+    broker.publish, broker.push = publish, push
+    server = runtime.endpoint("srv")
+    server.create("PingPong", make_invitation_config("PingPong", {"S": "srv", "C": "cli"}))
+    client = runtime.endpoint("cli").join("C")
+    for _ in range(3):
+        server.send("C", "OK")
+        assert client.receive("S") == ("OK", {})
+        client.send("S", "ACK")
+        assert server.receive("C") == ("ACK", {})
+    server.send("C", "KO")
+    assert client.receive("S") == ("KO", {})
+    u = runtime.endpoint("user")
+    u.create("DataAquisition", daq_config)
+    a = runtime.endpoint("agg").join("A")
+    i = runtime.endpoint("instr").join("I")
+    u.send("A", "Request", {"info": "x"})
+    assert a.receive("U") == ("Request", {"info": "x"})
+    a.send("I", "Request", {"info": "x"})
+    assert i.receive("A") == ("Request", {"info": "x"})
+    i.send("A", "Support")
+    assert a.receive("I") == ("Support", {})
+    a.send("I", "Poll")
+    assert i.receive("A") == ("Poll", {})
+    i.send("A", "Raw", {"data": b"\x00\xff"})
+    assert a.receive("I") == ("Raw", {"data": b"\x00\xff"})
+    assert runtime.dropped == [] and runtime.mediation_violations == []
+    owner = {id(node.own): principal for principal, node in runtime._nodes.items()}
+    assert len(owner) == len(runtime._nodes) == 5
+    trusted = [(queue, owner.get(id(headers))) for queue, headers in pushes]
+    outbound = [(queue, principal) for queue, principal in trusted if queue.startswith("mq.out.")]
+    # 2 + 3 invitations and 7 + 5 sends, every one of them known plain
+    assert len(outbound) == 17
+    assert all(queue == outbound_queue(principal) for queue, principal in outbound)
+    assert all(principal is None for queue, principal in trusted if queue not in dict(outbound))
+    assert all(id(headers) not in owner for _, headers in publishes)
+    assert {exchange.split(".")[0] for exchange, _ in publishes} == {"invite", "s"}
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+@pytest.mark.parametrize(
+    "headers",
+    [None, NO_HEADERS, MappingProxyType({}), {}],
+    ids=["none", "no-headers", "empty-proxy", "empty-dict"],
+)
+def test_a_push_with_an_empty_map_not_the_nodes_own_is_judged(
+    daq_store, daq_config, case, headers, monkeypatch
+):
+    # the map is equal to the node's own, and not it: is_plain judges the
+    # message, which is encoded and reaches the receiver as its bytes decode
+    runtime, cid, u, a, i = start(daq_store, daq_config, case=case)
+    assert (headers or NO_HEADERS) == runtime.node("user").own
+    encoded = []
+    real_encode = endpoint_mod.encode_message
+
+    def encode(message):
+        encoded.append(message)
+        return real_encode(message)
+
+    monkeypatch.setattr(endpoint_mod, "encode_message", encode)
+    sent = ConversationMessage(IN_SESSION, cid, "U", "A", Text("Request"), (("info", "x"),))
+    runtime.broker.push(outbound_queue("user"), sent, headers)
+    assert encoded == [sent]
+    assert runtime.dropped == [] and runtime.mediation_violations == []
+    [got] = a._buckets["U"]
+    assert shape(got) == shape(decode_message(real_encode(sent)))
+
+
+@pytest.mark.parametrize("case", [MONITOR, FORWARDER])
+def test_a_share_taken_in_a_str_subclass_role_sends_through_is_plain(daq_store, case, monkeypatch):
+    # stamped invitations to "c-odd" make agg's role a Text, which decodes as
+    # a str: agg's sends are judged by is_plain and encoded, U's are trusted
+    runtime = ConversationRuntime(daq_store, case=case)
+    roles = {"U": "U", "A": Text("A"), "I": "I"}
+    for role, principal in DAQ_PRINCIPALS.items():
+        invitation = ConversationMessage(
+            INVITATION,
+            "c-odd",
+            "U",
+            roles[role],
+            extras=(
+                (X_ROLE, roles[role]),
+                (X_PRINCIPAL, principal),
+                (X_PROTOCOL_REF, local_ref("DataAquisition", role)),
+            ),
+        )
+        runtime.node(principal)
+        runtime.broker.publish("invite", principal, invitation, {X_MEDIATED_OUT: "U"})
+    u = runtime.endpoint("user").join("U")
+    a = runtime.endpoint("agg").join("A")
+    i = runtime.endpoint("instr").join("I")
+    assert type(a.role) is Text
+    judged = []
+    real_is_plain = endpoint_mod.is_plain
+
+    def is_plain_spy(message):
+        judged.append(message)
+        return real_is_plain(message)
+
+    monkeypatch.setattr(endpoint_mod, "is_plain", is_plain_spy)
+    u.send("A", "Request", {"info": "x"})
+    assert judged == []
+    assert a.receive("U") == ("Request", {"info": "x"})
+    a.send("I", "Request", {"info": "x"})
+    [sent] = judged
+    assert type(sent.sender) is Text
+    [got] = i._buckets["A"]
+    assert shape(got) == shape(decode_message(encode_message(sent)))
+    assert type(got.sender) is str
+    assert i.receive("A") == ("Request", {"info": "x"})
+    assert runtime.dropped == [] and runtime.mediation_violations == []
 
 
 @pytest.mark.parametrize("case", [MONITOR, FORWARDER, NONE])

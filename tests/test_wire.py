@@ -1,9 +1,11 @@
 """Wire format round trips and invitation config parsing."""
 
+import copy
 import json
+import pickle
 import sys
 from base64 import b64encode
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from enum import IntEnum
 
 import pytest
@@ -26,6 +28,7 @@ from parley.wire import (
     load_invitation_config,
     parse_invitation_config,
     payload_from_dict,
+    plain_payload,
 )
 
 
@@ -541,6 +544,100 @@ def test_plain_ints_read_back_under_the_lowest_digit_limit(message, value):
                 encode_message(wider)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_a_message_is_built_every_way_and_survives_pickle_and_copy():
+    # the hand-written constructor takes what the generated one took, and a
+    # message, or a subclass adding no slots, comes back equal, type for type
+    values = (INVITATION, "c1", "A", "B", "L", (("n", 7), ("b", b"\x00")), (("z", "1"), ("a", "2")))
+    names = [field.name for field in fields(ConversationMessage)]
+    positional = ConversationMessage(*values)
+    assert positional == ConversationMessage(**dict(zip(names, values)))
+    assert positional.extras == (("a", "2"), ("z", "1"))
+    assert [getattr(positional, name) for name in names[:6]] == list(values[:6])
+    bare = ConversationMessage(IN_SESSION, "c1", "A", "B")
+    assert (bare.label, bare.payload, bare.extras) == ("", (), ())
+    with pytest.raises(TypeError):
+        ConversationMessage(IN_SESSION, "c1", "A")
+    with pytest.raises(TypeError):
+        ConversationMessage(IN_SESSION, "c1", "A", "B", flavour="x")
+    sub = Message(*values)
+    assert sub.extras == positional.extras and not hasattr(sub, "__dict__")
+    assert repr(sub).startswith("Message(kind='invitation'")
+    with pytest.raises(FrozenInstanceError):
+        sub.label = "Q"
+    for message in (positional, sub):
+        copies = [copy.copy(message), copy.deepcopy(message)] + [
+            pickle.loads(pickle.dumps(message, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for again in copies:
+            assert type(again) is type(message)
+            assert again == message and hash(again) == hash(message)
+            assert shape(again) == shape(message)
+
+
+def test_extras_are_sorted_whatever_they_are_given_as():
+    pairs = [("b", "2"), ("c", "3"), ("a", "1")]
+    want = (("a", "1"), ("b", "2"), ("c", "3"))
+    for extras in (pairs, tuple(pairs), iter(pairs), dict(pairs).items()):
+        got = make(extras=extras).extras
+        assert type(got) is tuple and got == want
+    lone = (("k", "v"),)
+    assert make(extras=lone).extras is lone  # a lone pair is in order already
+    assert make(extras=[("k", "v")]).extras == lone
+
+
+def inline_is_plain(message) -> bool:
+    """``is_plain`` as it was written before its payload rule moved into
+    ``plain_payload``: the oracle for both."""
+    if not (
+        type(message) is ConversationMessage
+        and type(message.kind) is str
+        and message.kind in (IN_SESSION, INVITATION)
+        and type(message.cid) is str
+        and type(message.sender) is str
+        and type(message.receiver) is str
+        and type(message.label) is str
+        and type(message.payload) is tuple
+    ):
+        return False
+    names = set()
+    for entry in message.payload:
+        if type(entry) is not tuple or len(entry) != 2:
+            return False
+        name, value = entry
+        if type(name) is not str or name in names or type(value) not in (str, int, bool, bytes):
+            return False
+        if type(value) is int and value.bit_length() > 2000:
+            return False
+        names.add(name)
+    extras = message.extras
+    if type(extras) is not tuple:
+        return False
+    last = None
+    for entry in extras:
+        if type(entry) is not tuple or len(entry) != 2:
+            return False
+        key, value = entry
+        if type(key) is not str or type(value) is not str:
+            return False
+        if last is not None and key <= last:
+            return False
+        last = key
+    return True
+
+
+@settings(max_examples=500)
+@given(odd_messages(), wide_ints)
+def test_is_plain_and_plain_payload_keep_the_inline_rule(message, value):
+    assert is_plain(message) == inline_is_plain(message)
+    payloads = [message.payload, (("x", value),)]
+    if type(message.payload) is tuple:
+        payloads.append(message.payload + (("w", value),))
+    for payload in payloads:
+        head = ConversationMessage(IN_SESSION, "c1", "A", "B", "L", payload)
+        assert plain_payload(payload) == inline_is_plain(head)
 
 
 CONFIG = """\
