@@ -7,9 +7,9 @@ a ``*`` or ``#`` segment is an error, so a key written for a wildcard fails
 when it is bound instead of matching less. Each exchange is a map from
 routing key to the queues bound under it, so a publish is one lookup and a
 key that nothing is bound under is never stored.
-The broker never looks inside a body: the conversation runtime sends a
-plain message as the object itself and any other message as its encoded
-bytes, and both travel alike. Delivery is synchronous: a queue with a
+The broker never looks inside a body: the conversation runtime's own hops
+carry only message objects, bytes come only from outside it, and both
+travel alike. Delivery is synchronous: a queue with a
 consumer drains in the publisher's thread, calling ``consumer(body,
 headers)`` per item, so a chain of consumer republishes runs to completion
 before publish() returns. Queues without a consumer buffer (body, headers)

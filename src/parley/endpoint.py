@@ -15,39 +15,43 @@ Inbox delivery asserts both header tags against the message's sender and
 receiver, and ignores any tags a body carries in its extras, so anything
 injected around the mediators is detected and dropped there.
 
-The runtime puts bytes on no hop of its own. A message that ``wire.is_plain``
-admits travels as the ``ConversationMessage`` itself, from the endpoint
-through both mediators to the inbox, so a legal message is neither encoded
-nor decoded. Only a message that is not plain, such as one carrying a ``str``
-subclass, is encoded, by the sender's mediator (unmediated, the sender), and
-the receiver's mediator (unmediated, the inbox) decodes those bytes. That is
-exact, as ``wire`` sets out: a receiver gets what decoding the bytes would
-give. Bytes pushed or published from outside the runtime are forwarded as
-they are and decoded by each mediator or inbox they reach. Bytes that do not
-decode, objects that do not encode, messages for a conversation the
-principal is not in, and messages whose routing key disagrees with their body
-are recorded in ``mediation_violations`` and dropped; nothing raises back
-into the publisher. So is a message that no queue receives, which the
-sender's mediator learns from the count ``publish`` returns: its receiver has
-stopped, the receiver's mediator refused the invitation, or the key names no
-peer of the receiver, as a message addressed to its own sender's role does.
+The runtime puts bytes on no hop of its own: every queue it feeds carries
+message objects, and bytes arrive only from outside it. Every hop, from the
+sender's mediator to the inbox, takes its body through one rule,
+``ConversationRuntime.decode_or_note``. The runtime keeps one slot,
+``_judged``: the message object it last built plain or judged. A body that
+is that very object is taken as it is. Any other message object is kept if
+``wire.is_plain`` admits it, and is otherwise replaced by what its bytes
+decode to; bytes are decoded. Whatever a hop takes becomes ``_judged``, and
+it forwards that object, so after its first hop a message is always a plain
+``ConversationMessage``, and a receiver gets what decoding the message's
+bytes would give (``wire``). ``send`` and ``create`` store a message in
+``_judged`` when they know it plain without asking ``is_plain``: its label,
+roles, principal and protocol reference are exact ``str``, its cid is the hex
+digits ``create`` made or a judged invitation's, and ``wire.plain_payload``
+admits its payload. So a legal message is neither encoded nor decoded, nor
+judged twice. Bytes that do not decode, objects that do not encode, messages
+for a conversation the principal is not in, and messages whose routing key
+disagrees with their body are recorded in ``mediation_violations`` and
+dropped; nothing raises back into the publisher. So is a message that no
+queue receives, which the sender's mediator learns from the count
+``publish`` returns: its receiver has stopped, the receiver's mediator
+refused the invitation, or the key names no peer of the receiver, as a
+message addressed to its own sender's role does.
 
-The sender's mediator does not judge again what its own endpoints built
-plain. Each node holds a header map, ``own``, that only its endpoints are
-given. ``send`` pushes a message with it when the label, the peer's role
-and the endpoint's cid and role (checked once, when it joins) are exact
-``str`` and ``wire.plain_payload`` admits the payload; ``create`` pushes an
-invitation with it when its roles, principal and protocol reference are
-exact ``str``, as its cid always is. ``_on_out`` skips ``is_plain`` only for
-a push whose headers are that map itself: the test is identity, since every
-empty map is equal to it. Any other push onto ``mq.out.<principal>`` is
-judged as before. The map goes no further: the mediator stamps a new map of
-its own, so ``own`` is never published, forwarded or queued for anyone
-else. The threat model is the audit tags' own: a forger holds the broker
-and may push or publish any body with any headers, but does not hold the
-runtime's nodes or endpoints, so the broker's interface gives it no way to
-name a node's ``own``. A flag on the message would not do, as a forger can
-build a message with ``object.__new__`` and set any slot.
+Why trusting ``_judged`` by identity is sound. Every object ever stored in
+it is plain when it is stored: ``is_plain`` admitted it, ``send`` or
+``create`` built it from exact parts, or decoding gave it. A plain message
+holds only immutable values, so trusting that one object claims only what
+is true of it. A forger holds the broker and may push or publish any body
+with any headers. It can obtain judged objects, since a queue bound beside a
+mediator's, or on ``invite``, sees every one, but republishing one gains
+nothing. A flag on the message would not do, as a forger can build a message
+with ``object.__new__`` and set any slot. ``send`` and ``create`` write
+``_judged`` outside the broker lock and the hops inside it, so a race can
+only make a hop judge an object it could have trusted: slower, never wrong.
+Not covered: rewriting a delivered message's slots through the descriptor
+setters, and reaching the runtime through the broker's internals.
 
 Invitations follow the same shape: ``create`` pushes one invitation per
 configured role onto the creator's outbound queue, and its mediator stamps it
@@ -63,7 +67,8 @@ sender's stamp, or with a reference the store does not resolve or the
 monitor cannot initialize, is recorded in ``mediation_violations`` before
 anything is allocated for it, so a pending invitation is always an accepted
 one. In the unmediated case ``create`` accepts each invitation itself, on the
-same path, and records a refusal against the inbox it would have allocated.
+same path, after judging one it does not know plain as the mediator would,
+and records a refusal against the inbox it would have allocated.
 The creator invites itself the same way; delivery is synchronous, so
 ``create`` claims its own invitation at once. If it was refused, ``create``
 releases the shares the other invitees accepted and raises. A principal takes
@@ -111,7 +116,6 @@ import threading
 import time
 from collections import deque
 from functools import partial
-from types import MappingProxyType
 from typing import Dict, List, Optional, Union
 
 from .broker import Broker, Headers
@@ -150,8 +154,8 @@ NONE = "none"
 
 _DEFAULT_TIMEOUT = 10.0
 
-# What a queue carries: a plain message as itself, bytes for a message that
-# is not plain and for whatever arrives from outside the runtime.
+# What a queue carries: a message object, plain once the runtime has judged
+# it, or bytes from outside the runtime.
 Body = Union[bytes, ConversationMessage]
 
 
@@ -172,11 +176,6 @@ class _Node:
     def __init__(self, principal: str, monitor: Optional[Monitor]):
         self.principal = principal
         self.monitor = monitor
-        # The headers this node's endpoints push a message with when they
-        # know it is plain. Only they hold this map and it goes no further
-        # than the node's mediator, so ``_on_out`` tells their pushes from
-        # any other by identity alone.
-        self.own: Headers = MappingProxyType({})
         # Each share of a conversation is in one of the two maps. A share no
         # endpoint has joined is pending, as cid -> (role, protocol's roles,
         # inbox) in the order accepted, so a claim scans pending shares only.
@@ -211,6 +210,10 @@ class ConversationRuntime:
         self._lock = threading.RLock()
         self.dropped: List[tuple] = []  # (stage, verdict, message)
         self.mediation_violations: List[tuple] = []  # (queue, reason, message)
+        # The message object last built plain or judged; ``decode_or_note``
+        # takes this one object as it is. It starts as a plain message that
+        # no hop carries, not as None, which a body from outside may be.
+        self._judged = ConversationMessage(IN_SESSION, "", "", "")
         self.broker.declare_exchange("invite")
 
     # --- nodes --------------------------------------------------------------
@@ -253,49 +256,44 @@ class ConversationRuntime:
     # --- mediation handlers ---------------------------------------------------
 
     def decode_or_note(self, queue: str, body: Body) -> Optional[ConversationMessage]:
-        """The message in ``body``, or None after recording why it is not one.
+        """The plain message in ``body``, or None after recording why there is
+        none; every hop takes its body through here.
 
-        A message object is returned as is; anything else is decoded.
+        The object last built plain or judged is returned as it is. Any other
+        message object is returned if ``is_plain`` admits it, and otherwise
+        replaced by what its bytes decode to; anything else is decoded.
+        Whatever is returned becomes the object last judged.
         """
-        if isinstance(body, ConversationMessage):
+        if body is self._judged:
             return body
         try:
-            return decode_message(body)
+            if isinstance(body, ConversationMessage):
+                message = body if is_plain(body) else decode_message(encode_message(body))
+            else:
+                message = decode_message(body)
         except WireError as exc:
-            self.note_mediation_violation(queue, f"undecodable: {exc}", body)
+            failed = "unencodable" if isinstance(body, ConversationMessage) else "undecodable"
+            self.note_mediation_violation(queue, f"{failed}: {exc}", body)
             return None
+        self._judged = message
+        return message
 
     def _on_out(self, node: _Node, queue: str, body: Body, headers: Headers) -> None:
-        """Sender-side mediation: check, stamp, and forward.
+        """Sender-side mediation: judge, check, stamp, and forward.
 
-        A plain message object is forwarded as itself and one that is not is
-        encoded here; bytes pushed onto the queue are forwarded unchanged.
-        A message pushed with the node's ``own`` headers was built plain by
-        one of its endpoints and is not judged again.
+        A message is judged before the check, so one that cannot travel never
+        advances the sender's FSM.
         """
-        if isinstance(body, ConversationMessage):
-            message = data = body
-            # Identity, not equality: every empty map equals ``own``.
-            if headers is not node.own and not is_plain(body):
-                # Encoded before the check, so a message that cannot travel
-                # never advances the sender's FSM.
-                try:
-                    data = encode_message(body)
-                except WireError as exc:
-                    self.note_mediation_violation(queue, f"unencodable: {exc}", body)
-                    return
-        else:
-            message = self.decode_or_note(queue, body)
-            if message is None:
-                return
-            data = body
+        message = self.decode_or_note(queue, body)
+        if message is None:
+            return
         stamp = {X_MEDIATED_OUT: message.sender}
         if message.kind == INVITATION:
             target = message.extra(X_PRINCIPAL)
             if target is None:
                 self.note_mediation_violation(queue, "invitation names no target", message)
                 return
-            if not self.broker.publish("invite", target, data, stamp):
+            if not self.broker.publish("invite", target, message, stamp):
                 self.note_mediation_violation(queue, f"no mediator for {target}", message)
             return
         if node.monitor is not None:
@@ -309,7 +307,7 @@ class ConversationRuntime:
             )
             return
         key = f"{message.cid}.{message.sender}.{message.receiver}"
-        if not self.broker.publish(f"s.{message.cid}", key, data, stamp):
+        if not self.broker.publish(f"s.{message.cid}", key, message, stamp):
             self.note_mediation_violation(queue, f"no queue bound for {key}", message)
 
     def _on_inv(self, node: _Node, queue: str, body: Body, headers: Headers) -> None:
@@ -329,11 +327,7 @@ class ConversationRuntime:
                 queue, f"already in conversation {message.cid}", message
             )
             return
-        try:
-            extras = dict(message.extras)  # each field is read once, from here
-        except (TypeError, ValueError):  # an object from outside the runtime
-            self.note_mediation_violation(queue, "invitation extras are not a map", message)
-            return
+        extras = dict(message.extras)  # each field is read once, from here
         role = extras.get(X_ROLE)
         ref = extras.get(X_PROTOCOL_REF)
         monitor = node.monitor
@@ -418,7 +412,7 @@ class ConversationRuntime:
         """Receiver-side mediation for one (principal, cid, role) binding,
         which hands what it passes to the principal's ``inbox``.
 
-        Bytes are decoded once, here, and the message handed to the inbox as is.
+        The message judged here is the object handed to the inbox.
         """
         message = self.decode_or_note(queue, body)
         if message is None:
@@ -499,7 +493,6 @@ class Endpoint:
         # its own, from ``_bind`` until ``stop``. Messaging tests this set
         # alone and asks ``_refuse_peer`` for the error only on a miss.
         self._peers: frozenset = frozenset()
-        self._exact = False  # whether cid and role are exact str, from ``_bind``
         self.callback_errors: List[BaseException] = []
         self._outbound = outbound_queue(self.principal)
         # Delivery and ``receive`` take the plain lock. The condition on it
@@ -523,6 +516,8 @@ class Endpoint:
         Returns the conversation id; this endpoint ends up joined in the
         creator's configured role.
         """
+        if self._ended is not None:
+            raise NotJoined("endpoint was stopped")
         if self.cid is not None:
             raise TransportError("endpoint already joined to a conversation")
         if isinstance(config, str):
@@ -554,7 +549,6 @@ class Endpoint:
         runtime = self.runtime
         unmediated = runtime.case == NONE
         push = runtime.broker.push
-        own = self.node.own
         for entry in config.entries:
             principal, role, ref = entry.principal, entry.role, entry.capability
             node = runtime.node(principal)  # mediation must exist before routing
@@ -567,18 +561,26 @@ class Endpoint:
                 (),
                 ((X_PRINCIPAL, principal), (X_PROTOCOL_REF, ref), (X_ROLE, role)),
             )
-            if unmediated:
-                inbox = inbox_queue(principal, cid)
-                runtime.accept_invitation(node, invitation, role, ref, inbox)
-            elif (
+            exact = (
                 type(creator_role) is str
                 and type(role) is str
                 and type(principal) is str
                 and type(ref) is str
-            ):
-                push(self._outbound, invitation, own)  # plain: cid is hex digits
-            else:
+            )
+            if not unmediated:
+                if exact:
+                    runtime._judged = invitation  # plain: its cid is hex digits
                 push(self._outbound, invitation)
+                continue
+            # Judged as the mediator would judge it, so a share's role is
+            # always exact str.
+            inbox = inbox_queue(principal, cid)
+            if not exact:
+                invitation = runtime.decode_or_note(inbox, invitation)
+                if invitation is None:
+                    continue
+                role, ref = invitation.extra(X_ROLE), invitation.extra(X_PROTOCOL_REF)
+            runtime.accept_invitation(node, invitation, role, ref, inbox)
         # Delivery is synchronous, so the creator's own invitation has been
         # accepted or refused by now. It takes that share, not an older one to
         # the same role from another session, which stays pending for ``join``.
@@ -604,6 +606,8 @@ class Endpoint:
             raise RoleMismatch(
                 f"endpoint belongs to {self.principal}, cannot join as {principal}"
             )
+        if self._ended is not None:
+            raise NotJoined("endpoint was stopped")
         if self.cid is not None:
             raise TransportError("endpoint already joined to a conversation")
         node = self.node
@@ -632,10 +636,6 @@ class Endpoint:
         self.cid = cid
         self.role, self.roles, inbox = share
         self._peers = frozenset(self.roles) - {self.role}
-        # A share accepted from an invitation that is not plain may name its
-        # conversation or role with a str subclass; sends then go through
-        # ``is_plain``.
-        self._exact = type(cid) is str and type(self.role) is str
         self.runtime.broker.set_consumer(inbox, partial(self._deliver, inbox))
         return self
 
@@ -665,9 +665,9 @@ class Endpoint:
         if to_role not in self._peers:
             self._refuse_peer(to_role)
         # The message is plain, as ``is_plain`` would find, exactly when its
-        # label, peer and payload are: its other fields are fixed here or
-        # were checked by ``_bind``.
-        plain = self._exact and type(label) is str and type(to_role) is str
+        # label, peer and payload are: its cid and role came from an
+        # invitation known or judged plain, so they are exact str.
+        plain = type(label) is str and type(to_role) is str
         if payload:
             payload = payload_from_dict(payload)
             plain = plain and plain_payload(payload)
@@ -675,12 +675,11 @@ class Endpoint:
             payload = ()
         message = ConversationMessage(IN_SESSION, self.cid, self.role, to_role, label, payload)
         runtime = self.runtime
+        if plain:
+            runtime._judged = message
         if runtime.case == NONE:
             key = f"{self.cid}.{self.role}.{to_role}"
-            body = message if plain else encode_message(message)
-            runtime.broker.publish(f"s.{self.cid}", key, body)
-        elif plain:
-            runtime.broker.push(self._outbound, message, self.node.own)
+            runtime.broker.publish(f"s.{self.cid}", key, message)
         else:
             runtime.broker.push(self._outbound, message)
 
@@ -733,8 +732,9 @@ class Endpoint:
 
     def stop(self) -> None:
         """Leave the conversation and release this principal's share of it;
-        idempotent. Pending receives unblock, and ``status`` goes on reporting
-        the status the session had when it stopped."""
+        idempotent. Pending receives unblock, ``status`` goes on reporting
+        the status the session had when it stopped, and ``create`` and
+        ``join`` raise NotJoined."""
         monitor = self.node.monitor
         key = (self.cid, self.role)
         ended = UNKNOWN if monitor is None else monitor.session_status(key)

@@ -589,11 +589,6 @@ class Run:
         other.open = self.open
         return other
 
-    @property
-    def complete(self) -> bool:
-        """Every fired thread sits on a terminal state."""
-        return self.open == 0
-
     def transition(self, triple: tuple):
         """The hit (thread id, TransitionValue, quiet) that ``triple`` fires
         now, or None; :meth:`step` takes it."""

@@ -22,11 +22,13 @@ writes.
 
 A message that ``is_plain`` admits, exactly one that encodes and decodes
 back equal type for type, crosses the broker as the object itself, which is
-immutable all through, so sender and receiver may share it; the runtime
-encodes only a message that is not plain, so a receiver always gets what
-decoding the bytes would give. ``plain_payload`` is the payload half of that
-rule, written once: ``is_plain`` calls it, and so does a sender that built
-the rest of its message from fields it knows to be exact ``str``.
+immutable all through, so sender and receiver may share it. The runtime's
+own hops carry only message objects: one that is not plain is replaced, at
+its first hop, by what its bytes decode to, so a receiver always gets what
+decoding the bytes would give. Bytes come only from outside the runtime.
+``plain_payload`` is the payload half of that rule, written once:
+``is_plain`` calls it, and so does a sender that built the rest of its
+message from fields it knows to be exact ``str``.
 
 ``ConversationMessage`` is a frozen slots dataclass whose ``__init__`` is
 written out to build a message in one pass: it sorts the extras, then sets

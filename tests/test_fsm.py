@@ -328,7 +328,7 @@ def _assert_matches_full_scan(run, expected_cursors, where):
         assert (run.pending[tid] == 0) == done, where
         assert run.started[tid] == any(c in run.fired for c in join.children), where
     # terminal states can have outgoing transitions, so this is not monotone
-    assert run.complete == all(cursors[t] in fsm.terminal for t in run.fired), where
+    assert (run.open == 0) == all(cursors[t] in fsm.terminal for t in run.fired), where
 
 
 def test_incremental_settle_agrees_with_full_scan():
