@@ -20,24 +20,24 @@ A compiled machine is never written after :func:`compile` returns, so one
 machine can serve any number of runs. Besides the per-thread tables it
 carries a dispatch index (triple to owning thread, that thread's chain of
 ``(parent, spawn_state)`` ancestors, and a table from source state to the
-hit ``(thread id, TransitionValue, quiet)``), a label index (label to the
-triples of the dispatch index that carry it) and its settled initial
-configuration.
+hit ``(thread id, TransitionValue)``), a label index (label to the triples
+of the dispatch index that carry it) and its settled initial configuration.
 
 A :class:`Run` is one execution: a cursor per thread, the set of threads
 that have fired, and counters. It is the only interpreter of the nested
 semantics. :meth:`Run.transition` is the one place its enabling rule is
 written: :meth:`Run.enabled` is derived from it, as the triples of the
 dispatch index that it accepts, and :meth:`Run.step` is the one way a hit it
-returned is taken. The monitor accepts each message with ``transition`` and
-``step`` and refuses with ``transition``, and :func:`trace_language`
+returned is taken. The monitor asks ``transition`` about each triple that a
+reached configuration has not taken yet, :class:`Configs` takes the hit with
+``step`` on a copy of the configuration's run, and :func:`trace_language`
 enumerates a nested machine's traces by stepping over ``enabled``. Checking
 those traces against :func:`product_oracle` therefore checks the path the
-runtime accepts on, quiet moves included. The oracle and the flat-machine
-enumerator share none of it, and only the flat enumerator groups transitions
-by state. :func:`active_threads` scans every thread; no runtime code calls
-it, and the tests keep it as the full-scan reference that the dispatch path
-is checked against.
+runtime accepts on. The oracle and the flat-machine enumerator share none of
+it, and only the flat enumerator groups transitions by state.
+:func:`active_threads` scans every thread; no runtime code calls it, and the
+tests keep it as the full-scan reference that the dispatch path is checked
+against.
 
 A step does work bounded by the nesting depth, not by the number of
 threads; only entering a spawn state visits that join's children, once.
@@ -54,17 +54,17 @@ outgoing transitions. The start configuration is settled by the same steps:
 :func:`compile` builds one settled :class:`Run` per machine, and every run
 after it starts as a copy, so no session settles its start again.
 
-Many steps change nothing but one cursor, and :func:`compile` marks the
-ones it can tell in the dispatch index as *quiet*: the root thread's
-transitions whose target spawns no join and lies on the same side of
-``terminal`` as their source.
-The marking is exact. The root is always fired and has no parent, so such a
-move adds no thread to ``fired`` and commits no parent's join; staying on
-one side of ``terminal`` leaves ``open`` as it was; and a target with no join
-gives ``_enter`` nothing to settle. :meth:`Run.step` therefore takes a
-quiet hit by writing the cursor and clearing the root's commitment, and
-nothing else, which is what :meth:`Run.fire` would do. Every other hit takes
-the general path, ``fire``.
+A :class:`Config` is a reached configuration: a run that is never stepped
+again, and the moves taken from it so far, each an accepted triple mapped to
+its ``TransitionValue`` and the next configuration. :class:`Configs` interns
+them by the whole of the run's state (:meth:`Run.key`), so sessions of one
+machine that reach the same configuration share it, and a move once taken is
+found again with one lookup, as a lazy DFA builds the part of its automaton
+that the input reaches. The compiled machine stays linear in the protocol;
+only the reached configurations are built, at most :data:`CONFIG_CAP` of
+them per table. A move is recorded only after ``transition`` returned its
+hit and ``step`` took it on a copy, so every move is still the
+interpreter's, and a triple the run refuses records nothing.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class NestedFsm:
     threads: List[FsmThread]
     terminal: frozenset
     # (label, sender, receiver) -> (thread id, its chain,
-    #                               {state: (thread id, TransitionValue, quiet)})
+    #                               {state: (thread id, TransitionValue)})
     dispatch: Dict[tuple, tuple]
     # label -> the triples of ``dispatch`` that carry it
     by_label: Dict[str, tuple]
@@ -314,11 +314,10 @@ class _Compiler:
     def check_cross_thread(self) -> Dict[tuple, tuple]:
         """The dispatch index; refuses a triple that two threads share.
 
-        Each entry's hit ``(thread id, TransitionValue, quiet)`` is built
-        here, once, so a step hands it back as it is.
+        Each entry's hit ``(thread id, TransitionValue)`` is built here,
+        once, so a step hands it back as it is.
         """
         dispatch: Dict[tuple, tuple] = {}
-        terminal = self.terminal
         for thread in self.threads:
             tid = thread.thread_id
             for key, value in thread.transitions.items():
@@ -329,13 +328,7 @@ class _Compiler:
                         f"{triple} appears in threads {owner[0]} and {tid}; "
                         "messages could not be routed to a unique thread"
                     )
-                target = value.next_state
-                quiet = (
-                    thread.parent is None
-                    and target not in thread.joins
-                    and (key.state in terminal) == (target in terminal)
-                )
-                owner[2][key.state] = (tid, value, quiet)
+                owner[2][key.state] = (tid, value)
         return dispatch
 
     def check_progress(self) -> None:
@@ -590,8 +583,8 @@ class Run:
         return other
 
     def transition(self, triple: tuple):
-        """The hit (thread id, TransitionValue, quiet) that ``triple`` fires
-        now, or None; :meth:`step` takes it."""
+        """The hit (thread id, TransitionValue) that ``triple`` fires now, or
+        None; :meth:`step` takes it."""
         entry = self.fsm.dispatch.get(triple)
         if entry is None:
             return None
@@ -632,17 +625,20 @@ class Run:
             parent = threads[parent].parent
 
     def step(self, hit: tuple) -> None:
-        """Take a hit that :meth:`transition` returned. A quiet one is the
-        root thread, already fired, moving to a state that spawns no join on
-        the same side of ``terminal``; it changes no counter and settles
-        nothing, so only the cursor and its commitment are written. Any other
-        hit is fired with :meth:`fire`."""
-        tid, value, quiet = hit
-        if quiet:
-            self.cursors[tid] = value.next_state
-            self.started[tid] = False
-        else:
-            self.fire(tid, value.next_state)
+        """Take a hit that :meth:`transition` returned."""
+        tid, value = hit
+        self.fire(tid, value.next_state)
+
+    def key(self) -> tuple:
+        """The whole of the run's state, as one hashable value: two runs of a
+        machine with equal keys accept the same traces from here on."""
+        return (
+            tuple(self.cursors),
+            frozenset(self.fired),
+            tuple(self.pending),
+            tuple(self.started),
+            self.open,
+        )
 
     def _move(self, tid: int, state: int) -> None:
         """Set an active thread's cursor, keeping both counters."""
@@ -673,6 +669,64 @@ class Run:
                 return
             self._move(tid, join.next_state)
             join = joins.get(cursors[tid])
+
+
+# --- Reached configurations ----------------------------------------------------
+
+# The most configurations one table keeps; at least 2, since the start stays.
+CONFIG_CAP = 256
+
+
+class Config:
+    """A configuration a run of a machine reached. ``run`` is never stepped
+    again; ``moves`` maps each triple accepted from it so far to
+    ``(TransitionValue, next Config)``."""
+
+    __slots__ = ("run", "moves", "__weakref__")
+
+    def __init__(self, run: Run):
+        self.run = run
+        self.moves: Dict[tuple, tuple] = {}
+
+
+class Configs:
+    """The reached configurations of one machine, each interned once.
+
+    ``start`` is the machine's settled start and is always in the table.
+    When the table is full it drops every entry and every entry's moves and
+    starts again from ``start``, so it never holds more than
+    :data:`CONFIG_CAP` configurations; a configuration dropped while a
+    session still holds it stays valid, and its next move lands in the new
+    table.
+    """
+
+    __slots__ = ("table", "start")
+
+    def __init__(self, fsm: NestedFsm):
+        self.table: Dict[tuple, Config] = {}
+        self.start = self._intern(fsm.start.copy())
+
+    def step(self, config: Config, triple: tuple, hit: tuple) -> tuple:
+        """Take ``hit``, which ``config.run.transition(triple)`` returned, on
+        a copy of the run, and record the move ``(TransitionValue, next
+        Config)`` in ``config.moves``, where the next lookup finds it."""
+        run = config.run.copy()
+        run.step(hit)
+        move = config.moves[triple] = (hit[1], self._intern(run))
+        return move
+
+    def _intern(self, run: Run) -> Config:
+        key = run.key()
+        config = self.table.get(key)
+        if config is None:
+            if len(self.table) >= CONFIG_CAP:
+                old, self.table = self.table, {self.start.run.key(): self.start}
+                # list() copies in one call, so a racing intern cannot
+                # resize the dict under the loop
+                for dropped in list(old.values()):
+                    dropped.moves.clear()
+            config = self.table[key] = Config(run)
+        return config
 
 
 def active_threads(fsm: NestedFsm, cursors) -> list:

@@ -1,32 +1,54 @@
 """Per-endpoint conversation monitors.
 
 A monitor owns one FSM-backed session per (conversation id, role) pair, from
-``init_session`` to ``end_session``. Each checked message either advances
-exactly one thread cursor or produces a violation verdict and leaves the
-session untouched; payload bindings accumulate across the whole session so
-later assertions can refer to earlier fields.
+``init_session`` to ``end_session``. Each checked message either moves the
+session to its next configuration or produces a violation verdict and leaves
+the session where it was; payload bindings accumulate across the whole
+session so later assertions can refer to earlier fields.
 
-A session is an ``fsm.Run`` of its nested FSM (cursors, fired threads and
-counters), copied from the machine's settled start and read and stepped only
-through the run's ``transition``, ``step`` and ``enabled``, the same code that
-enumerates the machine's trace language. Its status is read off the run: it
+A session holds a configuration of its nested FSM, an ``fsm.Config``: a
+run (cursors, fired threads and counters) that is never stepped again, and
+the moves taken from it so far. Beside each compiled machine, a monitor keeps
+an ``fsm.Configs`` table that interns configurations by the whole of their
+run's state, so every session of a reference that reaches a configuration
+shares it. ``check`` takes an accepted triple with one lookup in the
+configuration's ``moves`` and moves the session to the next configuration;
+its work is the same at any nesting and any number of threads. On a miss
+``check`` asks the run's ``transition``, and the table takes the hit with
+``step`` on a copy of the run and interns the result: the same code that
+enumerates the machine's trace language, so the monitor has no copy of the
+thread semantics. It adds payload arity, bindings, assertions and verdicts
+on top, all checked on every message, memoized move or not: a move that
+binds nothing, asserts nothing and meets a message with no payload leaves
+nothing to check. A session's status is read off its configuration's run: it
 is completed while the run is, unless a refusal has marked it violated.
-The monitor adds payload arity, bindings, assertions and verdicts on top; it
-has no copy of the thread semantics. A hit that binds nothing, asserts
-nothing and meets a message with no payload leaves nothing to check, and
-``check`` hands it to ``step`` at once. A refusal asks ``transition`` only
-about the triples that carry the refused label, from the machine's label
-index, to tell a wrong peer from an unexpected label; an unknown label asks
-nothing. So a refusal's work, like a hit's, does not grow with the number
-of threads.
+
+Refusals are not memoized. A refusal reads the configuration's run, which
+``transition`` never writes, and asks ``transition`` only about the triples
+that carry the refused label, from the machine's label index, to tell a
+wrong peer from an unexpected label; an unknown label asks nothing. So a
+refusal's work, like a hit's, does not grow with the number of threads, and
+hostile labels add nothing to the table.
+
+Memory is bounded: a table holds at most ``fsm.CONFIG_CAP`` configurations,
+and when it is full it drops every entry and every entry's moves and starts
+again. What is kept per reference is therefore that constant plus the one
+configuration each live session holds.
 
 Each monitor compiles a protocol reference once. ``Monitor.machines`` maps
-the reference to the ``LocalProtocol`` it was compiled from and the
-machine, and ``init_session`` reuses the machine for as long as the
+the reference to the ``LocalProtocol`` it was compiled from, the machine and
+the machine's table, and ``init_session`` reuses them for as long as the
 resolver returns that same ``LocalProtocol`` object; a new object, such as
-a re-registered view, is compiled afresh. Runs only read the machine, so
-all sessions of a reference share it. A reference that does not compile is
-not remembered, and each invitation naming it fails on its own.
+a re-registered view, is compiled afresh, with a table of its own. Runs
+only read the machine, so all sessions of a reference share it, and a
+session keeps the table it started in. A reference that does not compile
+is not remembered, and each invitation naming it fails on its own.
+
+The runtime checks every message under its broker's lock, so one monitor's
+tables are written by one thread at a time. Two threads racing on a
+standalone monitor can at worst intern a configuration twice, or leave the
+table an entry per racing thread over its cap until it next fills; each copy is a correct
+configuration, and every move recorded is one the run took.
 
 Assertions are delegated to a pluggable logic engine. Each assertion
 reaches the monitor already compiled, as the ``CompiledPredicate`` the parser
@@ -98,7 +120,8 @@ ACCEPT = MonitorVerdict(True)
 @dataclass
 class SessionState:
     protocol_ref: str
-    run: fsmmod.Run
+    configs: fsmmod.Configs  # the table ``config`` was interned in
+    config: fsmmod.Config
     env: Dict[str, object] = field(default_factory=dict)
     violated: bool = False  # a refusal was seen; the status stays violated
 
@@ -186,6 +209,21 @@ def default_mode() -> str:
     return os.environ.get(MODE_ENV_VAR, ENFORCE)
 
 
+def _refusal(run: fsmmod.Run, violated: bool, triple) -> MonitorVerdict:
+    """The verdict on ``triple``, which ``run.transition`` refused."""
+    label = triple[0]
+    if not run.open and not violated:  # completed
+        return MonitorVerdict(False, AFTER_COMPLETION, f"{label} arrived after completion")
+    for other in run.fsm.by_label.get(label, ()):
+        if run.transition(other):
+            return MonitorVerdict(
+                False,
+                WRONG_PEER,
+                f"{label} expected between other roles, saw {triple[1]}->{triple[2]}",
+            )
+    return MonitorVerdict(False, UNEXPECTED_LABEL, f"{label} is not expected here")
+
+
 class Monitor:
     """Checks every message crossing one principal's endpoints.
 
@@ -208,7 +246,7 @@ class Monitor:
         self.record_trace = record_trace
         self.sessions: Dict[tuple, SessionState] = {}
         self.trace: List[TraceEntry] = []
-        # protocol ref -> (the LocalProtocol compiled, its machine)
+        # protocol ref -> (the LocalProtocol compiled, its machine, its Configs)
         self.machines: Dict[str, tuple] = {}
 
     # --- session lifecycle ------------------------------------------------
@@ -235,7 +273,7 @@ class Monitor:
             )
         cached = self.machines.get(protocol_ref)
         if cached is not None and cached[0] is protocol:
-            machine = cached[1]
+            configs = cached[2]
         else:
             try:
                 machine = fsmmod.compile(protocol)
@@ -243,8 +281,9 @@ class Monitor:
                 raise UnresolvableProtocol(
                     f"{protocol_ref!r} does not compile: {exc}"
                 ) from exc
-            self.machines[protocol_ref] = (protocol, machine)
-        self.sessions[key] = SessionState(protocol_ref, machine.start.copy())
+            configs = fsmmod.Configs(machine)
+            self.machines[protocol_ref] = (protocol, machine, configs)
+        self.sessions[key] = SessionState(protocol_ref, configs, configs.start)
         return key
 
     def end_session(self, cid: str, role: str) -> None:
@@ -258,22 +297,22 @@ class Monitor:
             return UNKNOWN
         if state.violated:
             return VIOLATED
-        return ACTIVE if state.run.open else COMPLETED
+        return ACTIVE if state.config.run.open else COMPLETED
 
     def enabled_triples(self, key: tuple) -> set:
         """The (label, sender, receiver) triples acceptable right now."""
         state = self.sessions.get(key)
         if state is None:
             return set()
-        return set(state.run.enabled())
+        return set(state.config.run.enabled())
 
     # --- checking ----------------------------------------------------------
 
     def check(self, message, role: str) -> MonitorVerdict:
         """Check one in-session message against the (cid, role) session.
 
-        On acceptance the matching thread cursor advances and payload fields
-        are bound; on violation nothing advances and the session status
+        On acceptance the session moves to the next configuration and payload
+        fields are bound; on violation nothing moves and the session status
         becomes ``violated``.
         """
         key = (message.cid, role)
@@ -285,25 +324,31 @@ class Monitor:
             return verdict
 
         triple = (message.label, message.sender, message.receiver)
-        hit = state.run.transition(triple)
-        if hit is None:
-            verdict = self._miss(state, triple)
+        config = state.config
+        move = config.moves.get(triple)
+        if move is None:
+            hit = config.run.transition(triple)
+            if hit is not None:
+                move = state.configs.step(config, triple, hit)
+        if move is None:
+            verdict = _refusal(config.run, state.violated, triple)
+            state.violated = True
         else:
-            value = hit[1]
+            value = move[0]
             if not message.payload and value.assertion is None and not value.var_binders:
-                state.run.step(hit)  # nothing to bind or assert
+                state.config = move[1]  # nothing to bind or assert
                 if self.record_trace:
                     self._record(message, role, ACCEPT)
                 return ACCEPT
-            verdict = self._fire(state, message, hit)
-        if not verdict.ok:
-            state.violated = True
+            verdict = self._fire(state, message, move)
+            if not verdict.ok:
+                state.violated = True
         if self.record_trace:
             self._record(message, role, verdict)
         return verdict
 
-    def _fire(self, state: SessionState, message, hit: tuple) -> MonitorVerdict:
-        value = hit[1]
+    def _fire(self, state: SessionState, message, move: tuple) -> MonitorVerdict:
+        value = move[0]
         binders = value.var_binders
         if len(message.payload) != len(binders):
             return MonitorVerdict(
@@ -333,22 +378,8 @@ class Monitor:
             env = state.env
             for name, pair in zip(binders, message.payload):
                 env[name] = pair[1]
-        state.run.step(hit)
+        state.config = move[1]
         return ACCEPT
-
-    def _miss(self, state: SessionState, triple) -> MonitorVerdict:
-        label, run = triple[0], state.run
-        if not run.open and not state.violated:  # completed
-            return MonitorVerdict(
-                False, AFTER_COMPLETION, f"{label} arrived after completion"
-            )
-        if any(run.transition(other) for other in run.fsm.by_label.get(label, ())):
-            return MonitorVerdict(
-                False,
-                WRONG_PEER,
-                f"{label} expected between other roles, saw {triple[1]}->{triple[2]}",
-            )
-        return MonitorVerdict(False, UNEXPECTED_LABEL, f"{label} is not expected here")
 
     # --- internals ----------------------------------------------------------
 

@@ -78,6 +78,39 @@ def pytest_collection_finish(session):
         st.text(min_size=1).example()
 
 
+class _Touches(list):
+    """A per-thread list that records which thread indices are used."""
+
+    def __init__(self, values, touched):
+        super().__init__(values)
+        self.touched = touched
+
+    def __getitem__(self, index):
+        self.touched.add(index)
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        self.touched.add(index)
+        super().__setitem__(index, value)
+
+    def __iter__(self):
+        self.touched.update(range(len(self)))
+        return super().__iter__()
+
+
+@pytest.fixture()
+def watch_threads():
+    """Wrap a run's per-thread lists (cursors, pending, started) so that every
+    thread id they are read or written at lands in ``touched``."""
+
+    def watch(run, touched: set) -> set:
+        for name in ("cursors", "pending", "started"):
+            setattr(run, name, _Touches(getattr(run, name), touched))
+        return touched
+
+    return watch
+
+
 @pytest.fixture(scope="session")
 def daq_global():
     return parse_global(DAQ_GLOBAL_SRC)

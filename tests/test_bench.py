@@ -221,8 +221,9 @@ def test_checking_costs_more_work_than_forwarding_and_forwarding_more_than_none(
 def test_checking_work_per_message_does_not_grow_with_parallel_branches():
     # the deterministic companion of c7's (c): Monitor minus Forwarder per
     # message was 764 bytecodes at k=1 and 668 at k=6 (CPython 3.11), 776
-    # and 680 with the quiet flag, and 715 and 618 once a hit that binds,
-    # asserts and carries nothing skipped _fire and no move wrote a status
+    # and 680 with the quiet flag, 715 and 618 once a hit that binds,
+    # asserts and carries nothing skipped _fire and no move wrote a status,
+    # and 141 at both once a warm check was one lookup in its configuration
     checking = {
         k: _per_message("Monitor", wide_source(k), _wide_script(k))
         - _per_message("Forwarder", wide_source(k), _wide_script(k))
@@ -255,6 +256,24 @@ def test_a_pingpong_message_is_checked_in_at_most_300_opcodes():
     for case, (setup, stop) in before.items():
         assert sum(work[case].setup.values()) <= setup + 25, case
         assert sum(work[case].stop.values()) <= stop + 25, case
+
+
+def test_a_warm_check_costs_the_same_at_any_width_and_at_most_150_opcodes():
+    # Monitor minus Forwarder per message, on PingPong and on wide_source(k):
+    # 252.2 on PingPong and 715.0 / 618.3 / 602.6 on k = 1 / 6 / 32 while
+    # every check ran the nested-FSM interpreter, and 141.0 on each once a
+    # warm check was one lookup in its configuration's moves (CPython 3.11)
+    source, script = pingpong_source(), pingpong_script(100)
+    checking = {
+        "pingpong": _per_message("Monitor", source, script)
+        - _per_message("Forwarder", source, script)
+    }
+    for k in (1, 2, 4, 8, 16, 32):
+        checking[k] = _per_message("Monitor", wide_source(k), _wide_script(k)) - _per_message(
+            "Forwarder", wide_source(k), _wide_script(k)
+        )
+    assert len({round(work, 6) for work in checking.values()}) == 1, checking
+    assert checking["pingpong"] <= 150, checking
 
 
 def test_a_pingpong_message_takes_the_shared_path_in_at_most_540_opcodes():

@@ -345,7 +345,7 @@ def test_incremental_settle_agrees_with_full_scan():
         for _ in range(6):
             following = []
             for run, trace in frontier:
-                for triple, (tid, value, _) in run.enabled().items():
+                for triple, (tid, value) in run.enabled().items():
                     target = value.next_state
                     expected = list(run.cursors)
                     expected[tid] = target
@@ -362,10 +362,10 @@ def test_incremental_settle_agrees_with_full_scan():
     assert machines > 3000 and steps > 30000
 
 
-# --- quiet moves against the general fire ---------------------------------------
+# --- the dispatch path against a full scan ----------------------------------------
 
 
-def _quiet_machines():
+def _dispatch_machines():
     churn = importlib.import_module("workloads").CHURN_SOURCE
     sources = [DAQ_GLOBAL_SRC, pingpong_source(), churn]
     sources += [wide_source(k) for k in (1, 2, 3)]
@@ -379,21 +379,17 @@ def _quiet_machines():
                 continue
 
 
-def _snapshot(run):
-    return (list(run.cursors), set(run.fired), list(run.pending), list(run.started), run.open)
-
-
-def test_quiet_moves_are_exactly_the_root_moves_that_change_one_cursor(monkeypatch):
+def test_the_dispatch_path_names_exactly_the_moves_a_full_scan_finds(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
-    machines = quiet_steps = loud_root_steps = 0
-    for name, fsm in _quiet_machines():
+    machines = configurations = 0
+    for name, fsm in _dispatch_machines():
         machines += 1
         frontier, seen = [fsm.start.copy()], set()
         for _ in range(6):
             following = []
             for run in frontier:
-                # the dispatch path names exactly the moves that a scan of
-                # the active, uncommitted threads' transitions finds
+                # the moves of the active, uncommitted threads from where
+                # their cursors stand, found by scanning every thread
                 cursors = run.cursors
                 scanned = {
                     (key.label, key.sender, key.receiver): (tid, value)
@@ -403,27 +399,37 @@ def test_quiet_moves_are_exactly_the_root_moves_that_change_one_cursor(monkeypat
                     if key.state == cursors[tid]
                 }
                 enabled = run.enabled()
-                assert {t: hit[:2] for t, hit in enabled.items()} == scanned, name
-                for triple, (tid, value, quiet) in enabled.items():
-                    general = run.copy()
-                    general.fire(tid, value.next_state)
-                    short = run.copy()
-                    short.step((tid, value, True))
-                    if quiet:
-                        quiet_steps += 1
-                        reference = run.copy()
-                        reference._move(tid, value.next_state)
-                        reference._enter(tid)
-                        assert _snapshot(short) == _snapshot(reference), (name, triple)
-                        assert _snapshot(short) == _snapshot(general), (name, triple)
-                    elif tid == 0:
-                        # a root step left on the general path does more than
-                        # set its cursor to the target and clear its commitment
-                        loud_root_steps += 1
-                        assert _snapshot(short) != _snapshot(general), (name, triple)
-                    config = (tuple(general.cursors), frozenset(general.fired))
-                    if config not in seen:
-                        seen.add(config)
-                        following.append(general)
+                assert enabled == scanned, name
+                configurations += 1
+                for hit in enabled.values():
+                    moved = run.copy()
+                    moved.step(hit)
+                    key = moved.key()
+                    if key not in seen:
+                        seen.add(key)
+                        following.append(moved)
             frontier = following
-    assert machines > 600 and quiet_steps > 1000 and loud_root_steps > 1000
+    assert machines > 600 and configurations > 4000
+
+
+@pytest.mark.parametrize("role", ["S", "C"])
+def test_a_step_touches_threads_by_depth_not_width(role, watch_threads):
+    # Run.step reads or writes the cursors and counters of the hit's thread
+    # and its ancestors only: one parallel level, so two threads
+    for k in (1, 2, 4, 8, 16, 32):
+        fsm = compile_fsm(project(parse_global(wide_source(k)), role).protocol)
+        assert len(fsm.threads) == 2 * k + 1
+        depth = max(len(thread.chain) for thread in fsm.threads)
+        run = fsm.start.copy()
+        touched = watch_threads(run, set())
+        counts = []
+        steps = [(f"OK{i}", "S", "C") for i in range(1, k + 1)]
+        steps += [(f"ACK{i}", "C", "S") for i in range(1, k + 1)]
+        for triple in steps:
+            hit = run.transition(triple)
+            assert hit is not None, (k, triple)
+            touched.clear()
+            run.step(hit)
+            counts.append(len(touched))
+        assert max(counts) == depth + 1 == 2, (k, counts)
+        assert run.open == 0

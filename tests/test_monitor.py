@@ -1,5 +1,10 @@
 import copy
+import gc
+import random
 import sys
+import threading
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,7 +27,7 @@ from parley.monitor import (
     default_mode,
 )
 from parley.parser import parse_global, parse_local
-from parley.projection import project
+from parley.projection import project, project_all
 from parley.store import ProtocolStore
 from parley.wire import IN_SESSION, ConversationMessage
 
@@ -184,7 +189,7 @@ def test_assertion_sees_earlier_bindings(daq_store):
     assert denied.kind == "assertion-failed"
 
 
-def test_quiet_moves_still_check_arity_bindings_and_assertions():
+def test_memoized_moves_still_check_arity_bindings_and_assertions():
     g = parse_global(
         "global protocol Gate(role S, role C) {"
         " Limit(int:cap) from C to S;"
@@ -195,35 +200,36 @@ def test_quiet_moves_still_check_arity_bindings_and_assertions():
     store = ProtocolStore()
     store.register_projections(g)
     monitor = Monitor(store.local)
-    machine = compile_fsm(store.local("Gate_C.scr"))
-    quiet = {
-        triple[0]: hit[2]
-        for triple, (_, _, table) in machine.dispatch.items()
-        for hit in table.values()
-    }
-    assert quiet == {"Limit": True, "Go": True, "Data": True, "Done": False}
-
-    monitor.init_session("g1", "C", "Gate_C.scr")
-    assert monitor.check(msg("g1", "Limit", "C", "S", (("cap", 0),)), "C").ok
-    assert monitor.sessions[("g1", "C")].env == {"cap": 0}
-    assert monitor.check(msg("g1", "Go", "S", "C"), "C").kind == "assertion-failed"
-    assert monitor.session_status(("g1", "C")) == VIOLATED
-
-    monitor.init_session("g2", "C", "Gate_C.scr")
-    assert monitor.check(msg("g2", "Limit", "C", "S", (("cap", 1),)), "C").ok
-    assert monitor.check(msg("g2", "Go", "S", "C"), "C").ok
-    assert monitor.check(msg("g2", "Data", "S", "C"), "C").kind == "payload-arity"
-
-    monitor.init_session("g3", "C", "Gate_C.scr")
     steps = [
         ("Limit", "C", "S", (("cap", 1),)),
         ("Go", "S", "C", ()),
         ("Data", "S", "C", (("chunk", b"x"),)),
         ("Done", "S", "C", ()),
     ]
+    monitor.init_session("g0", "C", "Gate_C.scr")  # takes every move once
+    for label, sender, receiver, payload in steps:
+        assert monitor.check(msg("g0", label, sender, receiver, payload), "C").ok
+
+    def memoized(cid, label, sender, receiver, payload=()):
+        # the session's configuration has taken this triple before
+        assert (label, sender, receiver) in monitor.sessions[(cid, "C")].config.moves
+        return monitor.check(msg(cid, label, sender, receiver, payload), "C")
+
+    monitor.init_session("g1", "C", "Gate_C.scr")
+    assert memoized("g1", "Limit", "C", "S", (("cap", 0),)).ok
+    assert monitor.sessions[("g1", "C")].env == {"cap": 0}
+    assert memoized("g1", "Go", "S", "C").kind == "assertion-failed"
+    assert monitor.session_status(("g1", "C")) == VIOLATED
+
+    monitor.init_session("g2", "C", "Gate_C.scr")
+    assert memoized("g2", "Limit", "C", "S", (("cap", 1),)).ok
+    assert memoized("g2", "Go", "S", "C").ok
+    assert memoized("g2", "Data", "S", "C").kind == "payload-arity"
+
+    monitor.init_session("g3", "C", "Gate_C.scr")
     for label, sender, receiver, payload in steps:
         assert monitor.session_status(("g3", "C")) == "active"
-        assert monitor.check(msg("g3", label, sender, receiver, payload), "C").ok
+        assert memoized("g3", label, sender, receiver, payload).ok
     assert monitor.sessions[("g3", "C")].env == {"cap": 1, "chunk": b"x"}
     assert monitor.session_status(("g3", "C")) == COMPLETED
 
@@ -446,15 +452,15 @@ def test_sessions_of_one_ref_share_one_machine(daq_store, compiles):
     monitor.init_session("c2", "A", "DataAquisition_A.scr")
     assert compiles == ["DataAquisition"]
     first, second = monitor.sessions[("c1", "A")], monitor.sessions[("c2", "A")]
-    assert first.run.fsm is second.run.fsm
-    assert monitor.machines["DataAquisition_A.scr"][1] is first.run.fsm
+    assert first.config.run.fsm is second.config.run.fsm
+    assert monitor.machines["DataAquisition_A.scr"][1] is first.config.run.fsm
 
 
 def test_stepping_one_session_leaves_the_other_and_the_machine_alone(daq_store):
     monitor = Monitor(daq_store.local)
     monitor.init_session("c1", "A", "DataAquisition_A.scr")
     monitor.init_session("c2", "A", "DataAquisition_A.scr")
-    other = monitor.sessions[("c2", "A")].run
+    other = monitor.sessions[("c2", "A")].config.run
     machine = copy.deepcopy(other.fsm)
     before = (list(other.cursors), set(other.fired), list(other.pending), other.open)
     for label, sender, receiver, payload in SUPPORTED_RUN_A:
@@ -475,57 +481,36 @@ def test_re_registered_ref_compiles_again(daq_global, compiles):
     monitor.init_session("c3", "A", "DataAquisition_A.scr")
     assert compiles == ["DataAquisition", "DataAquisition"]
     first, second = monitor.sessions[("c1", "A")], monitor.sessions[("c2", "A")]
-    assert first.run.fsm is not second.run.fsm
-    assert monitor.sessions[("c3", "A")].run.fsm is second.run.fsm
-
-
-class _Touches(list):
-    """A per-thread list that records which thread indices are used."""
-
-    def __init__(self, values, touched):
-        super().__init__(values)
-        self.touched = touched
-
-    def __getitem__(self, index):
-        self.touched.add(index)
-        return super().__getitem__(index)
-
-    def __setitem__(self, index, value):
-        self.touched.add(index)
-        super().__setitem__(index, value)
-
-    def __iter__(self):
-        self.touched.update(range(len(self)))
-        return super().__iter__()
+    assert first.config.run.fsm is not second.config.run.fsm
+    assert monitor.sessions[("c3", "A")].config.run.fsm is second.config.run.fsm
 
 
 @pytest.mark.parametrize("role", ["S", "C"])
-def test_check_touches_threads_by_depth_not_width(role):
-    # every check reads or writes the cursors and counters of the message's
-    # thread and its ancestors only: one parallel level, so two threads
+def test_a_warm_check_reads_the_thread_state_of_no_run(role, watch_threads):
+    # once one session has taken every move, another session's checks are
+    # lookups in the configurations' moves: no run's cursors or counters are
+    # read, at any width
     for k in (1, 2, 4, 8, 16, 32):
         local = project(parse_global(wide_source(k)), role).protocol
         monitor = Monitor(lambda ref, local=local: local, record_trace=False)
-        key = monitor.init_session("w", role, local.name)
-        run = monitor.sessions[key].run
-        assert len(run.fsm.threads) == 2 * k + 1
-        depth = max(len(thread.chain) for thread in run.fsm.threads)
-        touched = set()
-        for name in ("cursors", "pending", "started"):
-            setattr(run, name, _Touches(getattr(run, name), touched))
-        counts = []
         steps = [(f"OK{i}", "S", "C") for i in range(1, k + 1)]
         steps += [(f"ACK{i}", "C", "S") for i in range(1, k + 1)]
+        first = monitor.init_session("w1", role, local.name)
         for triple in steps:
-            touched.clear()
-            assert monitor.check(msg("w", *triple), role).ok
-            counts.append(len(touched))
-        assert max(counts) == depth + 1 == 2, (k, counts)
+            assert monitor.check(msg("w1", *triple), role).ok
+        assert monitor.session_status(first) == COMPLETED
+        touched = set()
+        for config in monitor.sessions[first].configs.table.values():
+            watch_threads(config.run, touched)
+        key = monitor.init_session("w2", role, local.name)
+        for triple in steps:
+            assert monitor.check(msg("w2", *triple), role).ok
+        assert touched == set(), k
         assert monitor.session_status(key) == COMPLETED
 
 
 @pytest.mark.parametrize("role", ["S", "C"])
-def test_refusal_touches_threads_by_depth_not_width(role):
+def test_refusal_touches_threads_by_depth_not_width(role, watch_threads):
     # a refused message reads the cursors, counters and flags of the threads
     # that carry its label, and of their ancestors, only: an unknown label
     # reads none, a known label between the wrong peers its thread and the root
@@ -537,10 +522,7 @@ def test_refusal_touches_threads_by_depth_not_width(role):
             ("peer", ("OK1", "C", "S"), "wrong-peer"),
         ):
             key = monitor.init_session(cid, role, local.name)
-            run = monitor.sessions[key].run
-            touched = set()
-            for name in ("cursors", "pending", "started"):
-                setattr(run, name, _Touches(getattr(run, name), touched))
+            touched = watch_threads(monitor.sessions[key].config.run, set())
             verdict = monitor.check(msg(cid, *triple), role)
             assert verdict.kind == kind, (k, triple)
             assert len(touched) <= 2, (k, triple, touched)
@@ -555,16 +537,223 @@ def test_a_finished_session_leaves_the_machine_start_for_the_next(role):
     local = project(parse_global(wide_source(4)), role).protocol
     monitor = Monitor(lambda ref: local, record_trace=False)
     first = monitor.init_session("w1", role, local.name)
-    start = monitor.sessions[first].run.fsm.start
+    start = monitor.sessions[first].config.run.fsm.start
     before = _snapshot(start)
     assert any(before[2])  # the root spawns at start: its join is pending
-    assert monitor.sessions[first].run is not start
+    assert monitor.sessions[first].config.run is not start
     steps = [(f"OK{i}", "S", "C") for i in range(1, 5)]
     steps += [(f"ACK{i}", "C", "S") for i in range(1, 5)]
     for triple in steps:
         assert monitor.check(msg("w1", *triple), role).ok
     assert monitor.session_status(first) == COMPLETED
     assert _snapshot(start) == before
-    second = monitor.sessions[monitor.init_session("w2", role, local.name)].run
+    second = monitor.sessions[monitor.init_session("w2", role, local.name)].config.run
     assert second.fsm.start is start
     assert _snapshot(second) == before
+
+
+# --- memoized configurations against the interpreter ------------------------------
+
+
+class _Holds(LogicEngine):
+    """Every assertion holds, so a verdict depends on the machine alone."""
+
+    def eval(self, assertion, env):
+        return True
+
+
+def _differential_locals():
+    for seed in range(200):
+        for _, report in sorted(project_all(protogen.random_global(seed)).items()):
+            try:
+                compile_fsm(report.protocol)
+            except fsmmod.CompileError:
+                continue
+            yield report.protocol
+
+
+def _expected_kind(run, violated, triple):
+    """The verdict kind the monitor owes ``triple`` at ``run``."""
+    if run.transition(triple) is not None:
+        return None
+    if not run.open and not violated:
+        return "after-completion"
+    if any(run.transition(other) for other in run.fsm.by_label.get(triple[0], ())):
+        return "wrong-peer"
+    return "unexpected-label"
+
+
+def _walk(rng, machine):
+    """A triple to send next: mostly an enabled one, else an unknown label, a
+    known label between the wrong peers, or any triple the machine knows."""
+    enabled = sorted(machine.enabled())
+    roll = rng.random()
+    if enabled and roll < 0.7:
+        return rng.choice(enabled)
+    if roll < 0.8 or not machine.fsm.dispatch:
+        return ("NOPE", "A", "B")
+    label, sender, receiver = rng.choice(sorted(machine.fsm.dispatch))
+    if roll < 0.9:
+        return (label, receiver, sender)
+    return (label, sender, receiver)
+
+
+def _differential_walks():
+    """Walk seeded sessions of every compiling projection of random_global(0..199)
+    through a memoized monitor and a run stepped directly, comparing them at
+    every step; returns the verdict kinds seen and the moves found memoized."""
+    rng = random.Random(27)
+    kinds, memoized = Counter(), 0
+    for local in _differential_locals():
+        monitor = Monitor(lambda ref, local=local: local, engine=_Holds(), record_trace=False)
+        for walk in range(4):
+            key = monitor.init_session(f"d{walk}", local.self_role, local.name)
+            state = monitor.sessions[key]
+            direct, violated = state.configs.start.run.fsm.start.copy(), False
+            for _ in range(12):
+                triple = _walk(rng, direct)
+                hit = direct.transition(triple)
+                payload = [(name, 0) for name in hit[1].var_binders] if hit else []
+                expected = _expected_kind(direct, violated, triple)
+                memoized += triple in state.config.moves
+                verdict = monitor.check(msg(f"d{walk}", *triple, payload), local.self_role)
+                where = (local.name, local.self_role, walk, triple)
+                assert verdict.kind == expected, where
+                if hit is None:
+                    violated = True
+                else:
+                    direct.step(hit)
+                kinds[verdict.kind] += 1
+                status = "violated" if violated else "active" if direct.open else "completed"
+                assert monitor.session_status(key) == status, where
+                assert monitor.enabled_triples(key) == set(direct.enabled()), where
+                assert _snapshot(state.config.run) == _snapshot(direct), where
+            monitor.end_session(f"d{walk}", local.self_role)
+    return kinds, memoized
+
+
+@pytest.mark.parametrize("cap", [None, 2], ids=["cap", "cap-2"])
+def test_memoized_monitor_agrees_with_a_directly_stepped_run(cap, monkeypatch):
+    # with the table's own cap, and with a cap of 2, so that the table drops
+    # everything in the middle of most walks
+    if cap is not None:
+        monkeypatch.setattr(fsmmod, "CONFIG_CAP", cap)
+    kinds, memoized = _differential_walks()
+    assert kinds[None] > 5000 and memoized > 1000, (kinds, memoized)
+    for kind in ("unexpected-label", "wrong-peer", "after-completion"):
+        assert kinds[kind] > 100, kinds
+
+
+@pytest.mark.parametrize("kept", [(0, 1, 3, 4), (0, 2, 3)], ids=["no-pending", "no-fired-open"])
+def test_the_differential_walk_kills_a_partial_key(kept, monkeypatch):
+    # A table that interns by less than the whole of a run's state merges
+    # configurations that differ, and the walk sees it. Of the key's parts
+    # (cursors, fired, pending, started, open), started, fired and open are
+    # each implied by the rest on every run the walks reach, so a key without
+    # just one of them merges nothing, and no walk could tell.
+    whole = fsmmod.Run.key
+    monkeypatch.setattr(fsmmod.Run, "key", lambda run: tuple(whole(run)[i] for i in kept))
+    with pytest.raises(AssertionError):
+        _differential_walks()
+
+
+def _interleaving(rng, k):
+    """A seeded order of wide_source(k)'s messages that keeps each branch's."""
+    branches = [[(f"OK{i}", "S", "C"), (f"ACK{i}", "C", "S")] for i in range(1, k + 1)]
+    order = []
+    while branches:
+        branch = rng.choice(branches)
+        order.append(branch.pop(0))
+        if not branch:
+            branches.remove(branch)
+    return order
+
+
+def _edges(configs):
+    return sum(len(config.moves) for config in configs.table.values())
+
+
+@pytest.mark.parametrize("role", ["S", "C"])
+def test_the_configuration_table_stays_within_its_cap(role, monkeypatch):
+    # wide_source(6) reaches 3**6 configurations of its six branches, more
+    # than the cap, so seeded interleavings fill the table and make it drop
+    # everything, again and again; refusals in between add nothing
+    alive, made = weakref.WeakSet(), []
+    init = fsmmod.Config.__init__
+
+    def tracked(config, run):
+        init(config, run)
+        alive.add(config)
+        made.append(None)
+
+    monkeypatch.setattr(fsmmod.Config, "__init__", tracked)
+    cap = fsmmod.CONFIG_CAP
+    rng = random.Random(6)
+    local = project(parse_global(wide_source(6)), role).protocol
+    monitor = Monitor(lambda ref: local, record_trace=False)
+    orders = set()
+    for n in range(cap + 44):
+        cid = f"w{n}"
+        key = monitor.init_session(cid, role, local.name)
+        state = monitor.sessions[key]
+        order = _interleaving(rng, 6)
+        orders.add(tuple(order))
+        for triple in order:
+            if rng.random() < 0.3:
+                hostile = ("NOPE", "S", "C") if rng.random() < 0.5 else (triple[0], "C", "C")
+                before = (len(state.configs.table), _edges(state.configs), len(state.config.moves))
+                refused = monitor.check(msg(cid, *hostile), role)
+                assert refused.kind in ("unexpected-label", "wrong-peer"), (hostile, refused)
+                after = (len(state.configs.table), _edges(state.configs), len(state.config.moves))
+                assert after == before, hostile
+            assert monitor.check(msg(cid, *triple), role).ok
+            assert len(state.configs.table) <= cap
+        assert monitor.session_status(key) in (VIOLATED, COMPLETED)
+        monitor.end_session(cid, role)
+    assert len(orders) > cap and len(made) > 2 * cap
+    assert not monitor.sessions
+    gc.collect()
+    assert len(alive) <= cap
+
+
+def test_threads_racing_on_one_monitor_each_follow_their_own_run(monkeypatch):
+    # four threads check their own sessions against one standalone monitor
+    # whose table holds 8 configurations, so it fills and starts again while
+    # the others intern and record moves: a lost or crossed move would show
+    # as a session whose enabled triples are not its run's
+    monkeypatch.setattr(fsmmod, "CONFIG_CAP", 8)
+    local = project(parse_global(wide_source(4)), "S").protocol
+    monitor = Monitor(lambda ref: local, record_trace=False)
+    errors = []
+    ready = threading.Barrier(4)
+
+    def drive(n):
+        rng = random.Random(n)
+        try:
+            ready.wait(timeout=5)
+            for k in range(100):
+                cid = f"t{n}.{k}"
+                key = monitor.init_session(cid, "S", local.name)
+                direct = monitor.sessions[key].configs.start.run.copy()
+                for triple in _interleaving(rng, 4):
+                    assert monitor.check(msg(cid, *triple), "S").ok
+                    direct.step(direct.transition(triple))
+                    assert monitor.enabled_triples(key) == set(direct.enabled())
+                assert monitor.session_status(key) == COMPLETED
+                monitor.end_session(cid, "S")
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=drive, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert not monitor.sessions

@@ -505,7 +505,7 @@ def test_an_object_published_after_the_sender_mediator_is_judged_like_bytes(
         if monitor is None:
             return None
         state = monitor.sessions[cid, "A"]
-        return list(state.run.cursors), dict(state.env), state.violated
+        return list(state.config.run.cursors), dict(state.env), state.violated
 
     before = session()
     odd = ConversationMessage(IN_SESSION, cid, "U", "A", "Request", 5)
