@@ -5,19 +5,28 @@ mediation cases: full monitoring, a forwarder that mediates and stamps but
 never checks (the baseline that isolates checking cost from mediation cost),
 and no mediation at all. A repetition builds a fresh runtime and broker,
 creates the session (so FSM compilation is inside the timed window, where it
-amortizes over the session), drives the scripted exchange, and tears down.
-Delivery is synchronous in the sender's thread, so a single thread can play
-both roles without deadlock.
+amortizes over the session), runs the session's message script, and tears
+down. Delivery is synchronous in the sender's thread, so a single thread can
+play both roles without deadlock.
+
+A scenario is a message script: ``script(param)`` lists the session's
+messages as ``(sender, receiver, label)`` or ``(sender, receiver, label,
+payload)`` tuples, and each is sent and then received by its receiver. The
+timer and ``count_work`` run the same tuples, so an exact count describes
+the very messages a timed cell carries.
 
 Scenarios:
 
-* ``session-length``: a recursive ping-pong; the parameter is the number of
-  OK/ACK rounds before the closing KO, so a run carries 2n+1 messages.
-* ``protocol-size``: 2k parallel branches, each a single send; the local FSM
-  grows linearly (4k+2 states) while the flat product grows as 4^k. The
-  parameter is k, a run carries 2k messages.
-* ``payload-size``: one ping-pong round plus KO (3 messages) carrying a
-  bytes payload of the given size.
+* ``session-length``: a recursive ping-pong (``pingpong_script``); the
+  parameter is the number of OK/ACK rounds before the closing KO, so a run
+  carries 2n+1 messages.
+* ``protocol-size``: 2k parallel branches, each a single send
+  (``wide_script``: every OK, then every ACK); the local FSM grows linearly
+  (4k+2 states) while the flat product grows as 4^k. The parameter is k, a
+  run carries 2k messages.
+* ``payload-size``: one ping-pong round plus KO (``payload_script``, 3
+  messages) carrying a bytes payload of the given size, built before the
+  clock starts.
 
 ``count_work`` counts work instead of timing it: the bytecodes one warm
 session set-up, one message and one session's stop execute, split by the
@@ -37,7 +46,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .endpoint import FORWARDER, MONITOR, NONE, ConversationRuntime, make_invitation_config
 from .parser import parse_global
@@ -98,34 +107,22 @@ def wide_source(k: int) -> str:
     )
 
 
-def _drive_pingpong(server, client, rounds: int) -> None:
-    for _ in range(rounds):
-        server.send("C", "OK")
-        client.receive("S")
-        client.send("S", "ACK")
-        server.receive("C")
-    server.send("C", "KO")
-    client.receive("S")
+def pingpong_script(rounds: int) -> List[tuple]:
+    """The messages of a ``session-length`` run of ``rounds`` rounds."""
+    return [("S", "C", "OK"), ("C", "S", "ACK")] * rounds + [("S", "C", "KO")]
 
 
-def _drive_wide(server, client, k: int) -> None:
-    for i in range(1, k + 1):
-        server.send("C", f"OK{i}")
-    for i in range(1, k + 1):
-        client.receive("S")
-        client.send("S", f"ACK{i}")
-    for _ in range(k):
-        server.receive("C")
+def wide_script(k: int) -> List[tuple]:
+    """The messages of a ``protocol-size`` run: every branch's OK, then every ACK."""
+    oks = [("S", "C", f"OK{i}") for i in range(1, k + 1)]
+    return oks + [("C", "S", f"ACK{i}") for i in range(1, k + 1)]
 
 
-def _drive_payload(server, client, size: int) -> None:
-    blob = bytes(size)
-    server.send("C", "OK", {"data": blob})
-    client.receive("S")
-    client.send("S", "ACK", {"data": blob})
-    server.receive("C")
-    server.send("C", "KO")
-    client.receive("S")
+def payload_script(size: int) -> List[tuple]:
+    """The messages of a ``payload-size`` run: one round carrying ``size``
+    bytes each way, then KO."""
+    blob = {"data": bytes(size)}
+    return [("S", "C", "OK", blob), ("C", "S", "ACK", blob), ("S", "C", "KO")]
 
 
 @dataclass(frozen=True)
@@ -134,8 +131,7 @@ class Scenario:
     params: Tuple[int, ...]
     protocol_name: Callable[[int], str]
     source: Callable[[int], str]
-    drive: Callable[[object, object, int], None]
-    messages: Callable[[int], int]
+    script: Callable[[int], List[tuple]]
 
 
 SCENARIOS: Dict[str, Scenario] = {
@@ -144,30 +140,27 @@ SCENARIOS: Dict[str, Scenario] = {
         params=SESSION_LENGTH_PARAMS,
         protocol_name=lambda n: "PingPong",
         source=lambda n: pingpong_source(),
-        drive=_drive_pingpong,
-        messages=lambda n: 2 * n + 1,
+        script=pingpong_script,
     ),
     "protocol-size": Scenario(
         name="protocol-size",
         params=PROTOCOL_SIZE_PARAMS,
         protocol_name=lambda k: f"Wide{k}",
         source=wide_source,
-        drive=_drive_wide,
-        messages=lambda k: 2 * k,
+        script=wide_script,
     ),
     "payload-size": Scenario(
         name="payload-size",
         params=PAYLOAD_SIZE_PARAMS,
         protocol_name=lambda s: "Echo",
         source=lambda s: pingpong_source(with_payload=True),
-        drive=_drive_payload,
-        messages=lambda s: 3,
+        script=payload_script,
     ),
 }
 
 
 def messages_per_session(scenario: str, parameter: int) -> int:
-    return SCENARIOS[scenario].messages(parameter)
+    return len(SCENARIOS[scenario].script(parameter))
 
 
 def _store_for(scenario: Scenario, params: Sequence[int]) -> ProtocolStore:
@@ -184,17 +177,19 @@ def _store_for(scenario: Scenario, params: Sequence[int]) -> ProtocolStore:
 
 
 def _run_once(scenario: Scenario, param: int, case: str, store: ProtocolStore, clock) -> int:
-    config = make_invitation_config(
-        scenario.protocol_name(param), {"S": "srv", "C": "cli"}
-    )
+    name = scenario.protocol_name(param)
+    config = make_invitation_config(name, {"S": "srv", "C": "cli"})
+    script = scenario.script(param)
     started = clock()
     runtime = ConversationRuntime(store, case=_CASE_RUNTIME[case], record_trace=False)
     server = runtime.endpoint("srv")
-    server.create(scenario.protocol_name(param), config)
-    client = runtime.endpoint("cli").join("C")
-    scenario.drive(server, client, param)
-    server.stop()
-    client.stop()
+    server.create(name, config)
+    endpoints = {"S": server, "C": runtime.endpoint("cli").join("C")}
+    for sender, receiver, label, *payload in script:
+        endpoints[sender].send(receiver, label, *payload)
+        endpoints[receiver].receive(sender)
+    for endpoint in endpoints.values():
+        endpoint.stop()
     runtime.close()
     return clock() - started
 
@@ -212,6 +207,11 @@ def bench_run(
     for case in cases:
         if case not in CASES:
             raise ValueError(f"unknown case {case!r}")
+    for param in chosen:
+        if param < 1:
+            raise ValueError(f"parameter {param} is below 1")
+    if repetitions < 1:
+        raise ValueError(f"repetitions {repetitions} is below 1")
     store = _store_for(scenario, chosen)
     samples: Dict[Tuple[int, str], List[int]] = {
         (param, case): [] for param in chosen for case in cases
@@ -263,22 +263,29 @@ def bench_run(
     ]
 
 
-def _forwarder_means(records: Sequence[BenchRecord]) -> Dict[Tuple[str, int], float]:
-    return {(r.scenario, r.parameter): r.mean_ns for r in records if r.case == "Forwarder"}
+def _overheads(
+    records: Sequence[BenchRecord],
+) -> Iterator[Tuple[BenchRecord, int, Optional[float], Optional[float]]]:
+    """Each record as ``(record, messages, pct, ns_per_msg)``: its messages
+    per session and its overhead against the Forwarder cell of its scenario
+    and parameter, in percent and in ns per message. Both overheads are None
+    without a Forwarder cell, and the percentage also when its mean is 0."""
+    baselines = {(r.scenario, r.parameter): r.mean_ns for r in records if r.case == "Forwarder"}
+    for r in records:
+        messages = messages_per_session(r.scenario, r.parameter)
+        base = baselines.get((r.scenario, r.parameter))
+        if base is None:
+            yield r, messages, None, None
+        else:
+            excess = r.mean_ns - base
+            yield r, messages, (excess / base * 100 if base else None), excess / messages
 
 
 def bench_report(records: Sequence[BenchRecord]) -> str:
     """CSV with relative overhead against the Forwarder baseline."""
-    baselines = _forwarder_means(records)
     lines = ["scenario,parameter,case,mean_ns,stddev_ns,overhead_vs_forwarder_pct"]
-    for r in records:
-        base = baselines.get((r.scenario, r.parameter))
-        if base is None or base == 0:
-            overhead = ""
-        elif r.case == "Forwarder":
-            overhead = "0.00"
-        else:
-            overhead = f"{(r.mean_ns - base) / base * 100:.2f}"
+    for r, _, pct, _ in _overheads(records):
+        overhead = "" if pct is None else f"{pct:.2f}"
         lines.append(
             f"{r.scenario},{r.parameter},{r.case},"
             f"{r.mean_ns:.0f},{r.stddev_ns:.0f},{overhead}"
@@ -313,16 +320,13 @@ def bench_json(records: Sequence[BenchRecord]) -> Dict[str, dict]:
     the overhead against the Forwarder is given both in percent and in ns
     per message, and is null without a Forwarder cell.
     """
-    baselines = _forwarder_means(records)
     documents: Dict[str, dict] = {}
     timed_on = environment()
-    for r in records:
+    for r, messages, pct, ns_per_msg in _overheads(records):
         doc = documents.setdefault(
             r.scenario,
             {"scenario": r.scenario, "unit": "ns", "environment": timed_on, "cells": []},
         )
-        messages = messages_per_session(r.scenario, r.parameter)
-        base = baselines.get((r.scenario, r.parameter))
         doc["cells"].append(
             {
                 "parameter": r.parameter,
@@ -331,12 +335,8 @@ def bench_json(records: Sequence[BenchRecord]) -> Dict[str, dict]:
                 "mean_ns": r.mean_ns,
                 "stddev_ns": r.stddev_ns,
                 "repetitions": r.repetitions,
-                "overhead_vs_forwarder_pct": (
-                    (r.mean_ns - base) / base * 100 if base else None
-                ),
-                "over_forwarder_ns_per_msg": (
-                    (r.mean_ns - base) / messages if base is not None else None
-                ),
+                "overhead_vs_forwarder_pct": pct,
+                "over_forwarder_ns_per_msg": ns_per_msg,
             }
         )
     return documents
@@ -441,8 +441,3 @@ def count_work(case: str, protocol_source: str, script: Sequence[tuple] = ()) ->
         per_message={name: n / sent for name, n in _by_file(messages).items()} if sent else {},
         stop=_by_file(stop),
     )
-
-
-def pingpong_script(rounds: int) -> List[tuple]:
-    """The messages of a ``session-length`` run of ``rounds`` rounds."""
-    return [("S", "C", "OK"), ("C", "S", "ACK")] * rounds + [("S", "C", "KO")]

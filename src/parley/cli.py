@@ -233,14 +233,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    params = None
-    if args.params:
-        params = [int(p) for p in args.params.split(",")]
     cases = args.cases.split(",") if args.cases else list(benchmod.CASES)
     try:
         records = benchmod.bench_run(
             args.scenario,
-            params=params,
+            params=[int(p) for p in args.params.split(",")] if args.params else None,
             cases=cases,
             repetitions=args.reps,
             warmup=args.warmup,

@@ -72,9 +72,10 @@ and records a refusal against the inbox it would have allocated.
 The creator invites itself the same way; delivery is synchronous, so
 ``create`` claims its own invitation at once. If it was refused, ``create``
 releases the shares the other invitees accepted and raises. A principal takes
-at most one role in a conversation: ``create`` refuses a config that gives it
-two, and its mediator refuses a second invitation to a conversation it is
-already in.
+at most one role in a conversation, and a role has one principal: ``create``
+refuses a config that gives a principal two roles or a role two principals,
+and a principal's mediator refuses a second invitation to a conversation it
+is already in.
 
 Session lifecycle. Accepting an invitation allocates the principal's share of
 the conversation: the inbox ``in.<principal>.<cid>``, in the mediated cases
@@ -533,6 +534,10 @@ class Endpoint:
             raise IncompleteConfig(
                 f"unknown roles: {', '.join(sorted(configured - declared))}"
             )
+        if len(configured) < len(config.entries):  # two principals for one role
+            roles = [entry.role for entry in config.entries]
+            twice = next(role for i, role in enumerate(roles) if role in roles[:i])
+            raise IncompleteConfig(f"role {twice} is invited twice")
         # A principal's share of a session is released per (principal, cid),
         # so it may take only one role.
         roles_of: Dict[str, str] = {}

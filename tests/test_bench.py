@@ -12,6 +12,7 @@ import parley.bench as bench_mod
 from parley.bench import (
     BenchRecord,
     CASES,
+    DEFAULT_CLOCK,
     SCENARIOS,
     bench_report,
     bench_run,
@@ -20,6 +21,7 @@ from parley.bench import (
     messages_per_session,
     pingpong_script,
     pingpong_source,
+    wide_script,
     wide_source,
 )
 from parley.fsm import compile as compile_fsm
@@ -91,6 +93,35 @@ def test_bench_run_real_clock_smoke():
     records = bench_run("session-length", params=[2], repetitions=2, warmup=1)
     assert len(records) == 3
     assert all(r.mean_ns > 0 for r in records)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_timed_session_carries_its_scenarios_script(monkeypatch, name):
+    # what the sender's monitor checks during one timed window is exactly
+    # the script count_work counts, in order, and nothing is refused
+    spec = SCENARIOS[name]
+    param = spec.params[0]
+    checked, runtimes = [], []
+    check = Monitor.check
+
+    def recording_check(self, message, role):
+        if role == message.sender:
+            payload = (dict(message.payload),) if message.payload else ()
+            checked.append((message.sender, message.receiver, message.label, *payload))
+        return check(self, message, role)
+
+    class RecordingRuntime(bench_mod.ConversationRuntime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runtimes.append(self)
+
+    monkeypatch.setattr(Monitor, "check", recording_check)
+    monkeypatch.setattr(bench_mod, "ConversationRuntime", RecordingRuntime)
+    store = bench_mod._store_for(spec, (param,))
+    bench_mod._run_once(spec, param, "Monitor", store, DEFAULT_CLOCK)
+    assert checked == spec.script(param)
+    [runtime] = runtimes
+    assert runtime.dropped == [] and runtime.mediation_violations == []
 
 
 def _failing_clock():
@@ -190,30 +221,17 @@ def test_a_raw_message_checks_its_assertion_in_a_third_of_the_tree_walks_work():
     assert work.per_message["predicates.py"] * len(script) <= 544 / 3
 
 
-def _wide_script(k: int) -> list:
-    return [m for i in range(1, k + 1) for m in (("S", "C", f"OK{i}"), ("C", "S", f"ACK{i}"))]
-
-
-def _payload_script(size: int) -> list:
-    blob = {"data": bytes(size)}
-    return [("S", "C", "OK", blob), ("C", "S", "ACK", blob), ("S", "C", "KO")]
-
-
 def _per_message(case: str, source: str, script) -> float:
     return sum(count_work(case, source, script).per_message.values())
 
 
-@pytest.mark.parametrize(
-    "source,script",
-    [
-        (pingpong_source(), pingpong_script(100)),
-        (wide_source(1), _wide_script(1)),
-        (pingpong_source(with_payload=True), _payload_script(64)),
-    ],
-    ids=["session-length", "protocol-size", "payload-size"],
-)
-def test_checking_costs_more_work_than_forwarding_and_forwarding_more_than_none(source, script):
-    # the deterministic companion of c7's (a), on the first cell of each scenario
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_checking_costs_more_work_than_forwarding_and_forwarding_more_than_none(name):
+    # the deterministic companion of c7's (a), on the first cell of each
+    # scenario: the source and script c7 times there
+    spec = SCENARIOS[name]
+    param = spec.params[0]
+    source, script = spec.source(param), spec.script(param)
     monitor, forwarder, none = (_per_message(case, source, script) for case in CASES)
     assert monitor >= forwarder >= none
 
@@ -225,8 +243,8 @@ def test_checking_work_per_message_does_not_grow_with_parallel_branches():
     # asserts and carries nothing skipped _fire and no move wrote a status,
     # and 141 at both once a warm check was one lookup in its configuration
     checking = {
-        k: _per_message("Monitor", wide_source(k), _wide_script(k))
-        - _per_message("Forwarder", wide_source(k), _wide_script(k))
+        k: _per_message("Monitor", wide_source(k), wide_script(k))
+        - _per_message("Forwarder", wide_source(k), wide_script(k))
         for k in (1, 6)
     }
     assert checking[6] <= checking[1]
@@ -269,8 +287,8 @@ def test_a_warm_check_costs_the_same_at_any_width_and_at_most_150_opcodes():
         - _per_message("Forwarder", source, script)
     }
     for k in (1, 2, 4, 8, 16, 32):
-        checking[k] = _per_message("Monitor", wide_source(k), _wide_script(k)) - _per_message(
-            "Forwarder", wide_source(k), _wide_script(k)
+        checking[k] = _per_message("Monitor", wide_source(k), wide_script(k)) - _per_message(
+            "Forwarder", wide_source(k), wide_script(k)
         )
     assert len({round(work, 6) for work in checking.values()}) == 1, checking
     assert checking["pingpong"] <= 150, checking

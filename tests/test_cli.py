@@ -335,6 +335,25 @@ def test_bench_rejects_unknown_case(workdir, capsys):
     assert "Turbo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario,extra,expected",
+    [
+        ("session-length", ["--params", "abc"], "invalid literal"),
+        ("protocol-size", ["--params", "0", "--json", "out"], "parameter 0 is below 1"),
+        ("protocol-size", ["--params", "-1"], "parameter -1 is below 1"),
+        ("payload-size", ["--params", "64", "--reps", "0"], "repetitions 0 is below 1"),
+    ],
+    ids=["not-a-number", "zero-width", "negative-width", "no-repetitions"],
+)
+def test_bench_reports_a_bad_parameter_as_an_error(workdir, capsys, scenario, extra, expected):
+    extra = [str(workdir / arg) if arg == "out" else arg for arg in extra]
+    assert main(["bench", "--scenario", scenario, "--warmup", "0", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and expected in captured.err
+    assert captured.out == ""  # refused before anything was timed
+    assert not (workdir / "out").exists()
+
+
 def test_usage_errors_exit_2(workdir):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -129,19 +129,30 @@ def test_monitored_polling_run(daq_store, daq_config):
 
 
 def test_create_checks_config_against_roles(daq_store, daq_config):
-    runtime = ConversationRuntime(daq_store)
-    u = runtime.endpoint("user")
     missing = InvitationConfig(daq_config.entries[:2])
-    with pytest.raises(IncompleteConfig, match="missing roles: I"):
-        u.create("DataAquisition", missing)
     extra = InvitationConfig(
         daq_config.entries + (InvitationEntry("Z", "zed", "DataAquisition_Z.scr"),)
     )
-    with pytest.raises(IncompleteConfig, match="unknown roles: Z"):
-        u.create("DataAquisition", extra)
-    stranger = runtime.endpoint("stranger")
-    with pytest.raises(IncompleteConfig, match="no invitation entry"):
-        stranger.create("DataAquisition", daq_config)
+    # two principals for one role: each would join it, and every message to
+    # it would be delivered twice
+    twice = InvitationConfig(
+        daq_config.entries + (InvitationEntry("I", "instr2", local_ref("DataAquisition", "I")),)
+    )
+    for case in (MONITOR, FORWARDER, NONE):
+        runtime = ConversationRuntime(daq_store, case=case)
+        u = runtime.endpoint("user")
+        stranger = runtime.endpoint("stranger")
+        before = held(runtime)
+        with pytest.raises(IncompleteConfig, match="missing roles: I"):
+            u.create("DataAquisition", missing)
+        with pytest.raises(IncompleteConfig, match="unknown roles: Z"):
+            u.create("DataAquisition", extra)
+        with pytest.raises(IncompleteConfig, match="no invitation entry"):
+            stranger.create("DataAquisition", daq_config)
+        with pytest.raises(IncompleteConfig, match="^role I is invited twice$"):
+            u.create("DataAquisition", twice)
+        assert held(runtime) == before, case  # no queue, binding or share allocated
+        assert set(runtime._nodes) <= {"user", "stranger"}, case
 
 
 def test_create_accepts_config_file_path(daq_store, tmp_path):
